@@ -33,6 +33,8 @@ from .core import (
     EmptySetFocalError,
     Frame,
     FrameMismatchError,
+    InvalidMassValueError,
+    LengthMismatchError,
     MassFunction,
     MassFunctionError,
     NegativeMassError,
@@ -42,6 +44,8 @@ from .core import (
     dcr_pair,
     event_evidence,
     self_fuse,
+    superset_mobius,
+    superset_zeta,
     vacuous,
     validate_masses,
 )
@@ -88,6 +92,7 @@ from .fusion import (
     IcefConfig,
     IcefStep,
     IcefTrace,
+    InvalidConfigError,
     cef_fuse,
     dcr_fuse,
     decide,

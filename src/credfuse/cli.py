@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -39,7 +40,7 @@ from .documents import (
     load_evidence_document,
     matrix_table,
 )
-from .fusion import FUSION_METHODS, IcefConfig, fuse, icef
+from .fusion import FUSION_METHODS, IcefConfig, InvalidConfigError, fuse, icef
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -64,17 +65,12 @@ def _load_document(args) -> EvidenceDocument:
 
 
 def _config(args, doc: EvidenceDocument | None = None) -> IcefConfig:
-    overrides = dict(doc.overrides) if doc else {}
-    tau = args.tau if args.tau is not None else overrides.get("tau", 200.0)
-    delta = args.delta if args.delta is not None else overrides.get("delta", 1e-6)
-    max_iter = args.max_iter if args.max_iter is not None else overrides.get("max_iter", 200)
-    return IcefConfig(
-        tau=tau,
-        delta=delta,
-        max_iter=int(max_iter),
-        init=args.init,
-        measure=get_measure(args.measure),
-    )
+    """Flags override the document's settings, which override the defaults."""
+    settings = dict(doc.overrides) if doc else {}
+    for key in ("tau", "delta", "max_iter"):
+        if getattr(args, key) is not None:
+            settings[key] = getattr(args, key)
+    return IcefConfig(init=args.init, measure=get_measure(args.measure), **settings)
 
 
 def _precision(args) -> int | None:
@@ -117,8 +113,7 @@ def cmd_fuse(args) -> int:
     cfg = _config(args, doc)
     precision = _precision(args)
     if args.method.startswith("icef-"):
-        cfg = IcefConfig(cfg.tau, cfg.delta, cfg.max_iter, cfg.init,
-                         get_measure(args.method.removeprefix("icef-")))
+        cfg = replace(cfg, measure=get_measure(args.method.removeprefix("icef-")))
         result, trace = icef(doc.mass_functions, cfg)
         if not trace.converged:
             print(
@@ -203,13 +198,7 @@ def cmd_bench(args) -> int:
     ds = load_dataset(args.dataset, label_column=args.label_column,
                       feature_columns=features, delimiter=args.delimiter)
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
-    cfg = IcefConfig(
-        tau=args.tau if args.tau is not None else 200.0,
-        delta=args.delta if args.delta is not None else 1e-6,
-        max_iter=int(args.max_iter) if args.max_iter is not None else 200,
-        init=args.init,
-        measure=get_measure(args.measure),
-    )
+    cfg = _config(args)
     precision = _precision(args)
 
     if args.mode == "sweep":
@@ -258,10 +247,12 @@ def cmd_bench(args) -> int:
 
 
 def _add_common_fusion_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--tau", type=float, default=None, help="support kernel scale (default 200)")
+    p.add_argument("--tau", type=float, default=None,
+                   help=f"support kernel scale (default {IcefConfig.tau:g})")
     p.add_argument("--delta", type=float, default=None,
-                   help="L1 termination threshold (default 1e-6)")
-    p.add_argument("--max-iter", type=int, default=None, help="iteration cap (default 200)")
+                   help=f"L1 termination threshold (default {IcefConfig.delta:g})")
+    p.add_argument("--max-iter", type=int, default=None,
+                   help=f"iteration cap (default {IcefConfig.max_iter})")
     p.add_argument("--init", choices=["uniform", "eem"], default="uniform",
                    help="initial event probabilities")
     p.add_argument("--measure", default="pbagd", help="divergence measure (pbagd, bjs)")
@@ -324,7 +315,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (DocumentError, ParseError, EmptyDatasetError, OSError, KeyError) as exc:
+    except (DocumentError, InvalidConfigError, ParseError, EmptyDatasetError, OSError,
+            KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except SchemaError as exc:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Frame, MassFunction, event_evidence
+from .core import Frame, FrameMismatchError, MassFunction
 from .divergence import DivergenceMeasure
 
 
@@ -71,15 +71,14 @@ def build_eem(
 ) -> EventEvaluationMatrix:
     """Event evaluation matrix: entry (j, i) is the divergence of evidence i
     from the categorical assertion of event j.  Smaller means evidence i
-    supports event j more strongly."""
+    supports event j more strongly; see
+    :meth:`~credfuse.divergence.DivergenceMeasure.event_divergences`."""
     if not ms:
         raise ValueError("need at least one piece of evidence")
-    values = np.zeros((frame.n, len(ms)))
-    for j in range(frame.n):
-        assertion = event_evidence(frame, j)
-        for i, m in enumerate(ms):
-            values[j, i] = measure(m, assertion)
-    return EventEvaluationMatrix(values, measure.name, frame)
+    for m in ms:
+        if m.frame != frame:
+            raise FrameMismatchError(f"frames differ: {m.frame.events} vs {frame.events}")
+    return EventEvaluationMatrix(measure.event_divergences(ms, frame), measure.name, frame)
 
 
 def support_matrix(eem: EventEvaluationMatrix, tau: float) -> np.ndarray:

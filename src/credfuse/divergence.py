@@ -12,38 +12,31 @@ All logarithms in this module are base 2.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
+
 import numpy as np
 
-from .core import Frame, FrameMismatchError, MassFunction
-
-
-class LengthMismatchError(ValueError):
-    """Two vectors that must align have different lengths."""
+from .core import (
+    Frame,
+    FrameMismatchError,
+    LengthMismatchError,
+    MassFunction,
+    event_evidence,
+    superset_zeta,
+)
 
 
 def subset_bel_pl(m: MassFunction) -> tuple[np.ndarray, np.ndarray]:
     """Belief and plausibility over every subset mask ``0 .. 2**n - 1``.
 
-    Belief is the subset-sum (zeta transform) of the dense mass vector;
+    Belief of ``A`` is the superset sum (:func:`superset_zeta`) of the mass
+    vector indexed by complement, read at the complement of ``A``;
     plausibility of ``A`` is total mass minus belief of the complement.
     Arrays are indexed directly by bitmask.
     """
-    n = m.frame.n
-    dense = np.zeros(1 << n)
-    for mask, value in m.items():
-        dense[mask] = value
-    bel = dense.reshape([2] * n)
-    for axis in range(n):
-        upper = [slice(None)] * n
-        lower = [slice(None)] * n
-        upper[axis] = 1
-        lower[axis] = 0
-        bel[tuple(upper)] += bel[tuple(lower)]
-    bel = bel.reshape(-1)
-    total = bel[-1]
-    full = (1 << n) - 1
-    pl = total - bel[full ^ np.arange(1 << n)]
-    return bel, pl
+    bel_of_complement = superset_zeta(m.dense()[::-1])
+    total = bel_of_complement[0]
+    return bel_of_complement[::-1], total - bel_of_complement
 
 
 def pb_transform(m: MassFunction, include_empty_in_normalizer: bool = False) -> np.ndarray:
@@ -56,12 +49,17 @@ def pb_transform(m: MassFunction, include_empty_in_normalizer: bool = False) -> 
     ``exp(0) + exp(0) = 2`` to ``Z`` (a variant normalization; off by default,
     which is the calibrated behavior).
     """
-    bel, pl = subset_bel_pl(m)
+    weights, z = _pb_weights(*subset_bel_pl(m), include_empty_in_normalizer)
+    return weights / z
+
+
+def _pb_weights(bel, pl, include_empty_in_normalizer: bool):
+    """The weights ``exp(Bel) + exp(Pl)`` over nonempty subsets and their sum ``Z``."""
     weights = np.exp(bel[1:]) + np.exp(pl[1:])
     z = weights.sum()
     if include_empty_in_normalizer:
         z += 2.0
-    return weights / z
+    return weights, z
 
 
 def ag_divergence(p, q) -> float:
@@ -81,11 +79,15 @@ def ag_divergence(p, q) -> float:
     differs = p != q
     if not differs.any():
         return 0.0
-    mean = (p[differs] + q[differs]) / 2.0
-    geo = np.sqrt(p[differs] * q[differs])
     with np.errstate(divide="ignore"):
-        terms = mean * np.log2(mean / geo)
+        terms = _ag_terms(p[differs], q[differs])
     return float(terms.sum())
+
+
+def _ag_terms(p, q):
+    """Elementwise ``mean * log2(mean / geo)`` of the paired entries of ``p`` and ``q``."""
+    mean = (p + q) / 2.0
+    return mean * np.log2(mean / np.sqrt(p * q))
 
 
 class DivergenceMeasure:
@@ -105,6 +107,12 @@ class DivergenceMeasure:
 
     def evaluate(self, m1: MassFunction, m2: MassFunction) -> float:
         raise NotImplementedError
+
+    def event_divergences(self, ms: Sequence[MassFunction], frame: Frame) -> np.ndarray:
+        """Divergence of each evidence (columns) from the categorical assertion
+        of each event (rows), one call of the measure per entry."""
+        assertions = [event_evidence(frame, j) for j in range(frame.n)]
+        return np.array([[self(m, a) for m in ms] for a in assertions])
 
     def __repr__(self):
         return f"{type(self).__name__}(name={self.name!r})"
@@ -126,6 +134,42 @@ class PBAGDivergence(DivergenceMeasure):
         w1 = pb_transform(m1, self.include_empty_in_normalizer)
         w2 = pb_transform(m2, self.include_empty_in_normalizer)
         return ag_divergence(w1, w2)
+
+    def event_divergences(self, ms: Sequence[MassFunction], frame: Frame) -> np.ndarray:
+        """As the base method, with one :func:`pb_transform` per evidence.
+
+        The assertion of event ``j`` has Bel = Pl = 1 on the subsets holding
+        ``j`` and 0 elsewhere, so its weights take two values, ``alpha`` and
+        ``beta``, read exactly as :func:`pb_transform` would compute them.
+        The divergence of weights ``p`` from it is then the sum of the
+        elementwise terms against ``alpha`` over the subsets holding ``j``
+        and against ``beta`` over the others.  Events whose two values agree
+        share the elementwise terms.  Entries where ``p`` equals the
+        assertion's weight contribute exactly 0, as in :func:`ag_divergence`.
+        """
+        size = 1 << frame.n
+        levels: dict[tuple[float, float], list[int]] = {}
+        for j in range(frame.n):
+            holds_j = np.zeros(size)
+            holds_j.reshape(-1, 2, 1 << j)[:, 1, :] = 1.0
+            weights, z = _pb_weights(holds_j, holds_j, self.include_empty_in_normalizer)
+            # exp(0) + exp(0) = 2 exactly on the subsets without j
+            levels.setdefault((weights[(1 << j) - 1] / z, 2.0 / z), []).append(j)
+        values = np.empty((frame.n, len(ms)))
+        p = np.ones(size)  # p[0], the empty set, only pads the vector
+        for i, m in enumerate(ms):
+            p[1:] = pb_transform(m, self.include_empty_in_normalizer)
+            for (alpha, beta), events in levels.items():
+                terms = _ag_terms(p, alpha)
+                terms[p == alpha] = 0.0
+                for j in events:
+                    values[j, i] = terms.reshape(-1, 2, 1 << j)[:, 1, :].sum()
+                terms = _ag_terms(p, beta)
+                terms[p == beta] = 0.0
+                terms[0] = 0.0
+                for j in events:
+                    values[j, i] += terms.reshape(-1, 2, 1 << j)[:, 0, :].sum()
+        return values
 
 
 class MassJensenShannon(DivergenceMeasure):

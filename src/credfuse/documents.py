@@ -24,6 +24,7 @@ import json
 from dataclasses import dataclass, field
 
 from .core import Frame, MassFunction
+from .fusion import IcefConfig
 
 
 class DocumentError(ValueError):
@@ -71,11 +72,16 @@ def parse_evidence_document(text: str) -> EvidenceDocument:
         except (KeyError, ValueError) as exc:
             raise DocumentError(f"evidence[{i}] ({name}): {exc}") from exc
         evidence.append((name, mass))
-    overrides = {
-        key: float(raw[key]) for key in ("tau", "delta") if key in raw
-    }
-    if "max_iter" in raw:
-        overrides["max_iter"] = int(raw["max_iter"])
+    overrides = {}
+    try:
+        for key in ("tau", "delta"):
+            if key in raw:
+                overrides[key] = float(raw[key])
+        if "max_iter" in raw:
+            overrides["max_iter"] = int(raw["max_iter"])
+        IcefConfig(**overrides)  # the ranges the fusion loop accepts
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise DocumentError(f"invalid fusion setting: {exc}") from exc
     return EvidenceDocument(frame, tuple(evidence), overrides)
 
 

@@ -10,12 +10,13 @@ round, until the probabilities stop moving.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import MassFunction, _require_same_frame, dcr_n, self_fuse
+from .core import LengthMismatchError, MassFunction, _require_same_frame, dcr_n, self_fuse
 from .credibility import (
     average_support_credibility,
     build_edmm,
@@ -29,8 +30,8 @@ from .credibility import (
 from .divergence import PBAGD, DivergenceMeasure, get_measure
 
 
-class LengthMismatchError(ValueError):
-    pass
+class InvalidConfigError(ValueError):
+    """A fusion setting is out of range or not a finite number."""
 
 
 @dataclass(frozen=True)
@@ -50,14 +51,14 @@ class IcefConfig:
     measure: DivergenceMeasure = PBAGD
 
     def __post_init__(self):
-        if self.tau <= 0:
-            raise ValueError(f"tau must be positive, got {self.tau}")
-        if self.delta <= 0:
-            raise ValueError(f"delta must be positive, got {self.delta}")
+        if not (math.isfinite(self.tau) and self.tau > 0):
+            raise InvalidConfigError(f"tau must be positive and finite, got {self.tau}")
+        if not (math.isfinite(self.delta) and self.delta > 0):
+            raise InvalidConfigError(f"delta must be positive and finite, got {self.delta}")
         if self.max_iter < 1:
-            raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")
+            raise InvalidConfigError(f"max_iter must be >= 1, got {self.max_iter}")
         if self.init not in ("uniform", "eem"):
-            raise ValueError(f"init must be 'uniform' or 'eem', got {self.init!r}")
+            raise InvalidConfigError(f"init must be 'uniform' or 'eem', got {self.init!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -218,7 +219,7 @@ def fuse(
         return murphy_fuse(ms)
     if method.startswith("icef-"):
         measure = get_measure(method.removeprefix("icef-"))
-        result, _ = icef(ms, IcefConfig(cfg.tau, cfg.delta, cfg.max_iter, cfg.init, measure))
+        result, _ = icef(ms, replace(cfg, measure=measure))
         return result
     if method in ("cef-avg", "cef-eig"):
         edmm = build_edmm(ms, cfg.measure)

@@ -55,6 +55,22 @@ class TestFuse:
         assert code == EXIT_PARSE
         assert "error" in err
 
+    def test_nan_tau_in_document_exits_2(self, tmp_path, capsys):
+        doc = {
+            "frame": ["A", "B"],
+            "evidence": [{"masses": {"A": 0.6, "A,B": 0.4}}, {"masses": {"B": 1.0}}],
+        }
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc)[:-1] + ', "tau": NaN}')
+        code, _, err = run(capsys, "fuse", str(path))
+        assert code == EXIT_PARSE
+        assert "tau" in err
+
+    def test_nan_tau_flag_exits_2(self, capsys):
+        code, _, err = run(capsys, "fuse", "--builtin", "fault-sensors", "--tau", "nan")
+        assert code == EXIT_PARSE
+        assert "tau" in err
+
     def test_missing_input_exits_2(self, capsys):
         code, _, err = run(capsys, "fuse")
         assert code == EXIT_PARSE

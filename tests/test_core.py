@@ -1,5 +1,8 @@
 """Frame, mass-function, and combination-rule behavior."""
 
+import functools
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,6 +12,7 @@ from credfuse import (
     EmptySetFocalError,
     Frame,
     FrameMismatchError,
+    InvalidMassValueError,
     MassFunction,
     NegativeMassError,
     NotNormalizedError,
@@ -17,9 +21,13 @@ from credfuse import (
     dcr_pair,
     event_evidence,
     self_fuse,
+    superset_mobius,
+    superset_zeta,
     vacuous,
     validate_masses,
 )
+from credfuse import core
+from credfuse.core import _dense_self_fuse, _fold_is_cheaper
 
 from .conftest import random_mass_function
 
@@ -52,6 +60,11 @@ class TestFrame:
         with pytest.raises(ValueError):
             frame3.mask_of(8)
 
+    @pytest.mark.parametrize("flag", [True, False, np.bool_(True)])
+    def test_bool_is_not_a_mask(self, frame3, flag):
+        with pytest.raises(TypeError):
+            frame3.mask_of(flag)
+
 
 class TestValidation:
     def test_valid_report(self, frame3):
@@ -73,6 +86,30 @@ class TestValidation:
     def test_constructor_raises(self, frame3):
         with pytest.raises(NotNormalizedError):
             MassFunction(frame3, {"A1": 0.5})
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_mass_rejected(self, frame3, bad):
+        assert isinstance(validate_masses(frame3, {"A1": bad, "A2": 1.0}), InvalidMassValueError)
+        with pytest.raises(InvalidMassValueError):
+            MassFunction(frame3, {"A1": bad, "A2": 1.0})
+        with pytest.raises(InvalidMassValueError):
+            MassFunction(frame3, {"A1": np.float64(bad)})
+
+    def test_bool_mass_rejected(self, frame3):
+        assert isinstance(validate_masses(frame3, {"A1": True}), InvalidMassValueError)
+        with pytest.raises(InvalidMassValueError):
+            MassFunction(frame3, {"A1": True})
+        with pytest.raises(InvalidMassValueError):
+            MassFunction(frame3, {"A1": np.bool_(True)})
+
+    @pytest.mark.parametrize("bad", [None, "heavy", [0.5]])
+    def test_non_number_mass_rejected(self, frame3, bad):
+        with pytest.raises(InvalidMassValueError):
+            MassFunction(frame3, {"A1": bad})
+
+    def test_bool_subset_rejected(self, frame3):
+        with pytest.raises(TypeError):
+            MassFunction(frame3, {True: 1.0})
 
     def test_zero_masses_dropped_and_duplicates_merged(self, frame3):
         m = MassFunction(frame3, {"A1": 1.0, ("A2",): 0.0})
@@ -189,6 +226,110 @@ class TestSelfFuse:
         assert fused.mass("A2") == pytest.approx(0.0055, abs=1e-3)
         assert fused.mass("A3") == pytest.approx(0.0222, abs=1e-3)
         assert fused.mass("A1,A2,A3") == pytest.approx(0.0008, abs=1e-3)
+
+
+def _fold(m, times):
+    """The reference k-fold self-combination: pairwise Dempster, left to right."""
+    return functools.reduce(dcr_pair, [m] * times)
+
+
+def _assert_agree(fused, reference, tol=1e-12):
+    for mask in set(fused.focal_elements()) | set(reference.focal_elements()):
+        assert abs(fused.mass(mask) - reference.mass(mask)) <= tol, mask
+
+
+def _frame(n):
+    return Frame(tuple(f"E{i + 1}" for i in range(n)))
+
+
+class TestDenseKernel:
+    def test_zeta_matches_superset_sums(self):
+        rng = np.random.default_rng(7)
+        v = rng.random(32)
+        expected = [sum(v[b] for b in range(32) if b & a == a) for a in range(32)]
+        np.testing.assert_allclose(superset_zeta(v), expected, rtol=1e-14)
+
+    def test_mobius_inverts_zeta(self):
+        v = np.random.default_rng(8).random(64)
+        np.testing.assert_allclose(superset_mobius(superset_zeta(v)), v, atol=1e-14)
+
+    def test_commonality_of_a_mass(self, fault_case):
+        dense = fault_case[0].dense()
+        np.testing.assert_array_equal(dense, [0, 0.70, 0.10, 0, 0, 0, 0, 0.20])
+        q = superset_zeta(dense)
+        # q({A1}) collects the focal sets holding A1: {A1} and the frame
+        assert q[0b001] == pytest.approx(0.90)
+        assert q[0b111] == pytest.approx(0.20)
+        assert q[0] == pytest.approx(1.0)
+
+    def test_crossover_sends_small_inputs_to_the_fold(self):
+        assert _fold_is_cheaper(3, 3, 4)  # the iris classifier's self-combination
+        assert _fold_is_cheaper(2, 12, 2)
+        assert not _fold_is_cheaper(6, 3, 12)
+        assert not _fold_is_cheaper(5, 4, 16)
+        assert not _fold_is_cheaper(40, 12, 8)
+
+    @pytest.mark.parametrize("times, combinations", [(1, 0), (2, 1), (4, 2), (5, 3), (7, 4)])
+    def test_fold_squares(self, fault_case, monkeypatch, times, combinations):
+        calls = []
+        monkeypatch.setattr(core, "dcr_pair", lambda a, b: calls.append(1) or dcr_pair(a, b))
+        _assert_agree(self_fuse(fault_case[0], times), _fold(fault_case[0], times))
+        assert len(calls) == combinations
+
+
+@st.composite
+def _self_fuse_cases(draw):
+    n = draw(st.integers(min_value=1, max_value=8))
+    seed = draw(st.integers(min_value=0, max_value=2**32 - 1))
+    max_focals = draw(st.integers(min_value=1, max_value=6))
+    m = random_mass_function(np.random.default_rng(seed), _frame(n), max_focals=max_focals)
+    return m, draw(st.integers(min_value=1, max_value=30))
+
+
+class TestSelfFuseAgainstFold:
+    """The dense k-fold combination against the pairwise oracle."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=_self_fuse_cases())
+    def test_random_frames_and_operand_counts(self, case):
+        m, times = case
+        reference = _fold(m, times)
+        for fused in (self_fuse(m, times), _dense_self_fuse(m, times) if times > 1 else m):
+            assert set(fused.focal_elements()) == set(reference.focal_elements())
+            _assert_agree(fused, reference)
+            values = np.array([v for _, v in fused.items()])
+            assert np.isfinite(values).all() and (values > 0).all()
+
+    @pytest.mark.parametrize("n, times, focals", [(12, 8, 40), (20, 6, 4), (6, 24, 6)])
+    def test_fixed_cases(self, n, times, focals):
+        # n = 12 with many compound sets; n = 20, whose 2**20 commonalities
+        # are all computed; 24 operands, where q**24 spans many decades
+        rng = np.random.default_rng(n * 100 + times)
+        m = random_mass_function(rng, _frame(n), max_focals=focals, omega_floor=0.01)
+        reference = _fold(m, times)
+        _assert_agree(self_fuse(m, times), reference)
+        _assert_agree(_dense_self_fuse(m, times), reference)
+
+    def test_near_total_conflict(self):
+        # five disjoint singletons: only 5 * 0.2**24 = 8e-17 of the mass
+        # survives 24 operands, yet each pairwise step keeps 1/5 of it
+        m = MassFunction(_frame(5), {1 << j: 0.2 for j in range(5)})
+        fused = _dense_self_fuse(m, 24)
+        _assert_agree(fused, _fold(m, 24))
+        skewed = MassFunction(_frame(5), {1: 0.6, 2: 0.1, 4: 0.1, 8: 0.1, 16: 0.1})
+        _assert_agree(_dense_self_fuse(skewed, 24), _fold(skewed, 24))
+
+    def test_underflowed_survivors_raise_total_conflict(self):
+        m = MassFunction(_frame(5), {1 << j: 0.2 for j in range(5)})
+        with pytest.raises(TotalConflictError):
+            self_fuse(m, 500)  # 5 * 0.2**500 underflows to 0
+
+    def test_nested_focal_sets_keep_tiny_masses(self):
+        # no magnitude cut: mass of order 1e-15 on {E1} survives
+        m = MassFunction(_frame(4), {0b0001: 1e-8, 0b0011: 0.5 - 1e-8, 0b1111: 0.5})
+        fused = _dense_self_fuse(m, 2)
+        assert fused.mass(0b0001) > 0.0
+        _assert_agree(fused, _fold(m, 2))
 
 
 class TestEventEvidence:

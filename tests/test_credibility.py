@@ -2,10 +2,15 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from credfuse import (
+    BJS,
     PBAGD,
     Frame,
+    FrameMismatchError,
+    PBAGDivergence,
     average_support_credibility,
     build_edmm,
     build_eem,
@@ -24,6 +29,8 @@ from credfuse.credibility import (
     NonpositiveTauError,
     PairwiseDifferenceMatrix,
 )
+
+from .conftest import random_mass_function
 
 
 class TestBuildEdmm:
@@ -77,6 +84,37 @@ class TestBuildEem:
             assertion = event_evidence(frame3, j)
             for i, m in enumerate(fault_case):
                 assert eem.values[j, i] == pytest.approx(pbagd(m, assertion), abs=1e-15)
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(min_value=1, max_value=9),
+           seed=st.integers(min_value=0, max_value=2**32 - 1),
+           include_empty=st.booleans())
+    def test_closed_form_matches_pairwise_divergences(self, n, seed, include_empty):
+        rng = np.random.default_rng(seed)
+        frame = Frame(tuple(f"E{i + 1}" for i in range(n)))
+        ms = [random_mass_function(rng, frame, max_focals=6) for _ in range(3)]
+        ms.append(event_evidence(frame, int(rng.integers(n))))
+        measure = PBAGDivergence(include_empty_in_normalizer=include_empty)
+        eem = build_eem(ms, frame, measure)
+        for j in range(n):
+            assertion = event_evidence(frame, j)
+            for i, m in enumerate(ms):
+                expected = measure(m, assertion)
+                assert abs(eem.values[j, i] - expected) <= 1e-12
+                if expected == 0.0:  # categorical evidence on its own event
+                    assert eem.values[j, i] == 0.0
+
+    def test_other_measures_evaluate_each_pair(self, fault_case, frame3):
+        eem = build_eem(fault_case, frame3, BJS)
+        assert eem.measure == "bjs"
+        for j in range(3):
+            for i, m in enumerate(fault_case):
+                assert eem.values[j, i] == BJS(m, event_evidence(frame3, j))
+
+    @pytest.mark.parametrize("measure", [PBAGD, BJS])
+    def test_frame_mismatch(self, fault_case, measure):
+        with pytest.raises(FrameMismatchError):
+            build_eem(fault_case, Frame(("B1", "B2", "B3")), measure)
 
 
 class TestSupportMatrix:

@@ -55,6 +55,18 @@ class TestParsing:
         with pytest.raises(DocumentError):
             parse_evidence_document(bad)
 
+    @pytest.mark.parametrize("setting", [
+        '"tau": NaN', '"tau": Infinity', '"tau": -1', '"delta": NaN', '"max_iter": 0',
+        '"tau": "fast"',
+    ])
+    def test_invalid_fusion_setting_rejected(self, setting):
+        with pytest.raises(DocumentError):
+            parse_evidence_document(DOC.replace('"tau": 100.0', setting))
+
+    def test_null_mass_rejected(self):
+        with pytest.raises(DocumentError):
+            parse_evidence_document(DOC.replace('"A2": 0.1', '"A2": null'))
+
     def test_not_json(self):
         with pytest.raises(DocumentError):
             parse_evidence_document("frame: [A1]")

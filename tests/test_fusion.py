@@ -1,11 +1,14 @@
 """Open-loop and iterative fusion against the benchmark evidence sets."""
 
+import math
+
 import numpy as np
 import pytest
 
 from credfuse import (
     BJS,
     IcefConfig,
+    InvalidConfigError,
     MassFunction,
     cef_fuse,
     dcr_fuse,
@@ -17,6 +20,7 @@ from credfuse import (
     vacuous,
     weighted_average,
 )
+from credfuse.divergence import LengthMismatchError as DivergenceLengthMismatchError
 from credfuse.fusion import LengthMismatchError
 
 # converged credibilities for the five-sensor fault case (tau=200)
@@ -46,6 +50,7 @@ class TestWeightedAverage:
     def test_length_mismatch(self, fault_case):
         with pytest.raises(LengthMismatchError):
             weighted_average(fault_case, [0.5, 0.5])
+        assert LengthMismatchError is DivergenceLengthMismatchError
 
 
 class TestOpenLoopFusion:
@@ -205,6 +210,13 @@ class TestIcefMechanics:
             IcefConfig(max_iter=0)
         with pytest.raises(ValueError):
             IcefConfig(init="somewhere")
+
+    @pytest.mark.parametrize("knobs", [
+        {"tau": math.nan}, {"tau": math.inf}, {"delta": math.nan}, {"delta": math.inf},
+    ])
+    def test_config_rejects_non_finite_knobs(self, knobs):
+        with pytest.raises(InvalidConfigError):
+            IcefConfig(**knobs)
 
     def test_bjs_measure_also_converges(self, fault_case):
         result, trace = icef(fault_case, IcefConfig(measure=BJS, tau=5.0))
