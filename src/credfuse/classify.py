@@ -14,6 +14,7 @@ import csv
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -149,7 +150,7 @@ class IntervalModel:
     highs: np.ndarray
     lam: float
 
-    @property
+    @cached_property
     def frame(self) -> Frame:
         return Frame(self.class_labels)
 
@@ -200,8 +201,12 @@ def attribute_evidence(model: IntervalModel, sample, attribute: int) -> MassFunc
         d = interval_distance(model.lows[c, attribute], model.highs[c, attribute], x, x)
         similarities[c] = 1.0 / (1.0 + model.lam * d)
     masses = similarities / similarities.sum()
-    frame = model.frame
-    return MassFunction(frame, {1 << c: masses[c] for c in range(len(model.class_labels))})
+    return MassFunction(model.frame,
+                        {1 << c: masses[c] for c in range(len(model.class_labels))})
+
+
+def _sample_evidence(model: IntervalModel, sample) -> list[MassFunction]:
+    return [attribute_evidence(model, sample, a) for a in range(model.n_attributes)]
 
 
 def classify_sample(
@@ -215,14 +220,19 @@ def classify_sample(
     Total conflict during fusion propagates to the caller; the evaluation
     harnesses count such samples as misclassified.
     """
-    evidence = [attribute_evidence(model, sample, a) for a in range(model.n_attributes)]
-    result = fuse(evidence, method=method, config=config)
+    result = fuse(_sample_evidence(model, sample), method=method, config=config)
     return result.decision, result
 
 
 @dataclass(frozen=True, eq=False)
 class EvaluationReport:
-    """Accuracy summary of one evaluation run."""
+    """Accuracy summary of one evaluation run.
+
+    ``conflict_samples`` counts test samples whose fusion hit total conflict
+    (scored as misclassified) and ``unconverged_samples`` those whose
+    iterative fusion stopped at ``max_iter`` (scored by their last decision),
+    summed over every split of the run.
+    """
 
     method: str
     dataset: str
@@ -231,26 +241,43 @@ class EvaluationReport:
     total_accuracy: float
     n_train: int
     trial_accuracies: tuple[float, ...] | None = None
+    conflict_samples: int = 0
+    unconverged_samples: int = 0
 
 
-def _evaluate_model(model, test: Dataset, method, config) -> tuple[dict[str, float], float]:
-    correct = {label: 0 for label in test.class_labels}
-    counts = {label: 0 for label in test.class_labels}
+@dataclass
+class _Score:
+    """One method's tallies over one test split."""
+
+    correct: dict[str, int]
+    conflicts: int = 0
+    unconverged: int = 0
+
+
+def _evaluate_model(model, test: Dataset, methods, config) -> dict[str, _Score]:
+    """Score every method on the test split, building each sample's evidence once."""
+    scores = {m: _Score({label: 0 for label in test.class_labels}) for m in methods}
     for i in range(test.n_records):
         truth = test.labels[i]
-        counts[truth] += 1
-        try:
-            predicted, _ = classify_sample(model, test.features[i], method, config)
-        except TotalConflictError:
-            continue  # counted as an error
-        if predicted == truth:
-            correct[truth] += 1
-    per_class = {
-        label: (correct[label] / counts[label] if counts[label] else 0.0)
-        for label in test.class_labels
-    }
-    total = sum(correct.values()) / test.n_records
-    return per_class, total
+        evidence = _sample_evidence(model, test.features[i])
+        for method, score in scores.items():
+            try:
+                result = fuse(evidence, method=method, config=config)
+            except TotalConflictError:
+                score.conflicts += 1  # and counted as an error
+                continue
+            score.unconverged += not result.converged
+            if result.decision == truth:
+                score.correct[truth] += 1
+    return scores
+
+
+def _accuracies(score: _Score, test: Dataset) -> tuple[dict[str, float], float]:
+    per_class = {}
+    for label in test.class_labels:
+        count = test.labels.count(label)
+        per_class[label] = score.correct[label] / count if count else 0.0
+    return per_class, sum(score.correct.values()) / test.n_records
 
 
 def stratified_head_indices(ds: Dataset, fraction: float) -> np.ndarray:
@@ -283,8 +310,8 @@ def sweep_evaluate(
     for fraction in fractions:
         train = ds.subset(stratified_head_indices(ds, fraction))
         model = fit_interval_model(train, lam)
-        for method in methods:
-            per_class, total = _evaluate_model(model, ds, method, config)
+        for method, score in _evaluate_model(model, ds, methods, config).items():
+            per_class, total = _accuracies(score, ds)
             reports.append(
                 EvaluationReport(
                     method=method,
@@ -293,6 +320,8 @@ def sweep_evaluate(
                     per_class_accuracy=per_class,
                     total_accuracy=total,
                     n_train=train.n_records,
+                    conflict_samples=score.conflicts,
+                    unconverged_samples=score.unconverged,
                 )
             )
     return reports
@@ -314,7 +343,8 @@ def monte_carlo_evaluate(
     accuracies over all trials plus the per-trial series.
     """
     rng = np.random.default_rng(seed)
-    sums = {m: {"total": 0.0, "per_class": {c: 0.0 for c in ds.class_labels}} for m in methods}
+    sums = {m: {"total": 0.0, "per_class": {c: 0.0 for c in ds.class_labels},
+                "conflicts": 0, "unconverged": 0} for m in methods}
     series = {m: [] for m in methods}
     n_train_last = 0
     for _ in range(trials):
@@ -330,11 +360,13 @@ def monte_carlo_evaluate(
         test = ds.subset(sorted(test_idx))
         n_train_last = train.n_records
         model = fit_interval_model(train, lam)
-        for method in methods:
-            per_class, total = _evaluate_model(model, test, method, config)
+        for method, score in _evaluate_model(model, test, methods, config).items():
+            per_class, total = _accuracies(score, test)
             sums[method]["total"] += total
             for c in ds.class_labels:
                 sums[method]["per_class"][c] += per_class[c]
+            sums[method]["conflicts"] += score.conflicts
+            sums[method]["unconverged"] += score.unconverged
             series[method].append(total)
     return {
         method: EvaluationReport(
@@ -352,6 +384,8 @@ def monte_carlo_evaluate(
             total_accuracy=sums[method]["total"] / trials,
             n_train=n_train_last,
             trial_accuracies=tuple(series[method]),
+            conflict_samples=sums[method]["conflicts"],
+            unconverged_samples=sums[method]["unconverged"],
         )
         for method in methods
     }

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
 
 import numpy as np
 
@@ -110,21 +109,15 @@ def _print_result(doc: EvidenceDocument, result, precision: int | None) -> None:
 
 def cmd_fuse(args) -> int:
     doc = _load_document(args)
-    cfg = _config(args, doc)
-    precision = _precision(args)
-    if args.method.startswith("icef-"):
-        cfg = replace(cfg, measure=get_measure(args.method.removeprefix("icef-")))
-        result, trace = icef(doc.mass_functions, cfg)
-        if not trace.converged:
-            print(
-                f"error: no convergence after {cfg.max_iter} iterations "
-                "(rerun with 'credfuse trace' to inspect the per-step table)",
-                file=sys.stderr,
-            )
-            return EXIT_NO_CONVERGENCE
-    else:
-        result = fuse(doc.mass_functions, method=args.method, config=cfg)
-    _print_result(doc, result, precision)
+    result = fuse(doc.mass_functions, method=args.method, config=_config(args, doc))
+    if not result.converged:
+        print(
+            f"error: no convergence after {result.n_iter} iterations "
+            "(rerun with 'credfuse trace' to inspect the per-step table)",
+            file=sys.stderr,
+        )
+        return EXIT_NO_CONVERGENCE
+    _print_result(doc, result, _precision(args))
     return EXIT_OK
 
 

@@ -18,11 +18,19 @@ import numpy as np
 
 MAX_EVENTS = 20
 
+_EVENT_INDEX = np.arange(MAX_EVENTS)
+
 #: Mass assignments must sum to one within this tolerance.
 NORMALIZATION_TOL = 1e-9
 
 #: Combination refuses to normalize once this little mass survives.
 CONFLICT_EPS = 1e-12
+
+_LOG2_CONFLICT_EPS = math.log2(CONFLICT_EPS)
+
+#: A power of the largest commonality below this leaves the entries within
+#: 2**-53 of it, which all count at double precision, subnormal or zero.
+_POWER_FLOOR = 2.0 ** -969
 
 
 class MassFunctionError(ValueError):
@@ -126,10 +134,6 @@ class Frame:
     def subsets(self) -> range:
         """All nonempty subset masks, ascending."""
         return range(1, 1 << self.n)
-
-
-def cardinality(mask: int) -> int:
-    return mask.bit_count()
 
 
 def _mass_value(value) -> float:
@@ -258,15 +262,15 @@ class MassFunction:
     def pignistic(self) -> np.ndarray:
         """Event probabilities obtained by splitting each focal mass evenly.
 
-        Returns a length-``n`` vector in frame order; sums to 1.
+        Returns a length-``n`` vector in frame order; sums to 1.  Each event
+        adds up its shares in ascending mask order (a sum along the first
+        axis of a C-ordered array runs row by row), so equal inputs give
+        bit-equal outputs and ties stay exact.
         """
-        probs = np.zeros(self.frame.n)
-        for mask, value in self.items():
-            share = value / cardinality(mask)
-            for j in range(self.frame.n):
-                if mask >> j & 1:
-                    probs[j] += share
-        return probs
+        focal = np.frombuffer(self._focal, dtype=np.int64)
+        shares = np.frombuffer(self._values) / np.bitwise_count(focal)
+        members = focal[:, None] >> _EVENT_INDEX[:self.frame.n] & 1
+        return (members * shares[:, None]).sum(axis=0)
 
     def __eq__(self, other):
         if not isinstance(other, MassFunction):
@@ -352,8 +356,14 @@ def dcr_n(ms: Iterable[MassFunction]) -> MassFunction:
 
 
 def _bit_halves(v: np.ndarray):
-    """Per bit, highest first: views of the entries of ``v`` without and with that bit."""
-    for j in reversed(range(v.size.bit_length() - 1)):
+    """Per bit, highest first: views of the entries of ``v`` without and with
+    that bit in their index along the last axis.
+
+    ``v`` is C-ordered, so each block of ``2**(j + 1)`` consecutive
+    entries lies within one vector along the last axis, and a flat view
+    pairs entries of the same vector only.
+    """
+    for j in reversed(range(v.shape[-1].bit_length() - 1)):
         pairs = v.reshape(-1, 2, 1 << j)
         yield pairs[:, 0, :], pairs[:, 1, :]
 
@@ -362,19 +372,20 @@ def superset_zeta(v) -> np.ndarray:
     """Superset sums of a vector indexed by mask: entry ``A`` of the result
     is the sum of ``v[B]`` over every ``B`` containing ``A``.
 
-    ``v`` has length ``2**n``.  Applied to a dense mass vector this gives
-    the commonality function; applied to the mass vector indexed by
-    complement it gives belief of the complement.
+    ``v`` has length ``2**n`` along its last axis, which is transformed;
+    leading axes index independent vectors.  Applied to a dense mass vector
+    this gives the commonality function; applied to the mass vector indexed
+    by complement it gives belief of the complement.
     """
-    v = np.array(v, dtype=float)
+    v = np.array(v, dtype=float, order="C")
     for without, with_ in _bit_halves(v):
         without += with_
     return v
 
 
 def superset_mobius(v) -> np.ndarray:
-    """Inverse of :func:`superset_zeta`: commonality back to mass."""
-    v = np.array(v, dtype=float)
+    """Inverse of :func:`superset_zeta` (along the last axis): commonality back to mass."""
+    v = np.array(v, dtype=float, order="C")
     for without, with_ in _bit_halves(v):
         without -= with_
     return v
@@ -464,11 +475,26 @@ def _dense_self_fuse(m: MassFunction, times: int) -> MassFunction:
     it is clipped at 0 and normalized.  :class:`TotalConflictError` is raised
     when at most ``CONFLICT_EPS ** (times - 1)`` of the mass survives, i.e.
     when on average no more than ``CONFLICT_EPS`` survives each combination.
+
+    When the largest power would fall below ``_POWER_FLOOR``, the nonempty
+    commonalities are first scaled by the power of two that brings the
+    largest nonempty one into [0.5, 1).  Scaling by a power of two is exact
+    and the normalization divides it out, so many operands no longer
+    underflow to a spurious total conflict; the threshold above is still
+    applied to the unscaled survivor total, compared in logarithms.  The
+    scaled largest power, at least ``0.5 ** times``, stays representable up
+    to about a thousand operands.
     """
-    unnormalized = superset_mobius(superset_zeta(m.dense()) ** times)
+    q = superset_zeta(m.dense())
+    largest = float(q[1:].max())
+    shift = -math.frexp(largest)[1] if largest ** times < _POWER_FLOOR else 0
+    if shift:
+        q[1:] = np.ldexp(q[1:], shift)
+    unnormalized = superset_mobius(q ** times)
     support = _intersections(np.frombuffer(m._focal, dtype=np.int64), times, 1 << m.frame.n)
     values = np.maximum(unnormalized[support], 0.0)
     total = values.sum()
-    if not total > CONFLICT_EPS ** (times - 1):
-        raise TotalConflictError(1.0 - total)
+    # the unscaled survivor total is total * 2**(-shift * times)
+    if not (total > 0.0 and math.log2(total) - shift * times > (times - 1) * _LOG2_CONFLICT_EPS):
+        raise TotalConflictError(1.0 - math.ldexp(total, -shift * times))
     return MassFunction(m.frame, dict(zip(support.tolist(), (values / total).tolist())))

@@ -16,7 +16,14 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import LengthMismatchError, MassFunction, _require_same_frame, dcr_n, self_fuse
+from .core import (
+    Frame,
+    LengthMismatchError,
+    MassFunction,
+    _require_same_frame,
+    dcr_n,
+    self_fuse,
+)
 from .credibility import (
     average_support_credibility,
     build_edmm,
@@ -104,23 +111,34 @@ class IcefTrace:
 
 @dataclass(frozen=True, eq=False)
 class FusionResult:
-    """A fused mass plus its pignistic probabilities and the decided event."""
+    """A fused mass plus its pignistic probabilities and the decided event.
+
+    ``converged`` and ``n_iter`` report the ``icef`` loop: whether the
+    probabilities settled within ``delta``, and after how many iterations.
+    Open-loop methods fuse once, so they read ``True`` and 1.
+    """
 
     mass: MassFunction
     pignistic: np.ndarray
     decision: str
     method: str
     credibilities: np.ndarray | None = None
+    converged: bool = True
+    n_iter: int = 1
+
+
+def _decision(frame: Frame, probs: np.ndarray) -> str:
+    return frame.events[int(np.argmax(probs))]
 
 
 def decide(m: MassFunction) -> str:
     """Maximum-pignistic-probability decision; ties go to the lowest event index."""
-    probs = m.pignistic()
-    return m.frame.events[int(np.argmax(probs))]
+    return _decision(m.frame, m.pignistic())
 
 
 def _result(mass: MassFunction, method: str, credibilities=None) -> FusionResult:
-    return FusionResult(mass, mass.pignistic(), decide(mass), method, credibilities)
+    probs = mass.pignistic()
+    return FusionResult(mass, probs, _decision(mass.frame, probs), method, credibilities)
 
 
 def weighted_average(ms: Sequence[MassFunction], weights) -> MassFunction:
@@ -198,9 +216,9 @@ def icef(
 
     trace = IcefTrace(tuple(steps), converged)
     final = trace.final
-    method = f"icef-{cfg.measure.name}"
-    result = FusionResult(final.fused, final.probabilities, decide(final.fused), method,
-                          final.credibilities)
+    result = FusionResult(final.fused, final.probabilities,
+                          _decision(frame, final.probabilities), f"icef-{cfg.measure.name}",
+                          final.credibilities, converged, len(steps))
     return result, trace
 
 
@@ -210,7 +228,11 @@ FUSION_METHODS = ("dcr", "murphy", "icef-pbagd", "cef-avg", "cef-eig")
 def fuse(
     ms: Sequence[MassFunction], method: str = "icef-pbagd", config: IcefConfig | None = None
 ) -> FusionResult:
-    """Dispatch by method name; the ``icef-*`` variants drop the trace."""
+    """Dispatch by method name.
+
+    The ``icef-*`` variants drop the per-step trace but keep whether the loop
+    converged and its iteration count on the result.
+    """
     cfg = config or IcefConfig()
     method = method.lower()
     if method == "dcr":

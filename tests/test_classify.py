@@ -5,6 +5,7 @@ import pytest
 
 from credfuse import (
     Dataset,
+    IcefConfig,
     attribute_evidence,
     classify_sample,
     fit_interval_model,
@@ -13,11 +14,13 @@ from credfuse import (
     monte_carlo_evaluate,
     sweep_evaluate,
 )
+from credfuse import classify
 from credfuse.classify import (
     EmptyDatasetError,
     MissingClassError,
     ParseError,
     SchemaError,
+    _evaluate_model,
     stratified_head_indices,
 )
 
@@ -174,6 +177,15 @@ class TestAttributeEvidence:
         assert m.mass("near") > 0.999
 
 
+class TestIntervalModelFrame:
+    def test_frame_built_once(self, separable):
+        model = fit_interval_model(separable, lam=2.0)
+        m1 = attribute_evidence(model, separable.features[0], 0)
+        m2 = attribute_evidence(model, separable.features[1], 1)
+        assert m1.frame is m2.frame is model.frame
+        assert model.frame.events == separable.class_labels
+
+
 class TestClassifySample:
     @pytest.mark.parametrize("method", ["dcr", "murphy", "icef-pbagd"])
     def test_separable_data_is_perfect(self, separable, method):
@@ -247,3 +259,41 @@ class TestMonteCarlo:
     def test_split_sizes_stratified(self, separable):
         report = monte_carlo_evaluate(separable, ["dcr"], lam=2.0, trials=1, seed=0)["dcr"]
         assert report.n_train == 28  # 70% of 20 per class
+
+
+class TestEvaluationTallies:
+    def test_conflicts_counted_per_method(self):
+        # at this scale the far class gets no mass, so a sample that sits in
+        # class a on one attribute and in class b on the other drives plain
+        # combination into total conflict
+        train = make_dataset([[0.0, 100.0], [0.1, 100.1], [100.0, 0.0], [100.1, 0.1]],
+                             ["a", "a", "b", "b"])
+        model = fit_interval_model(train, lam=1e307)
+        test = make_dataset([[0.05, 0.05], [0.05, 100.05]], ["a", "a"])
+        scores = _evaluate_model(model, test, ["dcr", "murphy"], None)
+        assert scores["dcr"].conflicts == 1
+        assert scores["murphy"].conflicts == 0
+
+    def test_sweep_reports_conflicts_and_non_convergence(self, separable):
+        config = IcefConfig(max_iter=1)
+        reports = sweep_evaluate(separable, ["dcr", "icef-pbagd"], lam=2.0,
+                                 config=config, fractions=[0.6])
+        by_method = {r.method: r for r in reports}
+        assert by_method["dcr"].conflict_samples == 0
+        assert by_method["dcr"].unconverged_samples == 0
+        assert by_method["icef-pbagd"].unconverged_samples == separable.n_records
+
+    def test_monte_carlo_sums_tallies_over_trials(self, separable):
+        reports = monte_carlo_evaluate(separable, ["murphy", "icef-pbagd"], lam=2.0,
+                                       config=IcefConfig(max_iter=1), trials=3, seed=1)
+        test_size = separable.n_records - 28
+        assert reports["icef-pbagd"].unconverged_samples == 3 * test_size
+        assert reports["murphy"].unconverged_samples == 0
+        assert reports["murphy"].conflict_samples == 0
+
+    def test_evidence_built_once_per_sample(self, separable, monkeypatch):
+        calls = []
+        monkeypatch.setattr(classify, "attribute_evidence",
+                            lambda *args: calls.append(1) or attribute_evidence(*args))
+        sweep_evaluate(separable, ["dcr", "murphy", "icef-pbagd"], lam=2.0, fractions=[0.6])
+        assert len(calls) == separable.n_records * separable.n_attributes

@@ -99,6 +99,19 @@ class TestFuse:
         assert code == EXIT_NO_CONVERGENCE
         assert "trace" in err
 
+    def test_non_convergence_from_document_exits_4(self, tmp_path, capsys):
+        doc = {
+            "frame": ["A", "B"],
+            "evidence": [{"masses": {"A": 0.6, "A,B": 0.4}}, {"masses": {"B": 0.7, "A": 0.3}}],
+            "max_iter": 1,
+        }
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "fuse", str(path), "--method", "icef-bjs")
+        assert code == EXIT_NO_CONVERGENCE
+        assert "after 1 iterations" in err
+        assert out == ""
+
     def test_full_precision_flag(self, capsys):
         _, four, _ = run(capsys, "fuse", "--builtin", "close-pair", "--method", "murphy")
         _, full, _ = run(capsys, "fuse", "--builtin", "close-pair", "--method", "murphy",

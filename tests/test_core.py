@@ -26,8 +26,8 @@ from credfuse import (
     vacuous,
     validate_masses,
 )
-from credfuse import core
-from credfuse.core import _dense_self_fuse, _fold_is_cheaper
+from credfuse import core, decide
+from credfuse.core import MAX_EVENTS, _dense_self_fuse, _fold_is_cheaper
 
 from .conftest import random_mass_function
 
@@ -158,6 +158,52 @@ class TestPignistic:
         )
 
 
+def _loop_pignistic(m):
+    """The reference pignistic transform: one focal set at a time, ascending."""
+    probs = np.zeros(m.frame.n)
+    for mask, value in m.items():
+        share = value / mask.bit_count()
+        for j in range(m.frame.n):
+            if mask >> j & 1:
+                probs[j] += share
+    return probs
+
+
+@st.composite
+def _pignistic_cases(draw):
+    """Masses on n = 1..20 whose weights are small integers, so that equal
+    shares, and with them exact ties between events, are common."""
+    n = draw(st.integers(min_value=1, max_value=MAX_EVENTS))
+    masks = draw(st.lists(st.integers(min_value=1, max_value=(1 << n) - 1),
+                          min_size=1, max_size=min(60, (1 << n) - 1), unique=True))
+    weights = draw(st.lists(st.integers(min_value=1, max_value=4),
+                            min_size=len(masks), max_size=len(masks)))
+    total = sum(weights)
+    return MassFunction(_frame(n), {mask: w / total for mask, w in zip(masks, weights)})
+
+
+class TestPignisticAgainstLoop:
+    @settings(max_examples=300, deadline=None)
+    @given(m=_pignistic_cases())
+    def test_bit_equal_to_loop_and_decides_lowest_argmax(self, m):
+        probs = m.pignistic()
+        assert probs.tobytes() == _loop_pignistic(m).tobytes()
+        assert decide(m) == m.frame.events[np.flatnonzero(probs == probs.max())[0]]
+
+    def test_exact_tie_decides_lowest_index(self):
+        m = MassFunction(_frame(4), {0b0110: 0.5, 0b1001: 0.5})
+        assert m.pignistic().tolist() == [0.25] * 4
+        assert decide(m) == "E1"
+
+    @pytest.mark.parametrize("n, focals", [(20, 20000), (12, 727), (2, 3)])
+    def test_many_focal_sets(self, n, focals):
+        rng = np.random.default_rng(n)
+        masks = rng.choice(np.arange(1, 1 << n), focals, replace=False)
+        weights = rng.random(focals)
+        m = MassFunction(_frame(n), dict(zip(masks.tolist(), (weights / weights.sum()).tolist())))
+        assert m.pignistic().tobytes() == _loop_pignistic(m).tobytes()
+
+
 class TestCombination:
     def test_vacuous_identity(self, fault_case, frame3):
         fused = dcr_pair(fault_case[0], vacuous(frame3))
@@ -249,6 +295,15 @@ class TestDenseKernel:
         expected = [sum(v[b] for b in range(32) if b & a == a) for a in range(32)]
         np.testing.assert_allclose(superset_zeta(v), expected, rtol=1e-14)
 
+    @pytest.mark.parametrize("shape, order", [((2, 8), "C"), ((3, 2, 16), "C"),
+                                              ((1, 2), "C"), ((4, 8), "F")])
+    def test_transforms_act_along_the_last_axis(self, shape, order):
+        v = np.asarray(np.random.default_rng(9).random(shape), order=order)
+        rows = v.reshape(-1, shape[-1])
+        for transform in (superset_zeta, superset_mobius):
+            expected = np.array([transform(row) for row in rows]).reshape(shape)
+            np.testing.assert_array_equal(transform(v), expected)
+
     def test_mobius_inverts_zeta(self):
         v = np.random.default_rng(8).random(64)
         np.testing.assert_allclose(superset_mobius(superset_zeta(v)), v, atol=1e-14)
@@ -319,10 +374,14 @@ class TestSelfFuseAgainstFold:
         skewed = MassFunction(_frame(5), {1: 0.6, 2: 0.1, 4: 0.1, 8: 0.1, 16: 0.1})
         _assert_agree(_dense_self_fuse(skewed, 24), _fold(skewed, 24))
 
-    def test_underflowed_survivors_raise_total_conflict(self):
-        m = MassFunction(_frame(5), {1 << j: 0.2 for j in range(5)})
-        with pytest.raises(TotalConflictError):
-            self_fuse(m, 500)  # 5 * 0.2**500 underflows to 0
+    @pytest.mark.parametrize("masses", [
+        {1 << j: 0.2 for j in range(5)},
+        {0b00001: 0.3, 0b00011: 0.2, 0b00100: 0.2, 0b01100: 0.15, 0b10000: 0.1, 0b11111: 0.05},
+    ])
+    def test_underflowed_survivors_agree_with_fold(self, masses):
+        # 5 * 0.2**500 underflows to 0 unless the commonalities are scaled
+        m = MassFunction(_frame(5), masses)
+        _assert_agree(self_fuse(m, 500), _fold(m, 500))
 
     def test_nested_focal_sets_keep_tiny_masses(self):
         # no magnitude cut: mass of order 1e-15 on {E1} survives

@@ -266,3 +266,28 @@ class TestFuseDispatcher:
     def test_icef_bjs_via_dispatcher(self, fault_case):
         result = fuse(fault_case, method="icef-bjs", config=IcefConfig(tau=5.0))
         assert result.method == "icef-bjs"
+
+    @pytest.mark.parametrize("method", ["dcr", "murphy", "cef-avg", "cef-eig"])
+    def test_open_loop_results_read_converged_after_one_pass(self, fault_case, method):
+        result = fuse(fault_case, method=method)
+        assert (result.converged, result.n_iter) == (True, 1)
+
+    @pytest.mark.parametrize("max_iter", [2, 200])
+    def test_icef_keeps_convergence_and_iteration_count(self, fault_case, max_iter):
+        config = IcefConfig(max_iter=max_iter)
+        result = fuse(fault_case, method="icef-pbagd", config=config)
+        _, trace = icef(fault_case, config)
+        assert (result.converged, result.n_iter) == (trace.converged, len(trace.steps))
+        assert result.converged == (max_iter == 200)
+
+    @pytest.mark.parametrize("method", ["dcr", "murphy", "cef-avg", "icef-pbagd"])
+    def test_pignistic_computed_once_per_fused_mass(self, fault_case, monkeypatch, method):
+        calls = []
+        pignistic = MassFunction.pignistic
+        monkeypatch.setattr(MassFunction, "pignistic",
+                            lambda m: calls.append(m) or pignistic(m))
+        result = fuse(fault_case, method=method)
+        assert len(calls) == result.n_iter
+        probs = result.pignistic
+        first_max = np.flatnonzero(probs == probs.max())[0]
+        assert result.decision == fault_case[0].frame.events[first_max]
