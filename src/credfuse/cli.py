@@ -206,6 +206,8 @@ def cmd_bench(args) -> int:
                     c: float(np.mean([r.per_class_accuracy[c] for r in mine]))
                     for c in ds.class_labels
                 },
+                "conflicts": sum(r.conflict_samples for r in mine),
+                "unconverged": sum(r.unconverged_samples for r in mine),
             }
             series_rows.extend(
                 [method, r.params["fraction"], r.total_accuracy] for r in mine
@@ -217,7 +219,8 @@ def cmd_bench(args) -> int:
             trials=args.trials, seed=args.seed,
         )
         per_method = {
-            m: {"total": rep.total_accuracy, "per_class": rep.per_class_accuracy}
+            m: {"total": rep.total_accuracy, "per_class": rep.per_class_accuracy,
+                "conflicts": rep.conflict_samples, "unconverged": rep.unconverged_samples}
             for m, rep in results.items()
         }
         series_rows = [
@@ -235,7 +238,10 @@ def cmd_bench(args) -> int:
         print(f"reports written to {args.out}_summary.tsv and {args.out}_series.tsv")
     print(summary, end="")
     for method in methods:
-        print(f"Total[{method}] = {per_method[method]['total']:.4f}")
+        tally = per_method[method]
+        print(f"Total[{method}] = {tally['total']:.4f}")
+        print(f"Conflicts[{method}] = {tally['conflicts']}")
+        print(f"Unconverged[{method}] = {tally['unconverged']}")
     return EXIT_OK
 
 

@@ -439,7 +439,7 @@ def _fold_is_cheaper(n_focal: int, n: int, times: int) -> bool:
     return combinations * (20 + n_focal * n_focal) < _DENSE_COST[n]
 
 
-def self_fuse(m: MassFunction, times: int) -> MassFunction:
+def self_fuse(m: MassFunction, times: int, *, _supports: dict | None = None) -> MassFunction:
     """Combine ``times`` copies of ``m`` under Dempster's rule.
 
     ``times`` counts operands, so ``times=1`` returns ``m`` unchanged and
@@ -448,11 +448,16 @@ def self_fuse(m: MassFunction, times: int) -> MassFunction:
     ``k`` operands take ``log2(k)`` squarings plus one combination per further
     set bit of ``k``); larger ones take one dense transform pair (see
     :func:`_dense_self_fuse`).  :func:`_fold_is_cheaper` chooses.
+
+    ``_supports`` is internal: a caller that self-combines many masses with
+    the same focal sets and the same ``times`` (the ``icef`` loop) passes one
+    dict, owned by that call, in which the dense path keeps the support it
+    computes per focal set.
     """
     if times < 1:
         raise ValueError(f"times must be >= 1, got {times}")
     if not _fold_is_cheaper(len(m._focal), len(m.frame.events), times):
-        return _dense_self_fuse(m, times)
+        return _dense_self_fuse(m, times, _supports)
     result, power = None, m
     while True:
         if times & 1:
@@ -463,7 +468,7 @@ def self_fuse(m: MassFunction, times: int) -> MassFunction:
         power = dcr_pair(power, power)
 
 
-def _dense_self_fuse(m: MassFunction, times: int) -> MassFunction:
+def _dense_self_fuse(m: MassFunction, times: int, supports: dict | None = None) -> MassFunction:
     """:func:`self_fuse` through the commonality domain.
 
     Dempster's rule multiplies commonalities, so the unnormalized k-fold
@@ -475,26 +480,72 @@ def _dense_self_fuse(m: MassFunction, times: int) -> MassFunction:
     it is clipped at 0 and normalized.  :class:`TotalConflictError` is raised
     when at most ``CONFLICT_EPS ** (times - 1)`` of the mass survives, i.e.
     when on average no more than ``CONFLICT_EPS`` survives each combination.
+    ``supports``, when given, maps the focal masks' bytes to that support
+    for this ``times``; a missing entry is computed and added.
 
-    When the largest power would fall below ``_POWER_FLOOR``, the nonempty
-    commonalities are first scaled by the power of two that brings the
-    largest nonempty one into [0.5, 1).  Scaling by a power of two is exact
-    and the normalization divides it out, so many operands no longer
-    underflow to a spurious total conflict; the threshold above is still
-    applied to the unscaled survivor total, compared in logarithms.  The
-    scaled largest power, at least ``0.5 ** times``, stays representable up
-    to about a thousand operands.
+    When the largest power would fall below ``_POWER_FLOOR``, the power of
+    the nonempty commonalities is taken by :func:`_scaled_power`, which
+    keeps the largest entry in [0.5, 1) by powers of two.  Scaling by a
+    power of two is exact and the normalization divides it out, so any
+    number of operands leaves the largest power representable and no
+    underflow turns into a spurious total conflict; the threshold above is
+    still applied to the unscaled survivor total, compared in logarithms.
     """
     q = superset_zeta(m.dense())
-    largest = float(q[1:].max())
-    shift = -math.frexp(largest)[1] if largest ** times < _POWER_FLOOR else 0
-    if shift:
-        q[1:] = np.ldexp(q[1:], shift)
-    unnormalized = superset_mobius(q ** times)
-    support = _intersections(np.frombuffer(m._focal, dtype=np.int64), times, 1 << m.frame.n)
+    shift = 0
+    if float(q[1:].max()) ** times < _POWER_FLOOR:
+        # q[0], the empty set's, only reaches the empty set's entry, never read
+        q[1:], shift = _scaled_power(q[1:], times)
+    else:
+        q **= times
+    unnormalized = superset_mobius(q)
+    support = _support(m, times, supports)
     values = np.maximum(unnormalized[support], 0.0)
     total = values.sum()
-    # the unscaled survivor total is total * 2**(-shift * times)
-    if not (total > 0.0 and math.log2(total) - shift * times > (times - 1) * _LOG2_CONFLICT_EPS):
-        raise TotalConflictError(1.0 - math.ldexp(total, -shift * times))
+    # the unscaled survivor total is total * 2**-shift
+    if not (total > 0.0 and math.log2(total) - shift > (times - 1) * _LOG2_CONFLICT_EPS):
+        raise TotalConflictError(1.0 - math.ldexp(total, -shift))
     return MassFunction(m.frame, dict(zip(support.tolist(), (values / total).tolist())))
+
+
+def _support(m: MassFunction, times: int, supports: dict | None) -> np.ndarray:
+    """The support of ``times`` copies of ``m`` combined, looked up in (and
+    added to) ``supports`` when one is given."""
+    if supports is None:
+        return _intersections(np.frombuffer(m._focal, dtype=np.int64), times, 1 << m.frame.n)
+    key = m._focal.tobytes()
+    if key not in supports:
+        supports[key] = _support(m, times, None)
+    return supports[key]
+
+
+def _scaled_power(v: np.ndarray, times: int) -> tuple[np.ndarray, int]:
+    """``v**times * 2**shift`` and ``shift``; the largest entry of ``v`` is positive.
+
+    Binary exponentiation that rescales each product by the power of two
+    which brings its largest entry into [0.5, 1), so the largest power never
+    underflows; entries below ``2**-1074`` of it become subnormal or zero.
+    Each product rounds once, so the relative error stays within about
+    ``times`` units in the last place.
+    """
+    power, shift = None, 0
+    base, base_shift = _rescaled(v)
+    while True:
+        if times & 1:
+            if power is None:
+                power, shift = base, base_shift
+            else:
+                power, step = _rescaled(power * base)
+                shift += base_shift + step
+        times >>= 1
+        if not times:
+            return power, shift
+        base, step = _rescaled(base * base)
+        base_shift = 2 * base_shift + step
+
+
+def _rescaled(v: np.ndarray) -> tuple[np.ndarray, int]:
+    """``v`` times the power of two ``2**shift`` that brings its largest entry
+    into [0.5, 1), and ``shift``."""
+    shift = -math.frexp(float(v.max()))[1]
+    return np.ldexp(v, shift), shift

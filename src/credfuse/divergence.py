@@ -26,6 +26,12 @@ from .core import (
 )
 
 
+#: Entries per row block when a stack of dense vectors is transformed at
+#: once: ``max(1, _BLOCK_ENTRIES // 2**n)`` rows, so temporaries stay near
+#: this size on small frames and hold one row on large ones.
+_BLOCK_ENTRIES = 1 << 13
+
+
 def subset_bel_pl(m: MassFunction) -> tuple[np.ndarray, np.ndarray]:
     """Belief and plausibility over every subset mask ``0 .. 2**n - 1``.
 
@@ -49,17 +55,26 @@ def pb_transform(m: MassFunction, include_empty_in_normalizer: bool = False) -> 
     ``exp(0) + exp(0) = 2`` to ``Z`` (a variant normalization; off by default,
     which is the calibrated behavior).
     """
-    weights, z = _pb_weights(*subset_bel_pl(m), include_empty_in_normalizer)
-    return weights / z
+    return _pb_rows(m.dense(), include_empty_in_normalizer)
 
 
-def _pb_weights(bel, pl, include_empty_in_normalizer: bool):
-    """The weights ``exp(Bel) + exp(Pl)`` over nonempty subsets and their sum ``Z``."""
-    weights = np.exp(bel[1:]) + np.exp(pl[1:])
-    z = weights.sum()
+def _pb_rows(dense, include_empty_in_normalizer: bool) -> np.ndarray:
+    """:func:`pb_transform` along the last axis of dense mass vectors.
+
+    Belief and plausibility come as in :func:`subset_bel_pl`.  ``exp`` runs
+    on C-ordered arrays only, and belief's is read reversed afterwards:
+    numpy may round ``exp`` of a reversed view differently, and one vector
+    and a stack of them must get the same weights.
+    """
+    bel_of_complement = superset_zeta(dense[..., ::-1])
+    weights = np.exp((bel_of_complement[..., :1] - bel_of_complement)[..., 1:])
+    # Bel of mask A is entry 2**n - 1 - A of bel_of_complement
+    weights += np.exp(bel_of_complement, out=bel_of_complement)[..., -2::-1]
+    z = weights.sum(axis=-1, keepdims=True)
     if include_empty_in_normalizer:
         z += 2.0
-    return weights, z
+    weights /= z
+    return weights
 
 
 def ag_divergence(p, q) -> float:
@@ -136,40 +151,59 @@ class PBAGDivergence(DivergenceMeasure):
         return ag_divergence(w1, w2)
 
     def event_divergences(self, ms: Sequence[MassFunction], frame: Frame) -> np.ndarray:
-        """As the base method, with one :func:`pb_transform` per evidence.
+        """As the base method, with the evidence's weights transformed a row
+        block at a time.
 
-        The assertion of event ``j`` has Bel = Pl = 1 on the subsets holding
-        ``j`` and 0 elsewhere, so its weights take two values, ``alpha`` and
-        ``beta``, read exactly as :func:`pb_transform` would compute them.
-        The divergence of weights ``p`` from it is then the sum of the
-        elementwise terms against ``alpha`` over the subsets holding ``j``
-        and against ``beta`` over the others.  Events whose two values agree
-        share the elementwise terms.  Entries where ``p`` equals the
-        assertion's weight contribute exactly 0, as in :func:`ag_divergence`.
+        The dense mass vectors are stacked in blocks of ``max(1,
+        _BLOCK_ENTRIES // 2**n)`` rows, and each block gets one
+        :func:`pb_transform` along its rows.  The assertion of event ``j``
+        has Bel = Pl = 1 on the subsets holding ``j`` and 0 elsewhere, so its
+        weights take two values, ``alpha`` and ``beta``, read exactly as
+        :func:`pb_transform` would compute them.  The divergence of weights
+        ``p`` from it is then the sum of the elementwise terms against
+        ``alpha`` over the subsets holding ``j`` and against ``beta`` over
+        the others.  Events whose two values agree share the elementwise
+        terms.  Entries where ``p`` equals the assertion's weight contribute
+        exactly 0, as in :func:`ag_divergence`.
         """
         size = 1 << frame.n
+        rows = max(1, _BLOCK_ENTRIES // size)
         levels: dict[tuple[float, float], list[int]] = {}
-        for j in range(frame.n):
-            holds_j = np.zeros(size)
-            holds_j.reshape(-1, 2, 1 << j)[:, 1, :] = 1.0
-            weights, z = _pb_weights(holds_j, holds_j, self.include_empty_in_normalizer)
-            # exp(0) + exp(0) = 2 exactly on the subsets without j
-            levels.setdefault((weights[(1 << j) - 1] / z, 2.0 / z), []).append(j)
+        for start in range(0, frame.n, rows):
+            events = range(start, min(frame.n, start + rows))
+            assertions = np.zeros((len(events), size))
+            assertions[range(len(events)), [1 << j for j in events]] = 1.0
+            weights = _pb_rows(assertions, self.include_empty_in_normalizer)
+            for row, j in enumerate(events):
+                # the weights of {j} and of its complement (of {j} again when n = 1,
+                # where no nonempty subset lacks j and beta is never used)
+                alpha = weights[row, (1 << j) - 1]
+                beta = weights[row, (frame.full_mask ^ 1 << j or 1 << j) - 1]
+                levels.setdefault((float(alpha), float(beta)), []).append(j)
         values = np.empty((frame.n, len(ms)))
-        p = np.ones(size)  # p[0], the empty set, only pads the vector
-        for i, m in enumerate(ms):
-            p[1:] = pb_transform(m, self.include_empty_in_normalizer)
+        for start in range(0, len(ms), rows):
+            block = ms[start:start + rows]
+            stop = start + len(block)
+            p = np.ones((len(block), size))  # column 0, the empty set, only pads
+            p[:, 1:] = _pb_rows(np.array([m.dense() for m in block]),
+                                self.include_empty_in_normalizer)
             for (alpha, beta), events in levels.items():
                 terms = _ag_terms(p, alpha)
                 terms[p == alpha] = 0.0
                 for j in events:
-                    values[j, i] = terms.reshape(-1, 2, 1 << j)[:, 1, :].sum()
+                    values[j, start:stop] = _half_sums(terms, j, 1)
                 terms = _ag_terms(p, beta)
                 terms[p == beta] = 0.0
-                terms[0] = 0.0
+                terms[:, 0] = 0.0
                 for j in events:
-                    values[j, i] += terms.reshape(-1, 2, 1 << j)[:, 0, :].sum()
+                    values[j, start:stop] += _half_sums(terms, j, 0)
         return values
+
+
+def _half_sums(terms: np.ndarray, j: int, holding: int) -> np.ndarray:
+    """Per row of ``terms``, the sum over the masks with (``holding=1``) or
+    without (``holding=0``) bit ``j``."""
+    return terms.reshape(len(terms), -1, 2, 1 << j)[:, :, holding, :].sum(axis=(1, 2))
 
 
 class MassJensenShannon(DivergenceMeasure):

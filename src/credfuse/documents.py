@@ -72,15 +72,10 @@ def parse_evidence_document(text: str) -> EvidenceDocument:
         except (KeyError, ValueError) as exc:
             raise DocumentError(f"evidence[{i}] ({name}): {exc}") from exc
         evidence.append((name, mass))
-    overrides = {}
+    overrides = {key: raw[key] for key in ("tau", "delta", "max_iter") if key in raw}
     try:
-        for key in ("tau", "delta"):
-            if key in raw:
-                overrides[key] = float(raw[key])
-        if "max_iter" in raw:
-            overrides["max_iter"] = int(raw["max_iter"])
-        IcefConfig(**overrides)  # the ranges the fusion loop accepts
-    except (TypeError, ValueError, OverflowError) as exc:
+        IcefConfig(**overrides)  # the types and ranges the fusion loop accepts
+    except ValueError as exc:
         raise DocumentError(f"invalid fusion setting: {exc}") from exc
     return EvidenceDocument(frame, tuple(evidence), overrides)
 

@@ -11,6 +11,7 @@ round, until the probabilities stop moving.
 from __future__ import annotations
 
 import math
+import numbers
 from collections.abc import Sequence
 from dataclasses import dataclass, replace
 
@@ -41,6 +42,19 @@ class InvalidConfigError(ValueError):
     """A fusion setting is out of range or not a finite number."""
 
 
+def _is_number(value, kind) -> bool:
+    """Whether ``value`` is a number of ``kind``; a bool is not a number here."""
+    return isinstance(value, kind) and not isinstance(value, bool)
+
+
+def _is_positive_finite(value) -> bool:
+    """Whether ``value`` is a positive real number within float range."""
+    try:
+        return _is_number(value, numbers.Real) and math.isfinite(value) and value > 0
+    except OverflowError:  # an integer beyond float range
+        return False
+
+
 @dataclass(frozen=True)
 class IcefConfig:
     """Knobs for the iterative fusion loop.
@@ -58,12 +72,12 @@ class IcefConfig:
     measure: DivergenceMeasure = PBAGD
 
     def __post_init__(self):
-        if not (math.isfinite(self.tau) and self.tau > 0):
-            raise InvalidConfigError(f"tau must be positive and finite, got {self.tau}")
-        if not (math.isfinite(self.delta) and self.delta > 0):
-            raise InvalidConfigError(f"delta must be positive and finite, got {self.delta}")
-        if self.max_iter < 1:
-            raise InvalidConfigError(f"max_iter must be >= 1, got {self.max_iter}")
+        for name in ("tau", "delta"):
+            value = getattr(self, name)
+            if not _is_positive_finite(value):
+                raise InvalidConfigError(f"{name} must be a positive finite number, got {value!r}")
+        if not (_is_number(self.max_iter, numbers.Integral) and self.max_iter >= 1):
+            raise InvalidConfigError(f"max_iter must be an integer >= 1, got {self.max_iter!r}")
         if self.init not in ("uniform", "eem"):
             raise InvalidConfigError(f"init must be 'uniform' or 'eem', got {self.init!r}")
 
@@ -202,10 +216,13 @@ def icef(
 
     steps: list[IcefStep] = []
     converged = False
+    # the averages share their focal sets unless a credibility is 0, so the
+    # support of their self-combination is found once per focal set
+    supports: dict = {}
     for k in range(1, cfg.max_iter + 1):
         credibilities = cond.T @ probs
         averaged = weighted_average(ms, credibilities)
-        fused = self_fuse(averaged, len(ms))
+        fused = self_fuse(averaged, len(ms), _supports=supports)
         new_probs = fused.pignistic()
         delta = float(np.abs(new_probs - probs).sum())
         steps.append(IcefStep(k, credibilities, fused, new_probs, delta))

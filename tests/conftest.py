@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from credfuse import Frame, MassFunction
+from credfuse import Frame, MassFunction, builtin_document
 
 DATA_DIR = Path(__file__).parent.parent / "data"
 
@@ -18,42 +18,27 @@ def frame3() -> Frame:
 
 
 @pytest.fixture(scope="session")
-def fault_case(frame3):
+def fault_case():
     """Five sensor reports over three fault hypotheses; sensor 5 is disturbed.
 
     A standard multi-sensor benchmark: plain Dempster combination picks the
-    wrong hypothesis here, credibility-weighted schemes recover.
+    wrong hypothesis here, credibility-weighted schemes recover.  Read from
+    the shipped builtin, so the frozen tables test what users get.
     """
-    rows = [
-        {"A1": 0.70, "A2": 0.10, "A1,A2,A3": 0.20},
-        {"A1": 0.70, "A1,A2,A3": 0.30},
-        {"A1": 0.65, "A2": 0.15, "A1,A2,A3": 0.20},
-        {"A1": 0.75, "A3": 0.05, "A1,A2,A3": 0.20},
-        {"A2": 0.20, "A3": 0.80},
-    ]
-    return [MassFunction(frame3, row) for row in rows]
+    return builtin_document("fault-sensors").mass_functions
 
 
 @pytest.fixture(scope="session")
-def conflict_case(frame3):
+def conflict_case():
     """Five reports with a compound focal set; report 2 conflicts, report 3
     gives the strongest support to the first hypothesis."""
-    rows = [
-        {"A1": 0.40, "A2": 0.28, "A3": 0.30, "A1,A3": 0.02},
-        {"A1": 0.01, "A2": 0.90, "A3": 0.08, "A1,A3": 0.01},
-        {"A1": 0.63, "A2": 0.06, "A3": 0.01, "A1,A3": 0.30},
-        {"A1": 0.60, "A2": 0.09, "A3": 0.01, "A1,A3": 0.30},
-        {"A1": 0.60, "A2": 0.09, "A3": 0.01, "A1,A3": 0.30},
-    ]
-    return [MassFunction(frame3, row) for row in rows]
+    return builtin_document("conflict-sensors").mass_functions
 
 
 @pytest.fixture(scope="session")
 def close_pair():
     """Two nearby four-hypothesis reports differing only in frame mass."""
-    frame = Frame(("A1", "A2", "A3", "A4"))
-    m1 = MassFunction(frame, {"A1": 0.75, "A2": 0.10, "A3": 0.10, "A1,A2,A3,A4": 0.05})
-    m2 = MassFunction(frame, {"A1": 0.65, "A2": 0.10, "A3": 0.10, "A1,A2,A3,A4": 0.15})
+    m1, m2 = builtin_document("close-pair").mass_functions
     return m1, m2
 
 

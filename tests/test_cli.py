@@ -2,6 +2,7 @@
 
 import json
 
+from credfuse import EvaluationReport, cli
 from credfuse.cli import (
     EXIT_CONFLICT,
     EXIT_NO_CONVERGENCE,
@@ -234,6 +235,35 @@ class TestBench:
         )
         assert code == EXIT_OK
         assert "Total[dcr]" in out
+
+    def test_montecarlo_prints_tallies(self, iris_path, capsys):
+        code, out, _ = run(
+            capsys, "bench", str(iris_path), "--label-column", "species",
+            "--trials", "1", "--methods", "dcr,icef-pbagd", "--max-iter", "1",
+        )
+        assert code == EXIT_OK
+        lines = out.splitlines()
+        at = lines.index(next(line for line in lines if line.startswith("Total[icef-pbagd]")))
+        assert lines[at + 1] == "Conflicts[icef-pbagd] = 0"
+        assert lines[at + 2].startswith("Unconverged[icef-pbagd] = ")
+        assert int(lines[at + 2].split("=")[1]) > 0  # one iteration never settles
+        assert "Unconverged[dcr] = 0" in lines
+
+    def test_sweep_sums_tallies_over_reports(self, iris_path, capsys, monkeypatch):
+        def fake_sweep(ds, methods, lam, config):
+            return [
+                EvaluationReport("dcr", "iris", {"fraction": f}, dict.fromkeys(ds.class_labels, 1.0),
+                                 1.0, 10, conflict_samples=c, unconverged_samples=u)
+                for f, c, u in ((0.5, 1, 3), (0.6, 2, 4))
+            ]
+
+        monkeypatch.setattr(cli, "sweep_evaluate", fake_sweep)
+        code, out, _ = run(capsys, "bench", str(iris_path), "--label-column", "species",
+                           "--mode", "sweep", "--methods", "dcr")
+        assert code == EXIT_OK
+        assert out.splitlines()[-3:] == [
+            "Total[dcr] = 1.0000", "Conflicts[dcr] = 3", "Unconverged[dcr] = 7",
+        ]
 
     def test_missing_label_column_exits_6(self, iris_path, capsys):
         code, _, err = run(capsys, "bench", str(iris_path),

@@ -27,7 +27,7 @@ from credfuse import (
     validate_masses,
 )
 from credfuse import core, decide
-from credfuse.core import MAX_EVENTS, _dense_self_fuse, _fold_is_cheaper
+from credfuse.core import MAX_EVENTS, _dense_self_fuse, _fold_is_cheaper, _intersections
 
 from .conftest import random_mass_function
 
@@ -382,6 +382,35 @@ class TestSelfFuseAgainstFold:
         # 5 * 0.2**500 underflows to 0 unless the commonalities are scaled
         m = MassFunction(_frame(5), masses)
         _assert_agree(self_fuse(m, 500), _fold(m, 500))
+
+    @pytest.mark.parametrize("times", [1080, 5000])
+    @pytest.mark.parametrize("masses", [
+        {1: 0.5, 2: 0.5},
+        {1 << j: 0.2 for j in range(5)},
+        {0b00001: 0.3, 0b00011: 0.2, 0b00100: 0.2, 0b01100: 0.15, 0b10000: 0.1, 0b11111: 0.05},
+    ])
+    def test_renormalised_power_agrees_with_fold(self, masses, times):
+        # the largest commonality scaled into [0.5, 1) still underflows
+        # as 0.5**times, so the power is rescaled after every product
+        m = MassFunction(_frame(5), masses)
+        _assert_agree(self_fuse(m, times), _fold(m, times))
+
+    def test_two_equal_singletons_return_the_input(self):
+        m = MassFunction(_frame(5), {1: 0.5, 2: 0.5})
+        assert self_fuse(m, 1080) == m
+
+    def test_supports_are_kept_per_focal_set(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(core, "_intersections",
+                            lambda *args: calls.append(1) or _intersections(*args))
+        a = MassFunction(_frame(4), {0b0011: 0.5, 0b0110: 0.3, 0b1111: 0.2})
+        b = MassFunction(_frame(4), {0b0011: 0.1, 0b0110: 0.6, 0b1111: 0.3})
+        c = MassFunction(_frame(4), {0b0011: 0.7, 0b1111: 0.3})
+        supports = {}
+        for m in (a, b, c, a):
+            assert _dense_self_fuse(m, 6, supports) == _dense_self_fuse(m, 6)
+        assert len(supports) == 2
+        assert len(calls) == 2 + 4  # two focal sets with the dict, four without
 
     def test_nested_focal_sets_keep_tiny_masses(self):
         # no magnitude cut: mass of order 1e-15 on {E1} survives

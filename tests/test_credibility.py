@@ -24,6 +24,7 @@ from credfuse import (
     support_matrix,
     vacuous,
 )
+from credfuse import divergence
 from credfuse.credibility import (
     EventEvaluationMatrix,
     NonpositiveTauError,
@@ -86,13 +87,15 @@ class TestBuildEem:
                 assert eem.values[j, i] == pytest.approx(pbagd(m, assertion), abs=1e-15)
 
     @settings(max_examples=60, deadline=None)
-    @given(n=st.integers(min_value=1, max_value=9),
+    @given(n=st.integers(min_value=1, max_value=12),
+           n_pieces=st.integers(min_value=1, max_value=5),
            seed=st.integers(min_value=0, max_value=2**32 - 1),
            include_empty=st.booleans())
-    def test_closed_form_matches_pairwise_divergences(self, n, seed, include_empty):
+    def test_closed_form_matches_pairwise_divergences(self, n, n_pieces, seed, include_empty):
+        # from n = 11 on, the pieces span more than one row block
         rng = np.random.default_rng(seed)
         frame = Frame(tuple(f"E{i + 1}" for i in range(n)))
-        ms = [random_mass_function(rng, frame, max_focals=6) for _ in range(3)]
+        ms = [random_mass_function(rng, frame, max_focals=6) for _ in range(n_pieces)]
         ms.append(event_evidence(frame, int(rng.integers(n))))
         measure = PBAGDivergence(include_empty_in_normalizer=include_empty)
         eem = build_eem(ms, frame, measure)
@@ -103,6 +106,31 @@ class TestBuildEem:
                 assert abs(eem.values[j, i] - expected) <= 1e-12
                 if expected == 0.0:  # categorical evidence on its own event
                     assert eem.values[j, i] == 0.0
+
+    @pytest.mark.parametrize("n", [1, 20])
+    def test_many_sources_on_edge_frames(self, n):
+        # 24 pieces: one row block at n = 1, one block per piece at n = 20
+        rng = np.random.default_rng(n)
+        frame = Frame(tuple(f"E{i + 1}" for i in range(n)))
+        ms = [random_mass_function(rng, frame, max_focals=6) for _ in range(23)]
+        ms.append(event_evidence(frame, n - 1))
+        eem = build_eem(ms, frame, PBAGD)
+        assert eem.values.shape == (n, 24)
+        for j, i in {(0, 0), (n - 1, 23), (n // 2, 11), (n - 1, 5)}:
+            expected = pbagd(ms[i], event_evidence(frame, j))
+            assert abs(eem.values[j, i] - expected) <= 1e-12
+        assert eem.values[n - 1, 23] == 0.0
+
+    @pytest.mark.parametrize("n", [3, 6, 9])
+    def test_block_size_does_not_change_entries(self, n, monkeypatch):
+        rng = np.random.default_rng(n)
+        frame = Frame(tuple(f"E{i + 1}" for i in range(n)))
+        ms = [random_mass_function(rng, frame, max_focals=6) for _ in range(7)]
+        ms.append(event_evidence(frame, 0))
+        whole = build_eem(ms, frame, PBAGD).values
+        for entries in (1, 2 << n):  # one row per block; two rows per block
+            monkeypatch.setattr(divergence, "_BLOCK_ENTRIES", entries)
+            np.testing.assert_array_equal(build_eem(ms, frame, PBAGD).values, whole)
 
     def test_other_measures_evaluate_each_pair(self, fault_case, frame3):
         eem = build_eem(fault_case, frame3, BJS)

@@ -23,8 +23,9 @@ from credfuse import (
     subset_bel_pl,
     vacuous,
 )
-from credfuse.divergence import DivergenceMeasure, LengthMismatchError
+from credfuse.divergence import DivergenceMeasure, LengthMismatchError, _pb_rows
 
+from .conftest import random_mass_function
 from .test_core import bba_pairs, bbas
 
 
@@ -103,6 +104,17 @@ class TestPbTransform:
         weights = pb_transform(fault_case[0], include_empty_in_normalizer=True)
         assert weights.sum() < 1.0
         assert (weights > 0).all()
+
+    @pytest.mark.parametrize("n", [1, 4, 10])
+    def test_stacked_rows_match_single_transforms(self, n):
+        # the block-wise EEM and pb_transform share one row-wise transform
+        rng = np.random.default_rng(n)
+        frame = Frame(tuple(f"E{i + 1}" for i in range(n)))
+        ms = [random_mass_function(rng, frame, max_focals=6) for _ in range(5)]
+        for include_empty in (False, True):
+            stacked = _pb_rows(np.array([m.dense() for m in ms]), include_empty)
+            singles = np.array([pb_transform(m, include_empty) for m in ms])
+            np.testing.assert_array_equal(stacked, singles)
 
 
 class TestPbagd:

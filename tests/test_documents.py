@@ -4,6 +4,7 @@ import pytest
 
 from credfuse import (
     BUILTIN_DOCUMENTS,
+    MassFunction,
     builtin_document,
     dump_evidence_document,
     parse_evidence_document,
@@ -63,6 +64,25 @@ class TestParsing:
         with pytest.raises(DocumentError):
             parse_evidence_document(DOC.replace('"tau": 100.0', setting))
 
+    def test_fractional_max_iter_rejected(self):
+        # was truncated to 2
+        with pytest.raises(DocumentError, match="max_iter"):
+            parse_evidence_document(DOC.replace('"tau": 100.0', '"max_iter": 2.5'))
+
+    def test_bool_max_iter_rejected(self):
+        # was read as 1
+        with pytest.raises(DocumentError, match="max_iter"):
+            parse_evidence_document(DOC.replace('"tau": 100.0', '"max_iter": true'))
+
+    def test_bool_tau_rejected(self):
+        # was read as 1.0
+        with pytest.raises(DocumentError, match="tau"):
+            parse_evidence_document(DOC.replace('"tau": 100.0', '"tau": true'))
+
+    def test_integer_settings_kept(self):
+        doc = parse_evidence_document(DOC.replace('"tau": 100.0', '"tau": 50, "max_iter": 7'))
+        assert doc.overrides == {"tau": 50, "max_iter": 7}
+
     def test_null_mass_rejected(self):
         with pytest.raises(DocumentError):
             parse_evidence_document(DOC.replace('"A2": 0.1', '"A2": null'))
@@ -99,9 +119,12 @@ class TestBuiltins:
         with pytest.raises(KeyError):
             builtin_document("mystery")
 
-    def test_fault_sensors_shape(self, fault_case):
+    def test_fault_sensors_shape(self):
+        # the shared fixtures read this builtin, so check its layout directly
         doc = builtin_document("fault-sensors")
-        assert doc.mass_functions == fault_case
+        assert doc.frame.events == ("A1", "A2", "A3")
+        assert doc.names == ["m1", "m2", "m3", "m4", "m5"]
+        assert doc.mass_functions[4] == MassFunction(doc.frame, {"A2": 0.2, "A3": 0.8})
 
 
 class TestTables:

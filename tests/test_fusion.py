@@ -7,6 +7,7 @@ import pytest
 
 from credfuse import (
     BJS,
+    Frame,
     IcefConfig,
     InvalidConfigError,
     MassFunction,
@@ -20,8 +21,12 @@ from credfuse import (
     vacuous,
     weighted_average,
 )
+from credfuse import core
+from credfuse.core import _intersections
 from credfuse.divergence import LengthMismatchError as DivergenceLengthMismatchError
 from credfuse.fusion import LengthMismatchError
+
+from .conftest import random_mass_function
 
 # converged credibilities for the five-sensor fault case (tau=200)
 FAULT_CRED = np.array([0.2349, 0.2874, 0.1588, 0.3180, 0.0009])
@@ -201,6 +206,20 @@ class TestIcefMechanics:
         assert not trace.converged
         assert len(trace.steps) == 2
 
+    def test_self_combination_support_found_once_per_call(self, monkeypatch):
+        # 8 pieces on n = 8: the averages take the dense self-combination
+        rng = np.random.default_rng(8)
+        frame = Frame(tuple(f"E{i + 1}" for i in range(8)))
+        ms = [random_mass_function(rng, frame, max_focals=5, omega_floor=0.05) for _ in range(8)]
+        result, trace = icef(ms)
+        calls = []
+        monkeypatch.setattr(core, "_intersections",
+                            lambda *args: calls.append(1) or _intersections(*args))
+        again, again_trace = icef(ms)
+        assert len(trace.steps) > 1
+        assert len(calls) == 1
+        assert again.mass == result.mass and len(again_trace.steps) == len(trace.steps)
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             IcefConfig(tau=0.0)
@@ -217,6 +236,31 @@ class TestIcefMechanics:
     def test_config_rejects_non_finite_knobs(self, knobs):
         with pytest.raises(InvalidConfigError):
             IcefConfig(**knobs)
+
+    def test_config_rejects_fractional_max_iter(self):
+        # used to pass and then fail with a TypeError in range()
+        with pytest.raises(InvalidConfigError, match="max_iter"):
+            IcefConfig(max_iter=2.5)
+
+    def test_config_rejects_bool_max_iter(self):
+        with pytest.raises(InvalidConfigError, match="max_iter"):
+            IcefConfig(max_iter=True)
+
+    def test_config_rejects_bool_tau(self):
+        with pytest.raises(InvalidConfigError, match="tau"):
+            IcefConfig(tau=True)
+
+    def test_config_rejects_bool_delta(self):
+        with pytest.raises(InvalidConfigError, match="delta"):
+            IcefConfig(delta=True)
+
+    def test_config_rejects_integer_beyond_float_range(self):
+        with pytest.raises(InvalidConfigError, match="tau"):
+            IcefConfig(tau=10**400)
+
+    def test_config_accepts_integers_and_numpy_scalars(self):
+        config = IcefConfig(tau=200, delta=np.float64(1e-6), max_iter=np.int64(5))
+        assert (config.tau, config.max_iter) == (200, 5)
 
     def test_bjs_measure_also_converges(self, fault_case):
         result, trace = icef(fault_case, IcefConfig(measure=BJS, tau=5.0))
