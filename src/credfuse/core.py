@@ -262,15 +262,11 @@ class MassFunction:
     def pignistic(self) -> np.ndarray:
         """Event probabilities obtained by splitting each focal mass evenly.
 
-        Returns a length-``n`` vector in frame order; sums to 1.  Each event
-        adds up its shares in ascending mask order (a sum along the first
-        axis of a C-ordered array runs row by row), so equal inputs give
-        bit-equal outputs and ties stay exact.
+        Returns a length-``n`` vector in frame order; sums to 1.  See
+        :func:`_pignistic_rows`, which ``icef`` calls on its arrays.
         """
-        focal = np.frombuffer(self._focal, dtype=np.int64)
-        shares = np.frombuffer(self._values) / np.bitwise_count(focal)
-        members = focal[:, None] >> _EVENT_INDEX[:self.frame.n] & 1
-        return (members * shares[:, None]).sum(axis=0)
+        return _pignistic_rows(np.frombuffer(self._focal, dtype=np.int64),
+                               np.frombuffer(self._values), self.frame.n)
 
     def __eq__(self, other):
         if not isinstance(other, MassFunction):
@@ -286,6 +282,33 @@ class MassFunction:
             f"{{{self.frame.subset_str(mask)}}}: {value:g}" for mask, value in self.items()
         )
         return f"MassFunction({body})"
+
+
+def _pignistic_rows(masks: np.ndarray, masses: np.ndarray, n: int) -> np.ndarray:
+    """Pignistic probabilities of each row of ``masses`` on the ascending
+    ``masks`` of an ``n``-event frame, along the last axis.
+
+    Each event adds up its shares in ascending mask order (a sum along an
+    axis that is not the last of a C-ordered array runs row by row), so
+    equal inputs give bit-equal outputs and ties stay exact.  A zero mass
+    adds an exact zero, so masks outside a row's focal sets change nothing.
+    """
+    shares = masses / np.bitwise_count(masks)
+    members = masks[:, None] >> _EVENT_INDEX[:n] & 1
+    return (members * shares[..., None]).sum(axis=-2)
+
+
+def _mass_table(ms) -> tuple[np.ndarray, np.ndarray]:
+    """The ascending union of the focal masks of ``ms`` and a
+    ``(len(ms), len(union))`` table of their masses on it, zero elsewhere."""
+    masks = np.frombuffer(b"".join([m._focal for m in ms]), dtype=np.int64)
+    present = np.zeros(1 << ms[0].frame.n, dtype=bool)
+    present[masks] = True
+    union = present.nonzero()[0]
+    table = np.zeros((len(ms), len(union)))
+    rows = np.repeat(np.arange(len(ms)), [len(m._focal) for m in ms])
+    table[rows, np.searchsorted(union, masks)] = np.frombuffer(b"".join([m._values for m in ms]))
+    return union, table
 
 
 def vacuous(frame: Frame) -> MassFunction:
@@ -395,10 +418,26 @@ def _intersections(focal: np.ndarray, times: int, size: int) -> np.ndarray:
     """Ascending masks of the nonempty intersections of at most ``times``
     of the ``focal`` masks, which the ``size = 2**n`` masks hold.
 
-    A breadth-first search: round ``t`` intersects only the masks first
-    reached in round ``t - 1`` with every focal mask.  Each temporary holds
-    at most about ``size`` entries.
+    A nonempty intersection of any number of focal sets is one of at most
+    ``max(1, n - 1)`` of them: in a smallest such family each member removes
+    an element that no other member removes, and one element is left.  So
+    once ``times`` reaches that count, the masks are those ``A`` equal to the
+    intersection of their focal supersets, which one pass of
+    :func:`_bit_halves` over the ``size`` masks finds, as for
+    :func:`superset_zeta` but with ``&`` for ``+``; bit ``n`` marks masks
+    that have no focal superset.  Fewer operands take a breadth-first
+    search: round ``t`` intersects only the masks first reached in round
+    ``t - 1`` with every focal mask.  Each temporary holds at most about
+    ``size`` entries.
     """
+    if times >= max(1, size.bit_length() - 2):
+        common = np.full(size, 2 * size - 1)
+        common[focal] = focal
+        for without, with_ in _bit_halves(common):
+            without &= with_
+        closed = common == np.arange(size)
+        closed[0] = False  # the empty set is never part of the support
+        return closed.nonzero()[0]
     seen = np.zeros(size, dtype=bool)
     seen[0] = True  # the empty set is never part of the support
     seen[focal] = True
@@ -439,7 +478,7 @@ def _fold_is_cheaper(n_focal: int, n: int, times: int) -> bool:
     return combinations * (20 + n_focal * n_focal) < _DENSE_COST[n]
 
 
-def self_fuse(m: MassFunction, times: int, *, _supports: dict | None = None) -> MassFunction:
+def self_fuse(m: MassFunction, times: int) -> MassFunction:
     """Combine ``times`` copies of ``m`` under Dempster's rule.
 
     ``times`` counts operands, so ``times=1`` returns ``m`` unchanged and
@@ -448,16 +487,11 @@ def self_fuse(m: MassFunction, times: int, *, _supports: dict | None = None) -> 
     ``k`` operands take ``log2(k)`` squarings plus one combination per further
     set bit of ``k``); larger ones take one dense transform pair (see
     :func:`_dense_self_fuse`).  :func:`_fold_is_cheaper` chooses.
-
-    ``_supports`` is internal: a caller that self-combines many masses with
-    the same focal sets and the same ``times`` (the ``icef`` loop) passes one
-    dict, owned by that call, in which the dense path keeps the support it
-    computes per focal set.
     """
     if times < 1:
         raise ValueError(f"times must be >= 1, got {times}")
     if not _fold_is_cheaper(len(m._focal), len(m.frame.events), times):
-        return _dense_self_fuse(m, times, _supports)
+        return _dense_self_fuse(m, times)
     result, power = None, m
     while True:
         if times & 1:
@@ -468,55 +502,115 @@ def self_fuse(m: MassFunction, times: int, *, _supports: dict | None = None) -> 
         power = dcr_pair(power, power)
 
 
-def _dense_self_fuse(m: MassFunction, times: int, supports: dict | None = None) -> MassFunction:
-    """:func:`self_fuse` through the commonality domain.
+def _dense_self_fuse(m: MassFunction, times: int) -> MassFunction:
+    """:func:`self_fuse` through the commonality domain: one row of
+    :func:`_self_combine_rows`, built through the validating constructor.
+    One operand returns ``m``."""
+    if times == 1:
+        return m
+    support, fused, conflict, failed = _self_combine_rows(
+        np.frombuffer(m._focal, dtype=np.int64), np.frombuffer(m._values)[None],
+        times, m.frame.n, {})
+    if failed[0]:
+        raise TotalConflictError(float(conflict[0]))
+    return MassFunction(m.frame, dict(zip(support.tolist(), fused[0].tolist())))
+
+
+def _self_combine_rows(focal: np.ndarray, masses: np.ndarray, times: int, n: int,
+                       supports: dict):
+    """The ``times``-fold Dempster self-combination of each row of ``masses``.
+
+    Row ``b`` of the ``(rows, F)`` array ``masses`` is one mass assignment on
+    the ascending masks ``focal`` of an ``n``-event frame; a zero entry is
+    not a focal set of that row.  Returns ``(support, fused, conflict,
+    failed)``: the ascending masks ``support``, the ``(rows, len(support))``
+    combined masses on them (zero outside a row's own support), the conflict
+    K of each row, and whether K counts as total.  One operand returns the
+    rows unchanged, with K = 0.
 
     Dempster's rule multiplies commonalities, so the unnormalized k-fold
     combination is the Moebius transform of ``q**k``, with ``q`` the
-    commonality of ``m``: one transform pair over the ``2**n`` subsets
-    instead of ``k - 1`` pairwise combinations.  The result is read only on
-    its exact support, the nonempty intersections of at most ``times`` focal
-    sets, so rounding left on the other subsets never becomes mass; there
-    it is clipped at 0 and normalized.  :class:`TotalConflictError` is raised
-    when at most ``CONFLICT_EPS ** (times - 1)`` of the mass survives, i.e.
-    when on average no more than ``CONFLICT_EPS`` survives each combination.
-    ``supports``, when given, maps the focal masks' bytes to that support
-    for this ``times``; a missing entry is computed and added.
+    commonality of the row: one transform pair over the ``2**n`` subsets
+    instead of ``k - 1`` pairwise combinations.  Each row is read only on its
+    exact support, the nonempty intersections of at most ``times`` of its
+    focal sets, so rounding left on the other subsets never becomes mass;
+    there it is clipped at 0 and normalized.  The support is found once per
+    pattern of focal sets and kept in ``supports``, which the caller owns
+    and must not share between different ``focal`` or ``times``.  A row
+    fails when at most ``CONFLICT_EPS ** (times - 1)`` of its mass survives,
+    i.e. when on average no more than ``CONFLICT_EPS`` survives each
+    combination; its ``fused`` entries are then meaningless.
 
-    When the largest power would fall below ``_POWER_FLOOR``, the power of
-    the nonempty commonalities is taken by :func:`_scaled_power`, which
+    When a row's largest power would fall below ``_POWER_FLOOR``, the power
+    of its nonempty commonalities is taken by :func:`_scaled_power`, which
     keeps the largest entry in [0.5, 1) by powers of two.  Scaling by a
     power of two is exact and the normalization divides it out, so any
     number of operands leaves the largest power representable and no
     underflow turns into a spurious total conflict; the threshold above is
     still applied to the unscaled survivor total, compared in logarithms.
+    Only many operands can need this; fewer skip the check.
     """
-    q = superset_zeta(m.dense())
-    shift = 0
-    if float(q[1:].max()) ** times < _POWER_FLOOR:
-        # q[0], the empty set's, only reaches the empty set's entry, never read
-        q[1:], shift = _scaled_power(q[1:], times)
-    else:
-        q **= times
+    rows = len(masses)
+    if times == 1:
+        return focal, masses, np.zeros(rows), np.zeros(rows, dtype=bool)
+    q = np.zeros((rows, 1 << n))
+    q[:, focal] = masses
+    q = superset_zeta(q)
+    # a row's largest nonempty commonality, a singleton's plausibility, is at
+    # least 1/n (half of it leaves room for rounding), so only many operands
+    # take its power below the floor; q[:, 0], the empty set's, only reaches
+    # the empty set's entry, which is never read
+    scaled = {}
+    if (0.5 / n) ** times < _POWER_FLOOR:
+        low = q[:, 1:].max(axis=1) ** times < _POWER_FLOOR
+        scaled = {b: _scaled_power(q[b, 1:], times) for b in low.nonzero()[0]}
+    q **= times
+    shift = np.zeros(rows, dtype=np.int64)
+    for b, (power, row_shift) in scaled.items():
+        q[b, 1:] = power
+        shift[b] = row_shift
     unnormalized = superset_mobius(q)
-    support = _support(m, times, supports)
-    values = np.maximum(unnormalized[support], 0.0)
-    total = values.sum()
-    # the unscaled survivor total is total * 2**-shift
-    if not (total > 0.0 and math.log2(total) - shift > (times - 1) * _LOG2_CONFLICT_EPS):
-        raise TotalConflictError(1.0 - math.ldexp(total, -shift))
-    return MassFunction(m.frame, dict(zip(support.tolist(), (values / total).tolist())))
+
+    parts = []
+    for key, which, pattern in _focal_patterns(masses != 0.0):
+        support = supports.get(key)
+        if support is None:
+            support = supports[key] = _intersections(focal[pattern], times, 1 << n)
+        parts.append((which, support, np.maximum(unnormalized[which][:, support], 0.0)))
+    if len(parts) == 1:
+        _, support, fused = parts[0]
+        totals = fused.sum(axis=1)
+    else:
+        support = np.unique(np.concatenate([own for _, own, _ in parts]))
+        fused = np.zeros((rows, len(support)))
+        totals = np.empty(rows)
+        for which, own, values in parts:
+            fused[np.ix_(which, np.searchsorted(support, own))] = values
+            totals[which] = values.sum(axis=1)
+    # the unscaled survivor total is totals * 2**-shift; a failed row's
+    # masses may come out infinite or NaN
+    with np.errstate(divide="ignore", invalid="ignore"):
+        if scaled:
+            failed = ~(np.log2(totals) - shift > (times - 1) * _LOG2_CONFLICT_EPS)
+            conflict = 1.0 - np.ldexp(totals, -shift)
+        else:
+            failed = ~(totals > 2.0 ** ((times - 1) * _LOG2_CONFLICT_EPS))
+            conflict = 1.0 - totals
+        return support, fused / totals[:, None], conflict, failed
 
 
-def _support(m: MassFunction, times: int, supports: dict | None) -> np.ndarray:
-    """The support of ``times`` copies of ``m`` combined, looked up in (and
-    added to) ``supports`` when one is given."""
-    if supports is None:
-        return _intersections(np.frombuffer(m._focal, dtype=np.int64), times, 1 << m.frame.n)
-    key = m._focal.tobytes()
-    if key not in supports:
-        supports[key] = _support(m, times, None)
-    return supports[key]
+def _focal_patterns(nonzero: np.ndarray):
+    """The rows of the boolean ``(rows, F)`` array ``nonzero`` grouped by
+    pattern: ``(key, rows, pattern)`` per distinct pattern, where ``rows``
+    indexes the rows that share it (a full slice when all do) and ``key``
+    is the pattern's bytes."""
+    first = nonzero[0]
+    if len(nonzero) == 1 or (nonzero == first).all():
+        return [(first.tobytes(), slice(None), first)]
+    members: dict[bytes, list[int]] = {}
+    for b, row in enumerate(nonzero):
+        members.setdefault(row.tobytes(), []).append(b)
+    return [(key, np.array(bs), nonzero[bs[0]]) for key, bs in members.items()]
 
 
 def _scaled_power(v: np.ndarray, times: int) -> tuple[np.ndarray, int]:

@@ -96,10 +96,11 @@ def conditional_credibility(support: np.ndarray) -> np.ndarray:
     """Row-normalize a support matrix into per-event credibility distributions.
 
     Row j gives the probability that each evidence is the most credible one
-    assuming event j is true; every row sums to 1.
+    assuming event j is true; every row sums to 1.  Rows run along the last
+    axis, so a stack of matrices is normalized matrix by matrix.
     """
     support = np.asarray(support, dtype=float)
-    return support / support.sum(axis=1, keepdims=True)
+    return support / support.sum(axis=-1, keepdims=True)
 
 
 def average_support_credibility(

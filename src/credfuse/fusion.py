@@ -13,19 +13,24 @@ from __future__ import annotations
 import math
 import numbers
 from collections.abc import Sequence
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
+from . import core
 from .core import (
     Frame,
+    InvalidMassValueError,
     LengthMismatchError,
     MassFunction,
+    TotalConflictError,
     _require_same_frame,
     dcr_n,
     self_fuse,
 )
 from .credibility import (
+    EventEvaluationMatrix,
     average_support_credibility,
     build_edmm,
     build_eem,
@@ -35,7 +40,7 @@ from .credibility import (
     initial_prob_uniform,
     support_matrix,
 )
-from .divergence import PBAGD, DivergenceMeasure, get_measure
+from .divergence import _BLOCK_ENTRIES, PBAGD, DivergenceMeasure, get_measure
 
 
 class InvalidConfigError(ValueError):
@@ -84,13 +89,23 @@ class IcefConfig:
 
 @dataclass(frozen=True, eq=False)
 class IcefStep:
-    """One loop iteration: credibilities, fused mass, fed-back probabilities."""
+    """One loop iteration: credibilities, fused mass, fed-back probabilities.
+
+    The loop keeps the fused masses as an array on the masks ``support``;
+    ``fused`` builds the :class:`MassFunction` from them when first read.
+    """
 
     index: int
     credibilities: np.ndarray
-    fused: MassFunction
     probabilities: np.ndarray
     delta: float
+    frame: Frame = field(repr=False)
+    support: np.ndarray = field(repr=False)
+    masses: np.ndarray = field(repr=False)
+
+    @cached_property
+    def fused(self) -> MassFunction:
+        return MassFunction(self.frame, dict(zip(self.support.tolist(), self.masses.tolist())))
 
 
 @dataclass(frozen=True, eq=False)
@@ -201,42 +216,144 @@ def icef(
     weighted average, self-combination, pignistic feedback.  Stops when the
     L1 change in event probabilities drops to ``config.delta``, or returns a
     trace with ``converged=False`` after ``config.max_iter`` iterations.
+    The loop is :func:`_icef_loop` on one evidence set.
     """
     if len(ms) < 2:
         raise ValueError("need at least two pieces of evidence")
     cfg = config or IcefConfig()
     frame = _require_same_frame(ms)
+    history: list = []
+    (end,) = _icef_loop([ms], frame, cfg, history)
+    if isinstance(end, TotalConflictError):
+        raise end
+    final, converged = end
+    steps = tuple(
+        IcefStep(k, cred[0], probs[0], float(delta[0]), frame, support, fused[0])
+        for k, (cred, support, fused, probs, delta) in enumerate(history[:-1], start=1)
+    )
+    return _icef_result(final, converged, cfg), IcefTrace((*steps, final), converged)
 
-    eem = build_eem(ms, frame, cfg.measure)
-    cond = conditional_credibility(support_matrix(eem, cfg.tau))
+
+def _icef_result(final: IcefStep, converged: bool, cfg: IcefConfig) -> FusionResult:
+    return FusionResult(final.fused, final.probabilities,
+                        _decision(final.frame, final.probabilities), f"icef-{cfg.measure.name}",
+                        final.credibilities, converged, final.index)
+
+
+def _icef_loop(sets, frame: Frame, cfg: IcefConfig, history: list | None = None) -> list:
+    """The ``icef`` loop over B evidence sets of N pieces each at once.
+
+    Returns, per set, its last :class:`IcefStep` and whether it converged,
+    or the :class:`TotalConflictError` that its self-combination raised.
+    When ``history`` is given, one tuple ``(credibilities, support, fused,
+    probabilities, delta)`` of arrays, a row per set still iterating, is
+    appended to it per iteration.
+
+    The EEM of all B·N pieces is built in one call; each column depends on
+    its own piece only.  The masses go into a (B, N, F) table over the union
+    of the focal sets.  Per iteration, each set's credibilities are its
+    conditional credibilities weighted by its probabilities, and its
+    weighted average is one sum along the evidence axis, which runs piece by
+    piece as :func:`weighted_average` adds them (a zero credibility adds
+    exact zeros, so that set's focal sets drop out as they do there; with a
+    single focal set in the whole table numpy may group the sum otherwise,
+    but the fused mass is then 1 on that set either way).  The
+    averages are self-combined by :func:`core._self_combine_rows`, which
+    finds each focal pattern's support once per call, and their pignistic
+    probabilities come from the one array helper that
+    :meth:`MassFunction.pignistic` calls.  A set leaves the arrays once its
+    probabilities move by at most ``cfg.delta``, or its self-combination
+    hits total conflict.  Every operation acts on each set's rows alone, so
+    a set gets the same bits in any batch.
+    """
+    n_sets, n_pieces, n = len(sets), len(sets[0]), frame.n
+    pieces = [m for ms in sets for m in ms]
+    eem = build_eem(pieces, frame, cfg.measure)
+    cond = conditional_credibility(support_matrix(eem, cfg.tau).reshape(n, n_sets, n_pieces))
+    if not np.isfinite(cond).all():
+        raise InvalidMassValueError(
+            f"no evidence supports some event at tau = {cfg.tau!r}, so credibilities are NaN")
+    cond = cond.transpose(1, 0, 2).copy()  # (B, n, N)
     if cfg.init == "uniform":
-        probs = initial_prob_uniform(frame)
+        probs = np.broadcast_to(initial_prob_uniform(frame), (n_sets, n))
     else:
-        probs = initial_prob_from_eem(eem)
-
-    steps: list[IcefStep] = []
-    converged = False
-    # the averages share their focal sets unless a credibility is 0, so the
-    # support of their self-combination is found once per focal set
+        probs = np.array([
+            initial_prob_from_eem(EventEvaluationMatrix(
+                eem.values[:, b * n_pieces:(b + 1) * n_pieces], eem.measure, frame))
+            for b in range(n_sets)
+        ])
+    focal, table = core._mass_table(pieces)
+    table = table.reshape(n_sets, n_pieces, -1)
+    ids = np.arange(n_sets)
+    ends: list = [None] * n_sets
     supports: dict = {}
     for k in range(1, cfg.max_iter + 1):
-        credibilities = cond.T @ probs
-        averaged = weighted_average(ms, credibilities)
-        fused = self_fuse(averaged, len(ms), _supports=supports)
-        new_probs = fused.pignistic()
-        delta = float(np.abs(new_probs - probs).sum())
-        steps.append(IcefStep(k, credibilities, fused, new_probs, delta))
-        if delta <= cfg.delta:
-            converged = True
+        cred = (cond * probs[:, :, None]).sum(axis=1)
+        averaged = (cred[:, :, None] * table).sum(axis=1)
+        support, fused, conflict, failed = core._self_combine_rows(
+            focal, averaged, n_pieces, n, supports)
+        new_probs = core._pignistic_rows(support, fused, n)
+        delta = np.abs(new_probs - probs).sum(axis=1)
+        if history is not None:
+            history.append((cred, support, fused, new_probs, delta))
+        done = failed | (delta <= cfg.delta)
+        if k == cfg.max_iter:
+            done[:] = True
+        finished = done.nonzero()[0]
+        for row in finished:
+            ends[ids[row]] = (
+                TotalConflictError(float(conflict[row])) if failed[row] else
+                (IcefStep(k, cred[row], new_probs[row], float(delta[row]), frame, support,
+                          fused[row]), bool(delta[row] <= cfg.delta)))
+        if len(finished) == len(ids):
             break
+        if len(finished):
+            keep = ~done
+            ids, cond, table, new_probs = ids[keep], cond[keep], table[keep], new_probs[keep]
         probs = new_probs
+    return ends
 
-    trace = IcefTrace(tuple(steps), converged)
-    final = trace.final
-    result = FusionResult(final.fused, final.probabilities,
-                          _decision(frame, final.probabilities), f"icef-{cfg.measure.name}",
-                          final.credibilities, converged, len(steps))
-    return result, trace
+
+def fuse_batch(
+    sets: Sequence[Sequence[MassFunction]], method: str = "icef-pbagd",
+    config: IcefConfig | None = None,
+) -> list:
+    """:func:`fuse` over many evidence sets: entry ``i`` is what
+    ``fuse(sets[i], method, config)`` returns, or the
+    :class:`TotalConflictError` it raises.
+
+    The ``icef-*`` methods run the sets through :func:`_icef_loop` in chunks
+    of ``max(1, 2**13 // 2**n)`` sets, so that each array over the
+    ``2**n`` subsets holds about ``2**13`` entries; all sets need the same
+    frame and the same number of pieces.  A set's result has the same bits
+    as its own ``fuse`` call.  Other methods fuse set by set.
+    """
+    method = method.lower()
+    if not method.startswith("icef-"):
+        return [_fuse_or_conflict(ms, method, config) for ms in sets]
+    if not sets:
+        return []
+    cfg = replace(config or IcefConfig(), measure=get_measure(method.removeprefix("icef-")))
+    frame = _require_same_frame(sets[0])
+    for ms in sets:
+        if len(ms) != len(sets[0]):
+            raise LengthMismatchError("every evidence set needs the same number of pieces")
+        _require_same_frame([sets[0][0], *ms])
+    if len(sets[0]) < 2:
+        raise ValueError("need at least two pieces of evidence")
+    rows = max(1, _BLOCK_ENTRIES // (1 << frame.n))
+    results = []
+    for start in range(0, len(sets), rows):
+        results.extend(end if isinstance(end, TotalConflictError) else _icef_result(*end, cfg)
+                       for end in _icef_loop(sets[start:start + rows], frame, cfg))
+    return results
+
+
+def _fuse_or_conflict(ms, method, config):
+    try:
+        return fuse(ms, method, config)
+    except TotalConflictError as error:
+        return error
 
 
 FUSION_METHODS = ("dcr", "murphy", "icef-pbagd", "cef-avg", "cef-eig")

@@ -1,14 +1,18 @@
 """Dataset ingestion, the interval base classifier, and evaluation harnesses."""
 
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
 from credfuse import (
     Dataset,
     IcefConfig,
+    TotalConflictError,
     attribute_evidence,
     classify_sample,
     fit_interval_model,
+    fuse,
     interval_distance,
     load_dataset,
     monte_carlo_evaluate,
@@ -297,3 +301,48 @@ class TestEvaluationTallies:
                             lambda *args: calls.append(1) or attribute_evidence(*args))
         sweep_evaluate(separable, ["dcr", "murphy", "icef-pbagd"], lam=2.0, fractions=[0.6])
         assert len(calls) == separable.n_records * separable.n_attributes
+
+
+def _per_sample_scores(model, test, methods, config):
+    """The oracle: score each test sample with one ``fuse`` call per method."""
+    scores = {m: classify._Score({label: 0 for label in test.class_labels}) for m in methods}
+    for sample, truth in zip(test.features, test.labels):
+        evidence = [attribute_evidence(model, sample, a) for a in range(model.n_attributes)]
+        for method, score in scores.items():
+            try:
+                result = fuse(evidence, method=method, config=config)
+            except TotalConflictError:
+                score.conflicts += 1
+                continue
+            score.unconverged += not result.converged
+            score.correct[truth] += result.decision == truth
+    return scores
+
+
+class TestBatchedScoringAgainstPerSample:
+    METHODS = ["dcr", "murphy", "icef-pbagd", "icef-bjs"]
+
+    def _reports(self, ds, config, lam):
+        mc = monte_carlo_evaluate(ds, self.METHODS, lam=lam, config=config, trials=3, seed=11)
+        sweep = sweep_evaluate(ds, self.METHODS, lam=lam, config=config,
+                               fractions=[0.5, 0.77, 1.0])
+        return [asdict(r) for r in mc.values()] + [asdict(r) for r in sweep]
+
+    @pytest.mark.parametrize("max_iter", [200, 3])
+    def test_iris_reports_identical(self, iris, monkeypatch, max_iter):
+        config = IcefConfig(tau=200.0, max_iter=max_iter)
+        batched = self._reports(iris, config, 5.0)
+        monkeypatch.setattr(classify, "_evaluate_model", _per_sample_scores)
+        assert batched == self._reports(iris, config, 5.0)
+        assert any(r["unconverged_samples"] for r in batched) == (max_iter == 3)
+
+    def test_conflict_counts_identical(self, monkeypatch):
+        train = make_dataset([[0.0, 100.0], [0.1, 100.1], [100.0, 0.0], [100.1, 0.1]],
+                             ["a", "a", "b", "b"])
+        model = fit_interval_model(train, lam=1e307)
+        test = make_dataset([[0.05, 0.05], [0.05, 100.05], [100.0, 0.05]], ["a", "a", "b"])
+        batched = _evaluate_model(model, test, self.METHODS, None)
+        expected = _per_sample_scores(model, test, self.METHODS, None)
+        assert {m: asdict(s) for m, s in batched.items()} == (
+            {m: asdict(s) for m, s in expected.items()})
+        assert batched["dcr"].conflicts == 1

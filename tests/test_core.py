@@ -399,18 +399,62 @@ class TestSelfFuseAgainstFold:
         m = MassFunction(_frame(5), {1: 0.5, 2: 0.5})
         assert self_fuse(m, 1080) == m
 
-    def test_supports_are_kept_per_focal_set(self, monkeypatch):
+    def test_supports_are_found_once_per_focal_pattern(self, monkeypatch):
         calls = []
         monkeypatch.setattr(core, "_intersections",
                             lambda *args: calls.append(1) or _intersections(*args))
         a = MassFunction(_frame(4), {0b0011: 0.5, 0b0110: 0.3, 0b1111: 0.2})
         b = MassFunction(_frame(4), {0b0011: 0.1, 0b0110: 0.6, 0b1111: 0.3})
         c = MassFunction(_frame(4), {0b0011: 0.7, 0b1111: 0.3})
+        focal, table = core._mass_table([a, b, c, a])
         supports = {}
-        for m in (a, b, c, a):
-            assert _dense_self_fuse(m, 6, supports) == _dense_self_fuse(m, 6)
+        for _ in range(2):
+            support, fused, conflict, failed = core._self_combine_rows(focal, table, 6, 4, supports)
         assert len(supports) == 2
-        assert len(calls) == 2 + 4  # two focal sets with the dict, four without
+        assert len(calls) == 2  # two focal patterns, found in the first call only
+        assert not failed.any()
+        for row, m in zip(fused, (a, b, c, a)):
+            # each row is bit-equal to combining its mass alone
+            assert MassFunction(m.frame, dict(zip(support.tolist(), row.tolist()))) == (
+                _dense_self_fuse(m, 6))
+
+    @pytest.mark.parametrize("masses", [{0b001: 0.5, 0b010: 0.5}, {0b001: 0.25, 0b010: 0.75}])
+    def test_one_operand_returns_the_input(self, masses):
+        # used to raise TotalConflictError with K = 0.0: the threshold on the
+        # survivor total is 1 for one operand, and the total is exactly 1
+        m = MassFunction(_frame(3), masses)
+        assert _dense_self_fuse(m, 1) is m
+        focal, table = core._mass_table([m, m])
+        support, fused, conflict, failed = core._self_combine_rows(focal, table, 1, 3, {})
+        assert support.tolist() == list(m.focal_elements())
+        assert fused.tolist() == [[v for _, v in m.items()]] * 2
+        assert conflict.tolist() == [0.0, 0.0] and not failed.any()
+
+    @pytest.mark.parametrize("n", [3, 5, 9])
+    def test_intersection_of_n_minus_one_operands(self, n):
+        # the frame minus one other event each: only all n - 1 of them
+        # together leave the first event alone
+        focal = np.array(sorted((1 << n) - 1 ^ 1 << k for k in range(1, n)))
+        assert 1 not in _intersections(focal, n - 2, 1 << n).tolist()
+        assert 1 in _intersections(focal, n - 1, 1 << n).tolist()
+
+    @settings(max_examples=200, deadline=None)
+    @given(n=st.integers(min_value=1, max_value=9), seed=st.integers(0, 2**32 - 1),
+           extra=st.integers(min_value=0, max_value=3))
+    def test_intersection_closure_matches_brute_force(self, n, seed, extra):
+        # from n - 1 operands on, the support is every nonempty intersection
+        # of focal sets, found by one pass over the masks
+        rng = np.random.default_rng(seed)
+        k = int(rng.integers(1, min(12, (1 << n) - 1) + 1))
+        focal = np.sort(rng.choice(np.arange(1, 1 << n), size=k, replace=False))
+        closure = set(focal.tolist())
+        while True:
+            grown = closure | {a & b for a in closure for b in focal.tolist()}
+            if grown == closure:
+                break
+            closure = grown
+        expected = sorted(closure - {0})
+        assert _intersections(focal, max(1, n - 1) + extra, 1 << n).tolist() == expected
 
     def test_nested_focal_sets_keep_tiny_masses(self):
         # no magnitude cut: mass of order 1e-15 on {E1} survives

@@ -1,9 +1,13 @@
 """Open-loop and iterative fusion against the benchmark evidence sets."""
 
 import math
+from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from credfuse import (
     BJS,
@@ -11,18 +15,22 @@ from credfuse import (
     IcefConfig,
     InvalidConfigError,
     MassFunction,
+    TotalConflictError,
+    build_eem,
     cef_fuse,
     dcr_fuse,
     decide,
+    event_evidence,
     fuse,
+    fuse_batch,
     icef,
     murphy_fuse,
     pbagd,
     vacuous,
     weighted_average,
 )
-from credfuse import core
-from credfuse.core import _intersections
+from credfuse import core, fusion
+from credfuse.core import _dense_self_fuse, _intersections
 from credfuse.divergence import LengthMismatchError as DivergenceLengthMismatchError
 from credfuse.fusion import LengthMismatchError
 
@@ -326,12 +334,256 @@ class TestFuseDispatcher:
 
     @pytest.mark.parametrize("method", ["dcr", "murphy", "cef-avg", "icef-pbagd"])
     def test_pignistic_computed_once_per_fused_mass(self, fault_case, monkeypatch, method):
+        # counts the helper that MassFunction.pignistic and the icef loop share
         calls = []
-        pignistic = MassFunction.pignistic
-        monkeypatch.setattr(MassFunction, "pignistic",
-                            lambda m: calls.append(m) or pignistic(m))
+        pignistic_rows = core._pignistic_rows
+        monkeypatch.setattr(core, "_pignistic_rows",
+                            lambda *args: calls.append(1) or pignistic_rows(*args))
         result = fuse(fault_case, method=method)
         assert len(calls) == result.n_iter
         probs = result.pignistic
         first_max = np.flatnonzero(probs == probs.max())[0]
         assert result.decision == fault_case[0].frame.events[first_max]
+
+
+def _frame(n):
+    return Frame(tuple(f"E{i + 1}" for i in range(n)))
+
+
+def _random_set(rng, frame, n_pieces):
+    return [random_mass_function(rng, frame, max_focals=int(rng.integers(1, 5)))
+            for _ in range(n_pieces)]
+
+
+class TestIcefSteps:
+    def test_fused_masses_built_when_read(self, fault_case, monkeypatch):
+        calls = []
+        init = MassFunction.__init__
+        monkeypatch.setattr(MassFunction, "__init__",
+                            lambda self, *args: calls.append(1) or init(self, *args))
+        result, trace = icef(fault_case)
+        assert len(trace.steps) > 1
+        assert len(calls) == 1  # the final fused mass only
+        assert trace.final.fused is result.mass
+        first = trace.steps[0].fused
+        assert len(calls) == 2 and trace.steps[0].fused is first
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(min_value=1, max_value=6), n_pieces=st.integers(min_value=2, max_value=10),
+           seed=st.integers(0, 2**32 - 1))
+    def test_each_step_is_the_scalar_average_self_combined(self, n, n_pieces, seed):
+        # the loop's average is bit-equal to weighted_average, its combination
+        # to the dense self_fuse, and its probabilities to the fused pignistic
+        ms = _random_set(np.random.default_rng(seed), _frame(n), n_pieces)
+        _, trace = icef(ms, IcefConfig(max_iter=6))
+        for step in trace.steps:
+            fused = _dense_self_fuse(weighted_average(ms, step.credibilities), n_pieces)
+            assert step.fused == fused
+            assert step.probabilities.tobytes() == fused.pignistic().tobytes()
+
+
+@st.composite
+def _batches(draw):
+    """Evidence sets of equal size on one frame, with loop settings that make
+    sets stop at different steps, reach zero credibilities or total conflict,
+    start from the EEM, use the bjs measure, or span several chunks."""
+    n = draw(st.integers(min_value=1, max_value=5))
+    n_pieces = draw(st.integers(min_value=2, max_value=6))
+    n_sets = draw(st.integers(min_value=1, max_value=7))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    frame = _frame(n)
+    zero_credibility = draw(st.booleans()) and n_pieces > n
+    sets = []
+    for _ in range(n_sets):
+        ms = _random_set(rng, frame, n_pieces)
+        if zero_credibility:
+            # categorical reports on every event keep each support row nonzero
+            # while exp(-tau * d) underflows for the other pieces
+            ms[:n] = [event_evidence(frame, j) for j in range(n)]
+        sets.append(ms)
+    method = draw(st.sampled_from(["icef-pbagd", "icef-bjs"]))
+    tau = 1e5 if zero_credibility else (5.0 if method == "icef-bjs" else 200.0)
+    config = IcefConfig(tau=tau, max_iter=draw(st.sampled_from([1, 2, 3, 200])),
+                        init=draw(st.sampled_from(["uniform", "eem"])))
+    chunk = draw(st.sampled_from([None, 1, 2, 3]))
+    conflict = draw(st.booleans())
+    return sets, method, config, chunk, conflict
+
+
+def _assert_same_result(got, want):
+    assert got.credibilities.tobytes() == want.credibilities.tobytes()
+    assert got.pignistic.tobytes() == want.pignistic.tobytes()
+    assert (got.n_iter, got.converged, got.decision, got.method) == (
+        want.n_iter, want.converged, want.decision, want.method)
+    assert got.mass == want.mass
+
+
+class TestFuseBatch:
+    """A batch of evidence sets against one ``icef`` call per set, bit for bit."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(case=_batches())
+    def test_batch_equals_single_calls(self, case):
+        sets, method, config, chunk, conflict = case
+        single_config = replace(config, measure=fusion.get_measure(method[len("icef-"):]))
+        with mock.patch.object(fusion, "_BLOCK_ENTRIES",
+                               fusion._BLOCK_ENTRIES if chunk is None
+                               else chunk << sets[0][0].frame.n), \
+                mock.patch.object(core, "_LOG2_CONFLICT_EPS",
+                                  -1.0 if conflict else core._LOG2_CONFLICT_EPS):
+            batch = fuse_batch(sets, method, config)
+            assert len(batch) == len(sets)
+            for ms, got in zip(sets, batch):
+                try:
+                    want, _ = icef(ms, single_config)
+                except TotalConflictError as error:
+                    assert isinstance(got, TotalConflictError)
+                    assert got.conflict == error.conflict
+                    continue
+                _assert_same_result(got, want)
+            # permuting the sets permutes the results, bit for bit
+            again = fuse_batch(sets[::-1], method, config)[::-1]
+            for got, want in zip(again, batch):
+                if isinstance(want, TotalConflictError):
+                    assert got.conflict == want.conflict
+                else:
+                    _assert_same_result(got, want)
+
+    def _mixed_sets(self):
+        rng = np.random.default_rng(31)
+        frame = _frame(3)
+        sets = [_random_set(rng, frame, 4) for _ in range(9)]
+        sets[2] = [event_evidence(frame, j) for j in range(3)] + sets[2][3:]
+        return sets
+
+    def test_sets_stop_at_different_steps(self):
+        sets = self._mixed_sets()
+        batch = fuse_batch(sets, "icef-pbagd")
+        assert len({result.n_iter for result in batch}) > 1
+        for ms, got in zip(sets, batch):
+            _assert_same_result(got, icef(ms)[0])
+
+    def test_sets_reach_zero_credibility(self):
+        # every event has a categorical report, and exp(-tau * d) underflows
+        # for the pieces off the assertions
+        rng = np.random.default_rng(37)
+        frame = _frame(3)
+        sets = [[event_evidence(frame, j) for j in range(3)] + _random_set(rng, frame, 2)
+                for _ in range(5)]
+        config = IcefConfig(tau=1e5)
+        batch = fuse_batch(sets, "icef-pbagd", config)
+        zeros = [(result.credibilities == 0.0).any() for result in batch]
+        assert sum(zeros) > 1 and not all(zeros)  # so the averages' focal sets differ
+        for ms, got in zip(sets, batch):
+            _assert_same_result(got, icef(ms, config)[0])
+
+    def test_total_conflict_is_flagged_per_set(self, monkeypatch):
+        monkeypatch.setattr(core, "_LOG2_CONFLICT_EPS", -1.0)
+        sets = self._mixed_sets()
+        batch = fuse_batch(sets, "icef-pbagd")
+        flagged = [isinstance(result, TotalConflictError) for result in batch]
+        assert any(flagged) and not all(flagged)
+        for ms, got in zip(sets, batch):
+            if isinstance(got, TotalConflictError):
+                with pytest.raises(TotalConflictError) as excinfo:
+                    icef(ms)
+                assert excinfo.value.conflict == got.conflict
+            else:
+                _assert_same_result(got, icef(ms)[0])
+
+    def test_chunks_bound_the_sets_per_loop(self, monkeypatch):
+        sizes = []
+        loop = fusion._icef_loop
+        monkeypatch.setattr(fusion, "_icef_loop",
+                            lambda sets, *args: sizes.append(len(sets)) or loop(sets, *args))
+        monkeypatch.setattr(fusion, "_BLOCK_ENTRIES", 4 << 3)  # 4 sets of n = 3 per chunk
+        sets = self._mixed_sets()
+        batch = fuse_batch(sets, "icef-pbagd")
+        assert sizes == [4, 4, 1]
+        for ms, got in zip(sets, batch):
+            _assert_same_result(got, icef(ms)[0])
+
+    def test_open_loop_methods_fuse_set_by_set(self, fault_case, conflict_case):
+        for method in ("dcr", "murphy", "cef-avg"):
+            batch = fuse_batch([fault_case, conflict_case], method)
+            for got, ms in zip(batch, (fault_case, conflict_case)):
+                assert got.mass == fuse(ms, method).mass
+        frame = fault_case[0].frame
+        clash = [event_evidence(frame, 0), event_evidence(frame, 1)]
+        assert isinstance(fuse_batch([clash], "dcr")[0], TotalConflictError)
+
+    def test_sets_must_agree_in_size_and_frame(self, fault_case, close_pair):
+        assert fuse_batch([], "icef-pbagd") == []
+        with pytest.raises(LengthMismatchError):
+            fuse_batch([fault_case, fault_case[:4]])
+        with pytest.raises(core.FrameMismatchError):
+            fuse_batch([fault_case[:2], list(close_pair)])
+        with pytest.raises(ValueError):
+            fuse_batch([fault_case[:1]])
+
+    @pytest.mark.filterwarnings("ignore:invalid value encountered in divide")
+    def test_unsupported_events_are_refused(self, frame3):
+        # no piece supports the third event at this tau: the credibilities
+        # would be NaN
+        ms = [MassFunction(frame3, {"A1": 0.9, "A2": 0.1}), MassFunction(frame3, {"A1": 1.0})]
+        with pytest.raises(core.InvalidMassValueError):
+            icef(ms, IcefConfig(tau=1e6))
+
+
+def _relabelled(m, perm):
+    def image(mask):
+        return sum(1 << perm[j] for j in range(m.frame.n) if mask >> j & 1)
+    return MassFunction(m.frame, {image(mask): value for mask, value in m.items()})
+
+
+def _same_decision(probs, other, event_map=None):
+    """Whether two runs decide alike, when the first has a clear winner."""
+    top = np.sort(probs)[-2:]
+    if len(top) == 2 and top[1] - top[0] < 1e-6:
+        return True
+    winner = int(np.argmax(probs))
+    return int(np.argmax(other)) == (winner if event_map is None else event_map[winner])
+
+
+class TestMetamorphic:
+    """Relations between runs on transformed evidence, single and batched."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(min_value=2, max_value=5), n_pieces=st.integers(min_value=2, max_value=7),
+           seed=st.integers(0, 2**32 - 1), data=st.data())
+    def test_permuting_the_evidence(self, n, n_pieces, seed, data):
+        frame = _frame(n)
+        ms = _random_set(np.random.default_rng(seed), frame, n_pieces)
+        perm = data.draw(st.permutations(range(n_pieces)))
+        permuted = [ms[i] for i in perm]
+        eem = build_eem(ms, frame, IcefConfig().measure).values
+        assert build_eem(permuted, frame, IcefConfig().measure).values.tobytes() == (
+            eem[:, perm].tobytes())
+        (result, trace), (other, other_trace) = icef(ms), icef(permuted)
+        np.testing.assert_allclose(other_trace.steps[0].credibilities,
+                                   trace.steps[0].credibilities[perm], rtol=1e-12, atol=1e-15)
+        np.testing.assert_allclose(other.credibilities, result.credibilities[perm], atol=1e-6)
+        assert _same_decision(result.pignistic, other.pignistic)
+        batched = fuse_batch([ms, permuted, ms])
+        np.testing.assert_allclose(batched[1].credibilities, batched[0].credibilities[perm],
+                                   atol=1e-6)
+        assert batched[2].credibilities.tobytes() == batched[0].credibilities.tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(min_value=2, max_value=5), n_pieces=st.integers(min_value=2, max_value=6),
+           seed=st.integers(0, 2**32 - 1), data=st.data())
+    def test_relabelling_events(self, n, n_pieces, seed, data):
+        frame = _frame(n)
+        ms = _random_set(np.random.default_rng(seed), frame, n_pieces)
+        perm = data.draw(st.permutations(range(n)))
+        relabelled = [_relabelled(m, perm) for m in ms]
+        eem = build_eem(ms, frame, IcefConfig().measure).values
+        other_eem = build_eem(relabelled, frame, IcefConfig().measure).values
+        np.testing.assert_allclose(other_eem[perm], eem, rtol=1e-9, atol=1e-15)
+        (result, trace), (other, other_trace) = icef(ms), icef(relabelled)
+        np.testing.assert_allclose(other_trace.steps[0].probabilities[perm],
+                                   trace.steps[0].probabilities, rtol=1e-9, atol=1e-15)
+        np.testing.assert_allclose(other.pignistic[perm], result.pignistic, atol=1e-6)
+        assert _same_decision(result.pignistic, other.pignistic, perm)
+        batched = fuse_batch([relabelled, ms])
+        np.testing.assert_allclose(batched[0].pignistic[perm], batched[1].pignistic, atol=1e-6)
