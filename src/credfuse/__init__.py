@@ -97,7 +97,6 @@ from .fusion import (
     dcr_fuse,
     decide,
     fuse,
-    fuse_batch,
     icef,
     murphy_fuse,
     weighted_average,

@@ -19,7 +19,7 @@ from functools import cached_property
 import numpy as np
 
 from .core import Frame, MassFunction, TotalConflictError
-from .fusion import IcefConfig, fuse, fuse_batch
+from .fusion import IcefConfig, _fuse_batch, fuse
 
 
 class DatasetError(ValueError):
@@ -258,14 +258,14 @@ def _evaluate_model(model, test: Dataset, methods, config) -> dict[str, _Score]:
     """Score every method on the test split.
 
     Each sample's evidence is built once; each method fuses the whole split
-    in one :func:`~credfuse.fusion.fuse_batch` call, which runs the
+    in one :func:`~credfuse.fusion._fuse_batch` call, which runs the
     ``icef-*`` loop over all samples at once.
     """
     evidence = [_sample_evidence(model, sample) for sample in test.features]
     scores = {}
     for method in methods:
         score = scores[method] = _Score({label: 0 for label in test.class_labels})
-        for truth, result in zip(test.labels, fuse_batch(evidence, method, config)):
+        for truth, result in zip(test.labels, _fuse_batch(evidence, method, config)):
             if isinstance(result, TotalConflictError):
                 score.conflicts += 1  # and counted as an error
                 continue

@@ -590,12 +590,8 @@ def _self_combine_rows(focal: np.ndarray, masses: np.ndarray, times: int, n: int
     # the unscaled survivor total is totals * 2**-shift; a failed row's
     # masses may come out infinite or NaN
     with np.errstate(divide="ignore", invalid="ignore"):
-        if scaled:
-            failed = ~(np.log2(totals) - shift > (times - 1) * _LOG2_CONFLICT_EPS)
-            conflict = 1.0 - np.ldexp(totals, -shift)
-        else:
-            failed = ~(totals > 2.0 ** ((times - 1) * _LOG2_CONFLICT_EPS))
-            conflict = 1.0 - totals
+        failed = ~(np.log2(totals) - shift > (times - 1) * _LOG2_CONFLICT_EPS)
+        conflict = 1.0 - np.ldexp(totals, -shift)
         return support, fused / totals[:, None], conflict, failed
 
 

@@ -314,7 +314,7 @@ def _icef_loop(sets, frame: Frame, cfg: IcefConfig, history: list | None = None)
     return ends
 
 
-def fuse_batch(
+def _fuse_batch(
     sets: Sequence[Sequence[MassFunction]], method: str = "icef-pbagd",
     config: IcefConfig | None = None,
 ) -> list:
@@ -333,7 +333,7 @@ def fuse_batch(
         return [_fuse_or_conflict(ms, method, config) for ms in sets]
     if not sets:
         return []
-    cfg = replace(config or IcefConfig(), measure=get_measure(method.removeprefix("icef-")))
+    cfg = _icef_config(method, config)
     frame = _require_same_frame(sets[0])
     for ms in sets:
         if len(ms) != len(sets[0]):
@@ -347,6 +347,12 @@ def fuse_batch(
         results.extend(end if isinstance(end, TotalConflictError) else _icef_result(*end, cfg)
                        for end in _icef_loop(sets[start:start + rows], frame, cfg))
     return results
+
+
+def _icef_config(method: str, config: IcefConfig | None) -> IcefConfig:
+    """``config`` (or the default) with the measure named by the lower-case
+    ``icef-*`` method name."""
+    return replace(config or IcefConfig(), measure=get_measure(method.removeprefix("icef-")))
 
 
 def _fuse_or_conflict(ms, method, config):
@@ -374,8 +380,7 @@ def fuse(
     if method == "murphy":
         return murphy_fuse(ms)
     if method.startswith("icef-"):
-        measure = get_measure(method.removeprefix("icef-"))
-        result, _ = icef(ms, replace(cfg, measure=measure))
+        result, _ = icef(ms, _icef_config(method, cfg))
         return result
     if method in ("cef-avg", "cef-eig"):
         edmm = build_edmm(ms, cfg.measure)

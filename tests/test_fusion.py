@@ -22,7 +22,6 @@ from credfuse import (
     decide,
     event_evidence,
     fuse,
-    fuse_batch,
     icef,
     murphy_fuse,
     pbagd,
@@ -32,7 +31,7 @@ from credfuse import (
 from credfuse import core, fusion
 from credfuse.core import _dense_self_fuse, _intersections
 from credfuse.divergence import LengthMismatchError as DivergenceLengthMismatchError
-from credfuse.fusion import LengthMismatchError
+from credfuse.fusion import LengthMismatchError, _fuse_batch
 
 from .conftest import random_mass_function
 
@@ -431,7 +430,7 @@ class TestFuseBatch:
                                else chunk << sets[0][0].frame.n), \
                 mock.patch.object(core, "_LOG2_CONFLICT_EPS",
                                   -1.0 if conflict else core._LOG2_CONFLICT_EPS):
-            batch = fuse_batch(sets, method, config)
+            batch = _fuse_batch(sets, method, config)
             assert len(batch) == len(sets)
             for ms, got in zip(sets, batch):
                 try:
@@ -442,7 +441,7 @@ class TestFuseBatch:
                     continue
                 _assert_same_result(got, want)
             # permuting the sets permutes the results, bit for bit
-            again = fuse_batch(sets[::-1], method, config)[::-1]
+            again = _fuse_batch(sets[::-1], method, config)[::-1]
             for got, want in zip(again, batch):
                 if isinstance(want, TotalConflictError):
                     assert got.conflict == want.conflict
@@ -458,7 +457,7 @@ class TestFuseBatch:
 
     def test_sets_stop_at_different_steps(self):
         sets = self._mixed_sets()
-        batch = fuse_batch(sets, "icef-pbagd")
+        batch = _fuse_batch(sets, "icef-pbagd")
         assert len({result.n_iter for result in batch}) > 1
         for ms, got in zip(sets, batch):
             _assert_same_result(got, icef(ms)[0])
@@ -471,7 +470,7 @@ class TestFuseBatch:
         sets = [[event_evidence(frame, j) for j in range(3)] + _random_set(rng, frame, 2)
                 for _ in range(5)]
         config = IcefConfig(tau=1e5)
-        batch = fuse_batch(sets, "icef-pbagd", config)
+        batch = _fuse_batch(sets, "icef-pbagd", config)
         zeros = [(result.credibilities == 0.0).any() for result in batch]
         assert sum(zeros) > 1 and not all(zeros)  # so the averages' focal sets differ
         for ms, got in zip(sets, batch):
@@ -480,7 +479,7 @@ class TestFuseBatch:
     def test_total_conflict_is_flagged_per_set(self, monkeypatch):
         monkeypatch.setattr(core, "_LOG2_CONFLICT_EPS", -1.0)
         sets = self._mixed_sets()
-        batch = fuse_batch(sets, "icef-pbagd")
+        batch = _fuse_batch(sets, "icef-pbagd")
         flagged = [isinstance(result, TotalConflictError) for result in batch]
         assert any(flagged) and not all(flagged)
         for ms, got in zip(sets, batch):
@@ -498,28 +497,28 @@ class TestFuseBatch:
                             lambda sets, *args: sizes.append(len(sets)) or loop(sets, *args))
         monkeypatch.setattr(fusion, "_BLOCK_ENTRIES", 4 << 3)  # 4 sets of n = 3 per chunk
         sets = self._mixed_sets()
-        batch = fuse_batch(sets, "icef-pbagd")
+        batch = _fuse_batch(sets, "icef-pbagd")
         assert sizes == [4, 4, 1]
         for ms, got in zip(sets, batch):
             _assert_same_result(got, icef(ms)[0])
 
     def test_open_loop_methods_fuse_set_by_set(self, fault_case, conflict_case):
         for method in ("dcr", "murphy", "cef-avg"):
-            batch = fuse_batch([fault_case, conflict_case], method)
+            batch = _fuse_batch([fault_case, conflict_case], method)
             for got, ms in zip(batch, (fault_case, conflict_case)):
                 assert got.mass == fuse(ms, method).mass
         frame = fault_case[0].frame
         clash = [event_evidence(frame, 0), event_evidence(frame, 1)]
-        assert isinstance(fuse_batch([clash], "dcr")[0], TotalConflictError)
+        assert isinstance(_fuse_batch([clash], "dcr")[0], TotalConflictError)
 
     def test_sets_must_agree_in_size_and_frame(self, fault_case, close_pair):
-        assert fuse_batch([], "icef-pbagd") == []
+        assert _fuse_batch([], "icef-pbagd") == []
         with pytest.raises(LengthMismatchError):
-            fuse_batch([fault_case, fault_case[:4]])
+            _fuse_batch([fault_case, fault_case[:4]])
         with pytest.raises(core.FrameMismatchError):
-            fuse_batch([fault_case[:2], list(close_pair)])
+            _fuse_batch([fault_case[:2], list(close_pair)])
         with pytest.raises(ValueError):
-            fuse_batch([fault_case[:1]])
+            _fuse_batch([fault_case[:1]])
 
     @pytest.mark.filterwarnings("ignore:invalid value encountered in divide")
     def test_unsupported_events_are_refused(self, frame3):
@@ -564,7 +563,7 @@ class TestMetamorphic:
                                    trace.steps[0].credibilities[perm], rtol=1e-12, atol=1e-15)
         np.testing.assert_allclose(other.credibilities, result.credibilities[perm], atol=1e-6)
         assert _same_decision(result.pignistic, other.pignistic)
-        batched = fuse_batch([ms, permuted, ms])
+        batched = _fuse_batch([ms, permuted, ms])
         np.testing.assert_allclose(batched[1].credibilities, batched[0].credibilities[perm],
                                    atol=1e-6)
         assert batched[2].credibilities.tobytes() == batched[0].credibilities.tobytes()
@@ -585,5 +584,5 @@ class TestMetamorphic:
                                    trace.steps[0].probabilities, rtol=1e-9, atol=1e-15)
         np.testing.assert_allclose(other.pignistic[perm], result.pignistic, atol=1e-6)
         assert _same_decision(result.pignistic, other.pignistic, perm)
-        batched = fuse_batch([relabelled, ms])
+        batched = _fuse_batch([relabelled, ms])
         np.testing.assert_allclose(batched[0].pignistic[perm], batched[1].pignistic, atol=1e-6)
