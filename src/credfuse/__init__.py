@@ -56,7 +56,6 @@ from .credibility import (
     build_edmm,
     build_eem,
     conditional_credibility,
-    edmm_eigenvalues,
     eigenvalue_credibility,
     initial_prob_from_eem,
     initial_prob_uniform,

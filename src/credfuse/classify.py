@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import math
+import numbers
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
@@ -19,7 +20,14 @@ from functools import cached_property
 import numpy as np
 
 from .core import Frame, MassFunction, TotalConflictError
-from .fusion import IcefConfig, _fuse_batch, fuse
+from .fusion import (
+    IcefConfig,
+    InvalidConfigError,
+    _fuse_batch,
+    _is_number,
+    _is_positive_finite,
+    fuse,
+)
 
 
 class DatasetError(ValueError):
@@ -161,8 +169,8 @@ class IntervalModel:
 
 def fit_interval_model(train: Dataset, lam: float) -> IntervalModel:
     """Intervals are the per-class min/max of each attribute over the training rows."""
-    if lam <= 0:
-        raise ValueError(f"lam must be positive, got {lam}")
+    if not _is_positive_finite(lam):
+        raise InvalidConfigError(f"lam must be a positive finite number, got {lam!r}")
     n_classes = len(train.class_labels)
     lows = np.empty((n_classes, train.n_attributes))
     highs = np.empty((n_classes, train.n_attributes))
@@ -343,8 +351,17 @@ def monte_carlo_evaluate(
 
     Each trial draws ``train_fraction`` of every class (without replacement)
     for training and scores on the remaining rows.  Reports per-method mean
-    accuracies over all trials plus the per-trial series.
+    accuracies over all trials plus the per-trial series.  Raises
+    :class:`InvalidConfigError` unless ``trials`` is an integer >= 1 and
+    ``train_fraction`` lies in (0, 1) and leaves some row to score.
     """
+    if not (_is_number(trials, numbers.Integral) and trials >= 1):
+        raise InvalidConfigError(f"trials must be an integer >= 1, got {trials!r}")
+    if not 0.0 < train_fraction < 1.0:  # NaN fails both comparisons
+        raise InvalidConfigError(f"train_fraction must lie in (0, 1), got {train_fraction!r}")
+    sizes = [len(ds.class_indices(label)) for label in ds.class_labels]
+    if all(round(train_fraction * size) == size for size in sizes):
+        raise InvalidConfigError(f"train_fraction {train_fraction!r} leaves no rows to score")
     rng = np.random.default_rng(seed)
     sums = {m: {"total": 0.0, "per_class": {c: 0.0 for c in ds.class_labels},
                 "conflicts": 0, "unconverged": 0} for m in methods}

@@ -454,58 +454,15 @@ def _intersections(focal: np.ndarray, times: int, size: int) -> np.ndarray:
     return np.flatnonzero(seen)[1:]
 
 
-#: Estimated cost of :func:`_dense_self_fuse` on an ``n``-event frame, index
-#: ``n``, in the units of :func:`_fold_is_cheaper`: about 90 plus, per event,
-#: 12 for its numpy calls and ``2**n / 16`` for their work.
-_DENSE_COST = tuple(90 + n * (12 + (1 << n) / 16) for n in range(MAX_EVENTS + 1))
-
-
-def _fold_is_cheaper(n_focal: int, n: int, times: int) -> bool:
-    """Whether pairwise combinations cost less than the dense path.
-
-    Costs are in units of one focal pair in :func:`dcr_pair`, about 0.45 us
-    on a shared 2-vCPU Xeon under Python 3.11 and numpy 2.4.  Each of the
-    ``times.bit_length() + times.bit_count() - 2`` combinations of
-    :func:`self_fuse`'s fold costs about 20 plus the pairs of its operands,
-    at least ``n_focal**2``; the dense path costs ``_DENSE_COST[n]``.  Timed
-    on that machine for n = 2..8 events, 1..6 focal sets and 2..24 operands,
-    the estimate picks the faster path in 209 of 224 cases.  On a 3-event
-    frame with 3 singletons and 4 operands the fold takes about 28 us and the
-    dense path 63 us; with 6 focal sets and 12 operands, or 4 focal sets and
-    24, the dense path wins.
-    """
-    combinations = times.bit_length() + times.bit_count() - 2
-    return combinations * (20 + n_focal * n_focal) < _DENSE_COST[n]
-
-
 def self_fuse(m: MassFunction, times: int) -> MassFunction:
     """Combine ``times`` copies of ``m`` under Dempster's rule.
 
     ``times`` counts operands, so ``times=1`` returns ``m`` unchanged and
-    ``times=k`` combines ``k`` copies.  Small inputs are combined pairwise
-    with :func:`dcr_pair`, by repeated squaring (the rule is associative, so
-    ``k`` operands take ``log2(k)`` squarings plus one combination per further
-    set bit of ``k``); larger ones take one dense transform pair (see
-    :func:`_dense_self_fuse`).  :func:`_fold_is_cheaper` chooses.
+    ``times=k`` combines ``k`` copies: one row of :func:`_self_combine_rows`,
+    built through the validating constructor.
     """
     if times < 1:
         raise ValueError(f"times must be >= 1, got {times}")
-    if not _fold_is_cheaper(len(m._focal), len(m.frame.events), times):
-        return _dense_self_fuse(m, times)
-    result, power = None, m
-    while True:
-        if times & 1:
-            result = power if result is None else dcr_pair(result, power)
-        times >>= 1
-        if not times:
-            return result
-        power = dcr_pair(power, power)
-
-
-def _dense_self_fuse(m: MassFunction, times: int) -> MassFunction:
-    """:func:`self_fuse` through the commonality domain: one row of
-    :func:`_self_combine_rows`, built through the validating constructor.
-    One operand returns ``m``."""
     if times == 1:
         return m
     support, fused, conflict, failed = _self_combine_rows(

@@ -12,6 +12,7 @@ Two matrix shapes drive everything here:
 
 from __future__ import annotations
 
+import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -87,8 +88,8 @@ def support_matrix(eem: EventEvaluationMatrix, tau: float) -> np.ndarray:
     Values lie in (0, 1], hitting 1 exactly where the divergence is 0.
     ``tau`` scales how sharply support decays with divergence.
     """
-    if tau <= 0:
-        raise NonpositiveTauError(f"tau must be positive, got {tau}")
+    if not (tau > 0 and math.isfinite(tau)):
+        raise NonpositiveTauError(f"tau must be a positive finite number, got {tau!r}")
     return np.exp(-tau * eem.values)
 
 
@@ -103,32 +104,19 @@ def conditional_credibility(support: np.ndarray) -> np.ndarray:
     return support / support.sum(axis=-1, keepdims=True)
 
 
-def average_support_credibility(
-    edmm: PairwiseDifferenceMatrix, variant: str = "distance"
-) -> np.ndarray:
+def average_support_credibility(edmm: PairwiseDifferenceMatrix) -> np.ndarray:
     """Credibility from off-diagonal row sums of the pairwise matrix.
 
-    ``variant="distance"`` normalizes the summed distances directly (the
-    classical printed form, which rates far-from-center evidence higher);
-    ``variant="similarity"`` inverts it, rating the evidence nearest the
-    cluster center highest.  A matrix of all zeros falls back to uniform.
+    Each piece's share of the summed distances is inverted, ``(1 - share) /
+    (N - 1)``, so the evidence nearest the cluster center rates highest and
+    the credibilities sum to 1.  A matrix of all zeros falls back to uniform.
     """
     row_sums = edmm.values.sum(axis=1)  # diagonal is zero
     total = row_sums.sum()
     n = edmm.n_evidence
     if total == 0.0:
         return np.full(n, 1.0 / n)
-    shares = row_sums / total
-    if variant == "distance":
-        return shares
-    if variant == "similarity":
-        return (1.0 - shares) / (n - 1)
-    raise ValueError(f"unknown variant {variant!r}")
-
-
-def edmm_eigenvalues(edmm: PairwiseDifferenceMatrix) -> np.ndarray:
-    """Eigenvalues of the symmetric pairwise matrix, descending."""
-    return np.linalg.eigvalsh(edmm.values)[::-1]
+    return (1.0 - row_sums / total) / (n - 1)
 
 
 def eigenvalue_credibility(edmm: PairwiseDifferenceMatrix) -> np.ndarray:

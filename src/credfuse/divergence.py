@@ -45,20 +45,18 @@ def subset_bel_pl(m: MassFunction) -> tuple[np.ndarray, np.ndarray]:
     return bel_of_complement[::-1], total - bel_of_complement
 
 
-def pb_transform(m: MassFunction, include_empty_in_normalizer: bool = False) -> np.ndarray:
+def pb_transform(m: MassFunction) -> np.ndarray:
     """Exponentially normalized belief-plausibility weights over nonempty subsets.
 
     Entry ``k`` (0-based) is the weight of the subset with bitmask ``k + 1``:
     ``(exp(Bel) + exp(Pl)) / Z`` with ``Z`` summing the same quantity over all
     nonempty subsets.  Every weight is strictly positive and the vector sums
-    to 1.  ``include_empty_in_normalizer`` adds the empty set's constant
-    ``exp(0) + exp(0) = 2`` to ``Z`` (a variant normalization; off by default,
-    which is the calibrated behavior).
+    to 1.
     """
-    return _pb_rows(m.dense(), include_empty_in_normalizer)
+    return _pb_rows(m.dense())
 
 
-def _pb_rows(dense, include_empty_in_normalizer: bool) -> np.ndarray:
+def _pb_rows(dense) -> np.ndarray:
     """:func:`pb_transform` along the last axis of dense mass vectors.
 
     Belief and plausibility come as in :func:`subset_bel_pl`.  ``exp`` runs
@@ -70,10 +68,7 @@ def _pb_rows(dense, include_empty_in_normalizer: bool) -> np.ndarray:
     weights = np.exp((bel_of_complement[..., :1] - bel_of_complement)[..., 1:])
     # Bel of mask A is entry 2**n - 1 - A of bel_of_complement
     weights += np.exp(bel_of_complement, out=bel_of_complement)[..., -2::-1]
-    z = weights.sum(axis=-1, keepdims=True)
-    if include_empty_in_normalizer:
-        z += 2.0
-    weights /= z
+    weights /= weights.sum(axis=-1, keepdims=True)
     return weights
 
 
@@ -142,13 +137,8 @@ class PBAGDivergence(DivergenceMeasure):
 
     name = "pbagd"
 
-    def __init__(self, include_empty_in_normalizer: bool = False):
-        self.include_empty_in_normalizer = include_empty_in_normalizer
-
     def evaluate(self, m1: MassFunction, m2: MassFunction) -> float:
-        w1 = pb_transform(m1, self.include_empty_in_normalizer)
-        w2 = pb_transform(m2, self.include_empty_in_normalizer)
-        return ag_divergence(w1, w2)
+        return ag_divergence(pb_transform(m1), pb_transform(m2))
 
     def event_divergences(self, ms: Sequence[MassFunction], frame: Frame) -> np.ndarray:
         """As the base method, with the evidence's weights transformed a row
@@ -173,7 +163,7 @@ class PBAGDivergence(DivergenceMeasure):
             events = range(start, min(frame.n, start + rows))
             assertions = np.zeros((len(events), size))
             assertions[range(len(events)), [1 << j for j in events]] = 1.0
-            weights = _pb_rows(assertions, self.include_empty_in_normalizer)
+            weights = _pb_rows(assertions)
             for row, j in enumerate(events):
                 # the weights of {j} and of its complement (of {j} again when n = 1,
                 # where no nonempty subset lacks j and beta is never used)
@@ -185,8 +175,7 @@ class PBAGDivergence(DivergenceMeasure):
             block = ms[start:start + rows]
             stop = start + len(block)
             p = np.ones((len(block), size))  # column 0, the empty set, only pads
-            p[:, 1:] = _pb_rows(np.array([m.dense() for m in block]),
-                                self.include_empty_in_normalizer)
+            p[:, 1:] = _pb_rows(np.array([m.dense() for m in block]))
             for (alpha, beta), events in levels.items():
                 terms = _ag_terms(p, alpha)
                 terms[p == alpha] = 0.0

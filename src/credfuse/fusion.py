@@ -14,7 +14,7 @@ import math
 import numbers
 from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -250,21 +250,12 @@ def _icef_loop(sets, frame: Frame, cfg: IcefConfig, history: list | None = None)
     appended to it per iteration.
 
     The EEM of all B·N pieces is built in one call; each column depends on
-    its own piece only.  The masses go into a (B, N, F) table over the union
-    of the focal sets.  Per iteration, each set's credibilities are its
-    conditional credibilities weighted by its probabilities, and its
-    weighted average is one sum along the evidence axis, which runs piece by
-    piece as :func:`weighted_average` adds them (a zero credibility adds
-    exact zeros, so that set's focal sets drop out as they do there; with a
-    single focal set in the whole table numpy may group the sum otherwise,
-    but the fused mass is then 1 on that set either way).  The
-    averages are self-combined by :func:`core._self_combine_rows`, which
-    finds each focal pattern's support once per call, and their pignistic
-    probabilities come from the one array helper that
-    :meth:`MassFunction.pignistic` calls.  A set leaves the arrays once its
+    its own piece only.  Per iteration, each set's credibilities are its
+    conditional credibilities weighted by its probabilities, and
+    :func:`_cef_rows` fuses the sets under them; the self-combination
+    supports are found once per call.  A set leaves the arrays once its
     probabilities move by at most ``cfg.delta``, or its self-combination
-    hits total conflict.  Every operation acts on each set's rows alone, so
-    a set gets the same bits in any batch.
+    hits total conflict.
     """
     n_sets, n_pieces, n = len(sets), len(sets[0]), frame.n
     pieces = [m for ms in sets for m in ms]
@@ -289,10 +280,7 @@ def _icef_loop(sets, frame: Frame, cfg: IcefConfig, history: list | None = None)
     supports: dict = {}
     for k in range(1, cfg.max_iter + 1):
         cred = (cond * probs[:, :, None]).sum(axis=1)
-        averaged = (cred[:, :, None] * table).sum(axis=1)
-        support, fused, conflict, failed = core._self_combine_rows(
-            focal, averaged, n_pieces, n, supports)
-        new_probs = core._pignistic_rows(support, fused, n)
+        support, fused, conflict, failed, new_probs = _cef_rows(focal, table, cred, n, supports)
         delta = np.abs(new_probs - probs).sum(axis=1)
         if history is not None:
             history.append((cred, support, fused, new_probs, delta))
@@ -314,6 +302,31 @@ def _icef_loop(sets, frame: Frame, cfg: IcefConfig, history: list | None = None)
     return ends
 
 
+def _cef_rows(focal: np.ndarray, table: np.ndarray, cred: np.ndarray, n: int, supports: dict):
+    """:func:`cef_fuse` of B evidence sets of N pieces each at once.
+
+    ``table`` holds the (B, N, F) masses of the sets on the ascending masks
+    ``focal`` of an ``n``-event frame, and ``cred`` their (B, N) weights.
+    Returns ``(support, fused, conflict, failed, probabilities)``: the
+    self-combination as :func:`core._self_combine_rows` returns it (which
+    keeps the supports it finds in ``supports``), plus the (B, n) pignistic
+    probabilities from the one array helper that
+    :meth:`MassFunction.pignistic` calls.
+
+    Each weighted average is one sum along the evidence axis, which runs
+    piece by piece as :func:`weighted_average` adds them (a zero weight adds
+    exact zeros, so that set's focal sets drop out as they do there; with a
+    single focal set in the whole table numpy may group the sum otherwise,
+    but the fused mass is then 1 on that set either way).  Every operation
+    acts on each set's rows alone, so a set gets the same bits in any batch
+    as from :func:`cef_fuse` on its own.
+    """
+    averaged = (cred[:, :, None] * table).sum(axis=1)
+    support, fused, conflict, failed = core._self_combine_rows(
+        focal, averaged, table.shape[1], n, supports)
+    return support, fused, conflict, failed, core._pignistic_rows(support, fused, n)
+
+
 def _fuse_batch(
     sets: Sequence[Sequence[MassFunction]], method: str = "icef-pbagd",
     config: IcefConfig | None = None,
@@ -322,18 +335,22 @@ def _fuse_batch(
     ``fuse(sets[i], method, config)`` returns, or the
     :class:`TotalConflictError` it raises.
 
-    The ``icef-*`` methods run the sets through :func:`_icef_loop` in chunks
-    of ``max(1, 2**13 // 2**n)`` sets, so that each array over the
-    ``2**n`` subsets holds about ``2**13`` entries; all sets need the same
-    frame and the same number of pieces.  A set's result has the same bits
-    as its own ``fuse`` call.  Other methods fuse set by set.
+    ``murphy`` and the ``icef-*`` methods fuse the sets through
+    :func:`_cef_rows` in chunks of ``max(1, 2**13 // 2**n)`` sets, so that
+    each array over the ``2**n`` subsets holds about ``2**13`` entries; all
+    sets need the same frame and the same number of pieces.  A set's result
+    has the same bits as its own ``fuse`` call.  Other methods fuse set by
+    set.
     """
     method = method.lower()
-    if not method.startswith("icef-"):
+    if method == "murphy":
+        fuse_chunk = _murphy_chunk
+    elif method.startswith("icef-"):
+        fuse_chunk = partial(_icef_chunk, cfg=_icef_config(method, config))
+    else:
         return [_fuse_or_conflict(ms, method, config) for ms in sets]
     if not sets:
         return []
-    cfg = _icef_config(method, config)
     frame = _require_same_frame(sets[0])
     for ms in sets:
         if len(ms) != len(sets[0]):
@@ -344,9 +361,29 @@ def _fuse_batch(
     rows = max(1, _BLOCK_ENTRIES // (1 << frame.n))
     results = []
     for start in range(0, len(sets), rows):
-        results.extend(end if isinstance(end, TotalConflictError) else _icef_result(*end, cfg)
-                       for end in _icef_loop(sets[start:start + rows], frame, cfg))
+        results.extend(fuse_chunk(sets[start:start + rows], frame))
     return results
+
+
+def _icef_chunk(sets, frame: Frame, cfg: IcefConfig) -> list:
+    return [end if isinstance(end, TotalConflictError) else _icef_result(*end, cfg)
+            for end in _icef_loop(sets, frame, cfg)]
+
+
+def _murphy_chunk(sets, frame: Frame) -> list:
+    """:func:`murphy_fuse` of each set: :func:`_cef_rows` under weights 1/N."""
+    n_sets, n_pieces = len(sets), len(sets[0])
+    focal, table = core._mass_table([m for ms in sets for m in ms])
+    weights = np.full((n_sets, n_pieces), 1.0 / n_pieces)
+    support, fused, conflict, failed, probs = _cef_rows(
+        focal, table.reshape(n_sets, n_pieces, -1), weights, frame.n, {})
+    masks = support.tolist()
+    return [
+        TotalConflictError(float(conflict[b])) if failed[b] else
+        FusionResult(MassFunction(frame, dict(zip(masks, fused[b].tolist()))), probs[b],
+                     _decision(frame, probs[b]), "murphy", weights[b])
+        for b in range(n_sets)
+    ]
 
 
 def _icef_config(method: str, config: IcefConfig | None) -> IcefConfig:
@@ -385,7 +422,7 @@ def fuse(
     if method in ("cef-avg", "cef-eig"):
         edmm = build_edmm(ms, cfg.measure)
         if method == "cef-avg":
-            weights = average_support_credibility(edmm, variant="similarity")
+            weights = average_support_credibility(edmm)
         else:
             weights = eigenvalue_credibility(edmm)
         return cef_fuse(ms, weights, method=method)

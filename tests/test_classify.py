@@ -1,5 +1,6 @@
 """Dataset ingestion, the interval base classifier, and evaluation harnesses."""
 
+import math
 from dataclasses import asdict
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 from credfuse import (
     Dataset,
     IcefConfig,
+    InvalidConfigError,
     TotalConflictError,
     attribute_evidence,
     classify_sample,
@@ -131,6 +133,12 @@ class TestIntervalModel:
     def test_rejects_nonpositive_lam(self, separable):
         with pytest.raises(ValueError):
             fit_interval_model(separable, lam=0.0)
+
+    @pytest.mark.parametrize("lam", [0.0, -1.0, math.nan, math.inf])
+    def test_rejects_lam_that_is_not_positive_and_finite(self, separable, lam):
+        # NaN and inf used to pass and turn into NaN masses
+        with pytest.raises(InvalidConfigError, match="lam"):
+            fit_interval_model(separable, lam=lam)
 
 
 class TestIntervalDistance:
@@ -263,6 +271,24 @@ class TestMonteCarlo:
     def test_split_sizes_stratified(self, separable):
         report = monte_carlo_evaluate(separable, ["dcr"], lam=2.0, trials=1, seed=0)["dcr"]
         assert report.n_train == 28  # 70% of 20 per class
+
+    @pytest.mark.parametrize("settings, name", [
+        ({"trials": 0}, "trials"),  # used to divide by zero trials
+        ({"trials": -1}, "trials"),
+        ({"trials": 2.5}, "trials"),
+        ({"trials": True}, "trials"),
+        ({"train_fraction": 1.0}, "train_fraction"),  # used to divide by an empty test set
+        ({"train_fraction": 0.99}, "train_fraction"),  # rounds to every row of each class
+        ({"train_fraction": math.nan}, "train_fraction"),  # used to fail inside round()
+        ({"train_fraction": 0.0}, "train_fraction"),
+    ])
+    def test_rejects_settings_that_leave_nothing_to_score(self, separable, settings, name):
+        with pytest.raises(InvalidConfigError, match=name):
+            monte_carlo_evaluate(separable, ["dcr"], lam=2.0, **settings)
+
+    def test_rejects_non_finite_lam(self, separable):
+        with pytest.raises(InvalidConfigError, match="lam"):
+            monte_carlo_evaluate(separable, ["dcr"], lam=math.inf, trials=1)
 
 
 class TestEvaluationTallies:

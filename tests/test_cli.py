@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from credfuse import EvaluationReport, cli
 from credfuse.cli import (
     EXIT_CONFLICT,
@@ -269,6 +271,20 @@ class TestBench:
         code, _, err = run(capsys, "bench", str(iris_path),
                            "--label-column", "nope")
         assert code == EXIT_SCHEMA
+
+    @pytest.mark.parametrize("flags, name", [
+        (["--trials", "0"], "trials"),
+        (["--lambda", "0"], "lam"),
+        (["--lambda", "nan"], "lam"),
+        (["--mode", "sweep", "--lambda", "inf"], "lam"),
+    ])
+    def test_invalid_harness_settings_exit_2(self, iris_path, capsys, flags, name):
+        # these used to end in a traceback
+        code, out, err = run(capsys, "bench", str(iris_path), "--label-column", "species",
+                             "--methods", "dcr", *flags)
+        assert code == EXIT_PARSE
+        assert err.startswith("error: ") and name in err
+        assert out == ""
 
     def test_unreadable_dataset_exits_2(self, capsys):
         code, _, _ = run(capsys, "bench", "/nonexistent.csv",

@@ -27,7 +27,7 @@ from credfuse import (
     validate_masses,
 )
 from credfuse import core, decide
-from credfuse.core import MAX_EVENTS, _dense_self_fuse, _fold_is_cheaper, _intersections
+from credfuse.core import MAX_EVENTS, _intersections
 
 from .conftest import random_mass_function
 
@@ -317,20 +317,6 @@ class TestDenseKernel:
         assert q[0b111] == pytest.approx(0.20)
         assert q[0] == pytest.approx(1.0)
 
-    def test_crossover_sends_small_inputs_to_the_fold(self):
-        assert _fold_is_cheaper(3, 3, 4)  # the iris classifier's self-combination
-        assert _fold_is_cheaper(2, 12, 2)
-        assert not _fold_is_cheaper(6, 3, 12)
-        assert not _fold_is_cheaper(5, 4, 16)
-        assert not _fold_is_cheaper(40, 12, 8)
-
-    @pytest.mark.parametrize("times, combinations", [(1, 0), (2, 1), (4, 2), (5, 3), (7, 4)])
-    def test_fold_squares(self, fault_case, monkeypatch, times, combinations):
-        calls = []
-        monkeypatch.setattr(core, "dcr_pair", lambda a, b: calls.append(1) or dcr_pair(a, b))
-        _assert_agree(self_fuse(fault_case[0], times), _fold(fault_case[0], times))
-        assert len(calls) == combinations
-
 
 @st.composite
 def _self_fuse_cases(draw):
@@ -349,11 +335,11 @@ class TestSelfFuseAgainstFold:
     def test_random_frames_and_operand_counts(self, case):
         m, times = case
         reference = _fold(m, times)
-        for fused in (self_fuse(m, times), _dense_self_fuse(m, times) if times > 1 else m):
-            assert set(fused.focal_elements()) == set(reference.focal_elements())
-            _assert_agree(fused, reference)
-            values = np.array([v for _, v in fused.items()])
-            assert np.isfinite(values).all() and (values > 0).all()
+        fused = self_fuse(m, times)
+        assert set(fused.focal_elements()) == set(reference.focal_elements())
+        _assert_agree(fused, reference)
+        values = np.array([v for _, v in fused.items()])
+        assert np.isfinite(values).all() and (values > 0).all()
 
     @pytest.mark.parametrize("n, times, focals", [(12, 8, 40), (20, 6, 4), (6, 24, 6)])
     def test_fixed_cases(self, n, times, focals):
@@ -361,18 +347,16 @@ class TestSelfFuseAgainstFold:
         # are all computed; 24 operands, where q**24 spans many decades
         rng = np.random.default_rng(n * 100 + times)
         m = random_mass_function(rng, _frame(n), max_focals=focals, omega_floor=0.01)
-        reference = _fold(m, times)
-        _assert_agree(self_fuse(m, times), reference)
-        _assert_agree(_dense_self_fuse(m, times), reference)
+        _assert_agree(self_fuse(m, times), _fold(m, times))
 
     def test_near_total_conflict(self):
         # five disjoint singletons: only 5 * 0.2**24 = 8e-17 of the mass
         # survives 24 operands, yet each pairwise step keeps 1/5 of it
         m = MassFunction(_frame(5), {1 << j: 0.2 for j in range(5)})
-        fused = _dense_self_fuse(m, 24)
+        fused = self_fuse(m, 24)
         _assert_agree(fused, _fold(m, 24))
         skewed = MassFunction(_frame(5), {1: 0.6, 2: 0.1, 4: 0.1, 8: 0.1, 16: 0.1})
-        _assert_agree(_dense_self_fuse(skewed, 24), _fold(skewed, 24))
+        _assert_agree(self_fuse(skewed, 24), _fold(skewed, 24))
 
     @pytest.mark.parametrize("masses", [
         {1 << j: 0.2 for j in range(5)},
@@ -416,14 +400,14 @@ class TestSelfFuseAgainstFold:
         for row, m in zip(fused, (a, b, c, a)):
             # each row is bit-equal to combining its mass alone
             assert MassFunction(m.frame, dict(zip(support.tolist(), row.tolist()))) == (
-                _dense_self_fuse(m, 6))
+                self_fuse(m, 6))
 
     @pytest.mark.parametrize("masses", [{0b001: 0.5, 0b010: 0.5}, {0b001: 0.25, 0b010: 0.75}])
     def test_one_operand_returns_the_input(self, masses):
         # used to raise TotalConflictError with K = 0.0: the threshold on the
         # survivor total is 1 for one operand, and the total is exactly 1
         m = MassFunction(_frame(3), masses)
-        assert _dense_self_fuse(m, 1) is m
+        assert self_fuse(m, 1) is m
         focal, table = core._mass_table([m, m])
         support, fused, conflict, failed = core._self_combine_rows(focal, table, 1, 3, {})
         assert support.tolist() == list(m.focal_elements())
@@ -459,7 +443,7 @@ class TestSelfFuseAgainstFold:
     def test_nested_focal_sets_keep_tiny_masses(self):
         # no magnitude cut: mass of order 1e-15 on {E1} survives
         m = MassFunction(_frame(4), {0b0001: 1e-8, 0b0011: 0.5 - 1e-8, 0b1111: 0.5})
-        fused = _dense_self_fuse(m, 2)
+        fused = self_fuse(m, 2)
         assert fused.mass(0b0001) > 0.0
         _assert_agree(fused, _fold(m, 2))
 

@@ -1,5 +1,7 @@
 """Difference matrices, support kernels, and credibility vectors."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,7 +17,6 @@ from credfuse import (
     build_edmm,
     build_eem,
     conditional_credibility,
-    edmm_eigenvalues,
     eigenvalue_credibility,
     event_evidence,
     initial_prob_from_eem,
@@ -89,15 +90,14 @@ class TestBuildEem:
     @settings(max_examples=60, deadline=None)
     @given(n=st.integers(min_value=1, max_value=12),
            n_pieces=st.integers(min_value=1, max_value=5),
-           seed=st.integers(min_value=0, max_value=2**32 - 1),
-           include_empty=st.booleans())
-    def test_closed_form_matches_pairwise_divergences(self, n, n_pieces, seed, include_empty):
+           seed=st.integers(min_value=0, max_value=2**32 - 1))
+    def test_closed_form_matches_pairwise_divergences(self, n, n_pieces, seed):
         # from n = 11 on, the pieces span more than one row block
         rng = np.random.default_rng(seed)
         frame = Frame(tuple(f"E{i + 1}" for i in range(n)))
         ms = [random_mass_function(rng, frame, max_focals=6) for _ in range(n_pieces)]
         ms.append(event_evidence(frame, int(rng.integers(n))))
-        measure = PBAGDivergence(include_empty_in_normalizer=include_empty)
+        measure = PBAGDivergence()
         eem = build_eem(ms, frame, measure)
         for j in range(n):
             assertion = event_evidence(frame, j)
@@ -169,6 +169,12 @@ class TestSupportMatrix:
         with pytest.raises(NonpositiveTauError):
             support_matrix(eem, 0.0)
 
+    @pytest.mark.parametrize("tau", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_tau(self, eem, tau):
+        # NaN gave an all-NaN matrix and inf all zeros, so NaN credibilities
+        with pytest.raises(NonpositiveTauError, match="tau must be a positive finite number"):
+            support_matrix(eem, tau)
+
 
 class TestConditionalCredibility:
     def test_single_evidence(self):
@@ -202,21 +208,18 @@ class TestAverageSupportCredibility:
         d = edmm.values
         total = sum(d[j, h] for j in range(3) for h in range(3) if h != j)
         for i in range(3):
-            expected = sum(d[i, h] for h in range(3) if h != i) / total
-            assert cred[i] == pytest.approx(expected, abs=1e-15)
+            share = sum(d[i, h] for h in range(3) if h != i) / total
+            assert cred[i] == pytest.approx((1.0 - share) / 2, abs=1e-15)
 
     def test_similarity_variant_inverts_ranking(self, fault_case):
+        # the evidence farthest from the others gets the least credibility
         edmm = build_edmm(fault_case, PBAGD)
-        distance = average_support_credibility(edmm, variant="distance")
-        similarity = average_support_credibility(edmm, variant="similarity")
+        similarity = average_support_credibility(edmm)
         assert similarity.sum() == pytest.approx(1.0)
-        assert np.argmax(distance) == np.argmin(similarity)
+        np.testing.assert_array_equal(np.argsort(similarity, kind="stable"),
+                                      np.argsort(-edmm.values.sum(axis=1), kind="stable"))
         # the disturbed fifth report is far from the cluster: low similarity
         assert np.argmin(similarity) == 4
-
-    def test_unknown_variant(self, fault_case):
-        with pytest.raises(ValueError):
-            average_support_credibility(build_edmm(fault_case, PBAGD), variant="?")
 
 
 class TestEigenvalueCredibility:
@@ -238,18 +241,6 @@ class TestEigenvalueCredibility:
             eigenvalue_credibility(edmm), scores / scores.sum(), atol=1e-12
         )
         assert scores.max() == 1.0
-
-    def test_eigenvalues_match_characteristic_polynomial(self):
-        a, b, c = 0.3, 0.7, 0.2
-        edmm = PairwiseDifferenceMatrix(
-            np.array([[0, a, b], [a, 0, c], [b, c, 0]]), "test"
-        )
-        # char poly of this zero-diagonal symmetric matrix:
-        # x^3 - (a^2+b^2+c^2) x - 2abc = 0
-        roots = np.sort(np.roots([1.0, 0.0, -(a * a + b * b + c * c), -2 * a * b * c]))
-        np.testing.assert_allclose(
-            np.sort(edmm_eigenvalues(edmm)), np.real(roots), atol=1e-12
-        )
 
 
 class TestInitialProbabilities:

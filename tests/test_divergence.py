@@ -100,21 +100,15 @@ class TestPbTransform:
             assert bel[mask] == pytest.approx(m.belief(mask), abs=1e-12)
             assert pl[mask] == pytest.approx(m.plausibility(mask), abs=1e-12)
 
-    def test_empty_normalizer_variant_sums_below_one(self, fault_case):
-        weights = pb_transform(fault_case[0], include_empty_in_normalizer=True)
-        assert weights.sum() < 1.0
-        assert (weights > 0).all()
-
     @pytest.mark.parametrize("n", [1, 4, 10])
     def test_stacked_rows_match_single_transforms(self, n):
         # the block-wise EEM and pb_transform share one row-wise transform
         rng = np.random.default_rng(n)
         frame = Frame(tuple(f"E{i + 1}" for i in range(n)))
         ms = [random_mass_function(rng, frame, max_focals=6) for _ in range(5)]
-        for include_empty in (False, True):
-            stacked = _pb_rows(np.array([m.dense() for m in ms]), include_empty)
-            singles = np.array([pb_transform(m, include_empty) for m in ms])
-            np.testing.assert_array_equal(stacked, singles)
+        stacked = _pb_rows(np.array([m.dense() for m in ms]))
+        singles = np.array([pb_transform(m) for m in ms])
+        np.testing.assert_array_equal(stacked, singles)
 
 
 class TestPbagd:

@@ -25,11 +25,12 @@ from credfuse import (
     icef,
     murphy_fuse,
     pbagd,
+    self_fuse,
     vacuous,
     weighted_average,
 )
 from credfuse import core, fusion
-from credfuse.core import _dense_self_fuse, _intersections
+from credfuse.core import _intersections
 from credfuse.divergence import LengthMismatchError as DivergenceLengthMismatchError
 from credfuse.fusion import LengthMismatchError, _fuse_batch
 
@@ -88,8 +89,6 @@ class TestOpenLoopFusion:
 
     def test_murphy_identical_inputs_reduce_to_self_fusion(self, frame3):
         m = MassFunction(frame3, {"A1": 0.6, "A1,A2,A3": 0.4})
-        from credfuse import self_fuse
-
         assert murphy_fuse([m, m, m]).mass == self_fuse(m, 3)
 
     def test_cef_two_identical_categorical(self, frame3):
@@ -170,7 +169,7 @@ class TestIcefFaultCase:
         rerun, rerun_trace = icef(fault_case, IcefConfig(init="uniform", max_iter=1))
         assert rerun_trace.steps[0].delta > 1e-6  # sanity: step 1 is not converged
         final_probs = trace.final.probabilities
-        from credfuse import build_eem, conditional_credibility, self_fuse, support_matrix
+        from credfuse import conditional_credibility, support_matrix
 
         frame = fault_case[0].frame
         cond = conditional_credibility(
@@ -372,11 +371,11 @@ class TestIcefSteps:
            seed=st.integers(0, 2**32 - 1))
     def test_each_step_is_the_scalar_average_self_combined(self, n, n_pieces, seed):
         # the loop's average is bit-equal to weighted_average, its combination
-        # to the dense self_fuse, and its probabilities to the fused pignistic
+        # to self_fuse, and its probabilities to the fused pignistic
         ms = _random_set(np.random.default_rng(seed), _frame(n), n_pieces)
         _, trace = icef(ms, IcefConfig(max_iter=6))
         for step in trace.steps:
-            fused = _dense_self_fuse(weighted_average(ms, step.credibilities), n_pieces)
+            fused = self_fuse(weighted_average(ms, step.credibilities), n_pieces)
             assert step.fused == fused
             assert step.probabilities.tobytes() == fused.pignistic().tobytes()
 
@@ -503,7 +502,7 @@ class TestFuseBatch:
             _assert_same_result(got, icef(ms)[0])
 
     def test_open_loop_methods_fuse_set_by_set(self, fault_case, conflict_case):
-        for method in ("dcr", "murphy", "cef-avg"):
+        for method in ("dcr", "cef-avg", "cef-eig"):
             batch = _fuse_batch([fault_case, conflict_case], method)
             for got, ms in zip(batch, (fault_case, conflict_case)):
                 assert got.mass == fuse(ms, method).mass
@@ -512,13 +511,14 @@ class TestFuseBatch:
         assert isinstance(_fuse_batch([clash], "dcr")[0], TotalConflictError)
 
     def test_sets_must_agree_in_size_and_frame(self, fault_case, close_pair):
-        assert _fuse_batch([], "icef-pbagd") == []
-        with pytest.raises(LengthMismatchError):
-            _fuse_batch([fault_case, fault_case[:4]])
-        with pytest.raises(core.FrameMismatchError):
-            _fuse_batch([fault_case[:2], list(close_pair)])
-        with pytest.raises(ValueError):
-            _fuse_batch([fault_case[:1]])
+        for method in ("icef-pbagd", "murphy"):
+            assert _fuse_batch([], method) == []
+            with pytest.raises(LengthMismatchError):
+                _fuse_batch([fault_case, fault_case[:4]], method)
+            with pytest.raises(core.FrameMismatchError):
+                _fuse_batch([fault_case[:2], list(close_pair)], method)
+            with pytest.raises(ValueError):
+                _fuse_batch([fault_case[:1]], method)
 
     @pytest.mark.filterwarnings("ignore:invalid value encountered in divide")
     def test_unsupported_events_are_refused(self, frame3):
@@ -527,6 +527,89 @@ class TestFuseBatch:
         ms = [MassFunction(frame3, {"A1": 0.9, "A2": 0.1}), MassFunction(frame3, {"A1": 1.0})]
         with pytest.raises(core.InvalidMassValueError):
             icef(ms, IcefConfig(tau=1e6))
+
+
+@st.composite
+def _murphy_batches(draw):
+    """Evidence sets of equal size on one frame with mixed focal patterns,
+    some made of clashing categorical reports, plus a chunk size and whether
+    to raise the conflict threshold so that some self-combinations fail."""
+    n = draw(st.integers(min_value=1, max_value=6))
+    n_pieces = draw(st.integers(min_value=2, max_value=8))
+    n_sets = draw(st.integers(min_value=1, max_value=9))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    frame = _frame(n)
+    sets = [_random_set(rng, frame, n_pieces) for _ in range(n_sets)]
+    for b in draw(st.lists(st.integers(0, n_sets - 1), max_size=3)):
+        sets[b] = [event_evidence(frame, int(rng.integers(n))) for _ in range(n_pieces)]
+    return sets, draw(st.sampled_from([None, 1, 2, 3])), draw(st.booleans())
+
+
+def _fuse_or_error(ms, method):
+    try:
+        return fuse(ms, method)
+    except TotalConflictError as error:
+        return error
+
+
+def _assert_same_outcome(got, want):
+    if isinstance(want, TotalConflictError):
+        assert isinstance(got, TotalConflictError)
+        assert got.conflict == want.conflict
+    else:
+        _assert_same_result(got, want)
+
+
+class TestMurphyBatch:
+    """A batch of murphy fusions against one scalar ``fuse`` call per set, bit for bit."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=_murphy_batches())
+    def test_batch_equals_single_calls(self, case):
+        sets, chunk, conflict = case
+        with mock.patch.object(fusion, "_BLOCK_ENTRIES",
+                               fusion._BLOCK_ENTRIES if chunk is None
+                               else chunk << sets[0][0].frame.n), \
+                mock.patch.object(core, "_LOG2_CONFLICT_EPS",
+                                  -1.0 if conflict else core._LOG2_CONFLICT_EPS):
+            batch = _fuse_batch(sets, "murphy")
+            assert len(batch) == len(sets)
+            for ms, got in zip(sets, batch):
+                _assert_same_outcome(got, _fuse_or_error(ms, "murphy"))
+            # reversing the sets reverses the results, bit for bit
+            for got, want in zip(_fuse_batch(sets[::-1], "murphy")[::-1], batch):
+                _assert_same_outcome(got, want)
+
+    def test_total_conflict_is_flagged_per_set(self, monkeypatch):
+        monkeypatch.setattr(core, "_LOG2_CONFLICT_EPS", -1.0)
+        rng = np.random.default_rng(41)
+        frame = _frame(3)
+        sets = [_random_set(rng, frame, 4) for _ in range(6)]
+        sets[1] = [event_evidence(frame, j % 3) for j in range(4)]
+        batch = _fuse_batch(sets, "murphy")
+        flagged = [isinstance(result, TotalConflictError) for result in batch]
+        assert flagged[1] and not all(flagged)
+        for ms, got in zip(sets, batch):
+            _assert_same_outcome(got, _fuse_or_error(ms, "murphy"))
+
+    def test_one_focal_set_in_the_whole_table(self, frame3):
+        sets = [[event_evidence(frame3, 1)] * n_pieces for n_pieces in (3, 3)]
+        for ms, got in zip(sets, _fuse_batch(sets, "murphy")):
+            _assert_same_result(got, fuse(ms, "murphy"))
+
+    def test_one_array_step_per_chunk(self, monkeypatch):
+        sizes = []
+        cef_rows = fusion._cef_rows
+        monkeypatch.setattr(fusion, "_cef_rows",
+                            lambda focal, table, *args: sizes.append(len(table))
+                            or cef_rows(focal, table, *args))
+        monkeypatch.setattr(fusion, "_BLOCK_ENTRIES", 4 << 3)  # 4 sets of n = 3 per chunk
+        rng = np.random.default_rng(43)
+        sets = [_random_set(rng, _frame(3), 4) for _ in range(9)]
+        batch = _fuse_batch(sets, "murphy")
+        assert sizes == [4, 4, 1]
+        for ms, got in zip(sets, batch):
+            _assert_same_result(got, fuse(ms, "murphy"))
 
 
 def _relabelled(m, perm):
