@@ -359,9 +359,6 @@ def monte_carlo_evaluate(
         raise InvalidConfigError(f"trials must be an integer >= 1, got {trials!r}")
     if not 0.0 < train_fraction < 1.0:  # NaN fails both comparisons
         raise InvalidConfigError(f"train_fraction must lie in (0, 1), got {train_fraction!r}")
-    sizes = [len(ds.class_indices(label)) for label in ds.class_labels]
-    if all(round(train_fraction * size) == size for size in sizes):
-        raise InvalidConfigError(f"train_fraction {train_fraction!r} leaves no rows to score")
     rng = np.random.default_rng(seed)
     sums = {m: {"total": 0.0, "per_class": {c: 0.0 for c in ds.class_labels},
                 "conflicts": 0, "unconverged": 0} for m in methods}
@@ -376,6 +373,8 @@ def monte_carlo_evaluate(
             picked = rng.permutation(len(idx))
             train_idx.extend(idx[picked[:k]])
             test_idx.extend(idx[picked[k:]])
+        if not test_idx:
+            raise InvalidConfigError(f"train_fraction {train_fraction!r} leaves no rows to score")
         train = ds.subset(sorted(train_idx))
         test = ds.subset(sorted(test_idx))
         n_train_last = train.n_records
