@@ -291,6 +291,13 @@ def _accuracies(score: _Score, test: Dataset) -> tuple[dict[str, float], float]:
     return per_class, sum(score.correct.values()) / test.n_records
 
 
+def _require_two_attributes(ds: Dataset) -> None:
+    """Each feature column gives one piece of evidence, and fusion needs two."""
+    if ds.n_attributes < 2:
+        raise InvalidConfigError(
+            f"fusion needs at least two feature columns, got {ds.n_attributes}")
+
+
 def stratified_head_indices(ds: Dataset, fraction: float) -> np.ndarray:
     """First ``ceil(fraction * n_c)`` row indices of each class, in file order."""
     chosen: list[int] = []
@@ -313,8 +320,10 @@ def sweep_evaluate(
     For each fraction the training rows are the leading records of every
     class (deterministic, no randomness); the model is evaluated against all
     records.  Default fractions run 0.50 to 1.00 in steps of 0.01, i.e. 51
-    evaluations per method.
+    evaluations per method.  Raises :class:`InvalidConfigError` for a
+    dataset of fewer than two feature columns.
     """
+    _require_two_attributes(ds)
     if fractions is None:
         fractions = [round(0.50 + 0.01 * i, 2) for i in range(51)]
     reports = []
@@ -352,11 +361,16 @@ def monte_carlo_evaluate(
     Each trial draws ``train_fraction`` of every class (without replacement)
     for training and scores on the remaining rows.  Reports per-method mean
     accuracies over all trials plus the per-trial series.  Raises
-    :class:`InvalidConfigError` unless ``trials`` is an integer >= 1 and
-    ``train_fraction`` lies in (0, 1) and leaves some row to score.
+    :class:`InvalidConfigError` unless ``trials`` is an integer >= 1,
+    ``train_fraction`` lies in (0, 1) and leaves some row to score, ``seed``
+    is a non-negative integer, and the dataset has at least two feature
+    columns.
     """
     if not (_is_number(trials, numbers.Integral) and trials >= 1):
         raise InvalidConfigError(f"trials must be an integer >= 1, got {trials!r}")
+    if not (_is_number(seed, numbers.Integral) and seed >= 0):
+        raise InvalidConfigError(f"seed must be a non-negative integer, got {seed!r}")
+    _require_two_attributes(ds)
     if not 0.0 < train_fraction < 1.0:  # NaN fails both comparisons
         raise InvalidConfigError(f"train_fraction must lie in (0, 1), got {train_fraction!r}")
     rng = np.random.default_rng(seed)

@@ -63,13 +63,23 @@ def _load_document(args) -> EvidenceDocument:
     return load_evidence_document(args.input)
 
 
-def _config(args, doc: EvidenceDocument | None = None) -> IcefConfig:
-    """Flags override the document's settings, which override the defaults."""
+def _config(args, doc: EvidenceDocument | None = None, methods=()) -> IcefConfig:
+    """Flags override the document's settings, which override the defaults.
+
+    An ``icef-*`` method among ``methods`` names its own measure, so a
+    ``--measure`` that names another is refused rather than ignored.
+    """
     settings = dict(doc.overrides) if doc else {}
     for key in ("tau", "delta", "max_iter"):
         if getattr(args, key) is not None:
             settings[key] = getattr(args, key)
-    return IcefConfig(init=args.init, measure=get_measure(args.measure), **settings)
+    measure = get_measure(args.measure or "pbagd")
+    if args.measure is not None:
+        for method in methods:
+            if method.lower().startswith("icef-") and get_measure(method[5:]) is not measure:
+                raise InvalidConfigError(
+                    f"--measure {args.measure} differs from the measure of method {method}")
+    return IcefConfig(init=args.init, measure=measure, **settings)
 
 
 def _precision(args) -> int | None:
@@ -109,7 +119,8 @@ def _print_result(doc: EvidenceDocument, result, precision: int | None) -> None:
 
 def cmd_fuse(args) -> int:
     doc = _load_document(args)
-    result = fuse(doc.mass_functions, method=args.method, config=_config(args, doc))
+    result = fuse(doc.mass_functions, method=args.method,
+                  config=_config(args, doc, [args.method]))
     if not result.converged:
         print(
             f"error: no convergence after {result.n_iter} iterations "
@@ -191,7 +202,7 @@ def cmd_bench(args) -> int:
     ds = load_dataset(args.dataset, label_column=args.label_column,
                       feature_columns=features, delimiter=args.delimiter)
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
-    cfg = _config(args)
+    cfg = _config(args, methods=methods)
     precision = _precision(args)
 
     if args.mode == "sweep":
@@ -254,7 +265,9 @@ def _add_common_fusion_flags(p: argparse.ArgumentParser) -> None:
                    help=f"iteration cap (default {IcefConfig.max_iter})")
     p.add_argument("--init", choices=["uniform", "eem"], default="uniform",
                    help="initial event probabilities")
-    p.add_argument("--measure", default="pbagd", help="divergence measure (pbagd, bjs)")
+    p.add_argument("--measure", default=None,
+                   help="divergence measure (pbagd, bjs; default pbagd, or the one an "
+                        "icef-* method names)")
     p.add_argument("--full-precision", action="store_true",
                    help="print full float precision instead of 4 decimals")
 

@@ -14,7 +14,7 @@ import math
 import numbers
 from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
-from functools import cached_property, partial
+from functools import cached_property
 
 import numpy as np
 
@@ -27,7 +27,7 @@ from .core import (
     TotalConflictError,
     _require_same_frame,
     dcr_n,
-    self_fuse,
+    self_fuse,  # unused here; kept for callers of credfuse.fusion.self_fuse
 )
 from .credibility import (
     EventEvaluationMatrix,
@@ -117,9 +117,6 @@ class IcefTrace:
     def final(self) -> IcefStep:
         return self.steps[-1]
 
-    def credibility_history(self) -> np.ndarray:
-        return np.vstack([s.credibilities for s in self.steps])
-
     def table_rows(self, frame, evidence_names: Sequence[str] | None = None):
         """Header plus one row per step: step, p(event)..., cred..., delta."""
         n_ev = len(self.steps[0].credibilities)
@@ -165,11 +162,6 @@ def decide(m: MassFunction) -> str:
     return _decision(m.frame, m.pignistic())
 
 
-def _result(mass: MassFunction, method: str, credibilities=None) -> FusionResult:
-    probs = mass.pignistic()
-    return FusionResult(mass, probs, _decision(mass.frame, probs), method, credibilities)
-
-
 def weighted_average(ms: Sequence[MassFunction], weights) -> MassFunction:
     """Mass-by-mass convex combination of the evidence under the given weights."""
     frame = _require_same_frame(ms)
@@ -189,21 +181,35 @@ def cef_fuse(ms: Sequence[MassFunction], weights, method: str = "cef") -> Fusion
     The weighted average is combined with itself ``len(ms) - 1`` times, so the
     result commits as sharply as fusing that many independent reports.
     """
-    if len(ms) < 2:
-        raise ValueError("need at least two pieces of evidence")
-    averaged = weighted_average(ms, weights)
-    fused = self_fuse(averaged, len(ms))
-    return _result(fused, method, np.asarray(weights, dtype=float))
+    frame = _check_sets([ms])
+    weights = np.asarray(weights, dtype=float)
+    if weights.shape != (len(ms),):
+        raise LengthMismatchError(f"{len(ms)} mass functions but {weights.size} weights")
+    (result,) = _cef_chunk([ms], frame, weights[None], method, check=True)
+    if isinstance(result, TotalConflictError):
+        raise result
+    return result
 
 
 def murphy_fuse(ms: Sequence[MassFunction]) -> FusionResult:
     """Uniform-weight credible fusion (simple averaging)."""
-    return cef_fuse(ms, np.full(len(ms), 1.0 / len(ms)), method="murphy")
+    return cef_fuse(ms, _method_weights("murphy", [ms])[0], method="murphy")
 
 
 def dcr_fuse(ms: Sequence[MassFunction]) -> FusionResult:
     """Plain Dempster combination of the evidence, left to right."""
-    return _result(dcr_n(ms), "dcr")
+    mass = dcr_n(ms)
+    probs = mass.pignistic()
+    return FusionResult(mass, probs, _decision(mass.frame, probs), "dcr")
+
+
+def _check_sets(sets) -> Frame:
+    """The one frame of evidence sets of the same size, at least two pieces."""
+    if len(sets[0]) < 2:
+        raise ValueError("need at least two pieces of evidence")
+    if any(len(ms) != len(sets[0]) for ms in sets):
+        raise LengthMismatchError("every evidence set needs the same number of pieces")
+    return _require_same_frame([m for ms in sets for m in ms])
 
 
 def icef(
@@ -218,10 +224,8 @@ def icef(
     trace with ``converged=False`` after ``config.max_iter`` iterations.
     The loop is :func:`_icef_loop` on one evidence set.
     """
-    if len(ms) < 2:
-        raise ValueError("need at least two pieces of evidence")
+    frame = _check_sets([ms])
     cfg = config or IcefConfig()
-    frame = _require_same_frame(ms)
     history: list = []
     (end,) = _icef_loop([ms], frame, cfg, history)
     if isinstance(end, TotalConflictError):
@@ -335,33 +339,33 @@ def _fuse_batch(
     ``fuse(sets[i], method, config)`` returns, or the
     :class:`TotalConflictError` it raises.
 
-    ``murphy`` and the ``icef-*`` methods fuse the sets through
+    Every method but ``dcr`` fuses the sets through
     :func:`_cef_rows` in chunks of ``max(1, 2**13 // 2**n)`` sets, so that
     each array over the ``2**n`` subsets holds about ``2**13`` entries; all
     sets need the same frame and the same number of pieces.  A set's result
-    has the same bits as its own ``fuse`` call.  Other methods fuse set by
-    set.
+    has the same bits as its own ``fuse`` call.  ``dcr`` fuses set by set.
     """
     method = method.lower()
-    if method == "murphy":
-        fuse_chunk = _murphy_chunk
-    elif method.startswith("icef-"):
-        fuse_chunk = partial(_icef_chunk, cfg=_icef_config(method, config))
-    else:
-        return [_fuse_or_conflict(ms, method, config) for ms in sets]
+    if method == "dcr":
+        results = []
+        for ms in sets:
+            try:
+                results.append(dcr_fuse(ms))
+            except TotalConflictError as error:
+                results.append(error)
+        return results
     if not sets:
         return []
-    frame = _require_same_frame(sets[0])
-    for ms in sets:
-        if len(ms) != len(sets[0]):
-            raise LengthMismatchError("every evidence set needs the same number of pieces")
-        _require_same_frame([sets[0][0], *ms])
-    if len(sets[0]) < 2:
-        raise ValueError("need at least two pieces of evidence")
+    frame = _check_sets(sets)
     rows = max(1, _BLOCK_ENTRIES // (1 << frame.n))
     results = []
     for start in range(0, len(sets), rows):
-        results.extend(fuse_chunk(sets[start:start + rows], frame))
+        chunk = sets[start:start + rows]
+        if method.startswith("icef-"):
+            results.extend(_icef_chunk(chunk, frame, _icef_config(method, config)))
+        else:
+            weights = _method_weights(method, chunk, config)
+            results.extend(_cef_chunk(chunk, frame, weights, method))
     return results
 
 
@@ -370,33 +374,39 @@ def _icef_chunk(sets, frame: Frame, cfg: IcefConfig) -> list:
             for end in _icef_loop(sets, frame, cfg)]
 
 
-def _murphy_chunk(sets, frame: Frame) -> list:
-    """:func:`murphy_fuse` of each set: :func:`_cef_rows` under weights 1/N."""
-    n_sets, n_pieces = len(sets), len(sets[0])
+def _cef_chunk(sets, frame: Frame, weights: np.ndarray, method: str, check: bool = False) -> list:
+    """:func:`cef_fuse` of each set under its row of the (B, N) ``weights``."""
     focal, table = core._mass_table([m for ms in sets for m in ms])
-    weights = np.full((n_sets, n_pieces), 1.0 / n_pieces)
-    support, fused, conflict, failed, probs = _cef_rows(
-        focal, table.reshape(n_sets, n_pieces, -1), weights, frame.n, {})
+    table = table.reshape(*weights.shape, -1)
+    if check:  # the averages _cef_rows forms must be masses, as weighted_average requires
+        with np.errstate(all="ignore"):  # a non-finite weight times a zero mass
+            for row in (weights[:, :, None] * table).sum(axis=1):
+                error = core._first_violation(frame, zip(focal.tolist(), row.tolist()))
+                if error is not None:
+                    raise error
+    support, fused, conflict, failed, probs = _cef_rows(focal, table, weights, frame.n, {})
     masks = support.tolist()
     return [
         TotalConflictError(float(conflict[b])) if failed[b] else
         FusionResult(MassFunction(frame, dict(zip(masks, fused[b].tolist()))), probs[b],
-                     _decision(frame, probs[b]), "murphy", weights[b])
-        for b in range(n_sets)
+                     _decision(frame, probs[b]), method, weights[b])
+        for b in range(len(sets))
     ]
 
 
 def _icef_config(method: str, config: IcefConfig | None) -> IcefConfig:
-    """``config`` (or the default) with the measure named by the lower-case
-    ``icef-*`` method name."""
+    """``config`` (or the default) with the measure that an ``icef-*`` method names."""
     return replace(config or IcefConfig(), measure=get_measure(method.removeprefix("icef-")))
 
 
-def _fuse_or_conflict(ms, method, config):
-    try:
-        return fuse(ms, method, config)
-    except TotalConflictError as error:
-        return error
+def _method_weights(method: str, sets, config: IcefConfig | None = None) -> np.ndarray:
+    """Rows of 1/N, or of EDMM credibilities under ``config``'s measure, one per set."""
+    if method == "murphy":
+        return np.full((len(sets), len(sets[0])), 1.0 / len(sets[0]))
+    if method not in ("cef-avg", "cef-eig"):
+        raise ValueError(f"unknown fusion method {method!r}; known: {FUSION_METHODS}")
+    credibility = average_support_credibility if method == "cef-avg" else eigenvalue_credibility
+    return np.array([credibility(build_edmm(ms, (config or IcefConfig()).measure)) for ms in sets])
 
 
 FUSION_METHODS = ("dcr", "murphy", "icef-pbagd", "cef-avg", "cef-eig")
@@ -410,20 +420,10 @@ def fuse(
     The ``icef-*`` variants drop the per-step trace but keep whether the loop
     converged and its iteration count on the result.
     """
-    cfg = config or IcefConfig()
     method = method.lower()
     if method == "dcr":
         return dcr_fuse(ms)
-    if method == "murphy":
-        return murphy_fuse(ms)
     if method.startswith("icef-"):
-        result, _ = icef(ms, _icef_config(method, cfg))
+        result, _ = icef(ms, _icef_config(method, config))
         return result
-    if method in ("cef-avg", "cef-eig"):
-        edmm = build_edmm(ms, cfg.measure)
-        if method == "cef-avg":
-            weights = average_support_credibility(edmm)
-        else:
-            weights = eigenvalue_credibility(edmm)
-        return cef_fuse(ms, weights, method=method)
-    raise ValueError(f"unknown fusion method {method!r}; known: {FUSION_METHODS}")
+    return cef_fuse(ms, _method_weights(method, [ms], config)[0], method=method)

@@ -286,6 +286,32 @@ class TestMonteCarlo:
         with pytest.raises(InvalidConfigError, match=name):
             monte_carlo_evaluate(separable, ["dcr"], lam=2.0, **settings)
 
+    @pytest.mark.parametrize("seed", [-1, True, 2.5, None, "3"])
+    def test_rejects_a_seed_that_is_not_a_non_negative_integer(self, separable, seed):
+        # -1 used to end in numpy's ValueError
+        with pytest.raises(InvalidConfigError, match="seed"):
+            monte_carlo_evaluate(separable, ["dcr"], lam=2.0, trials=1, seed=seed)
+
+    def test_accepts_a_numpy_integer_seed(self, separable):
+        a = monte_carlo_evaluate(separable, ["dcr"], lam=2.0, trials=3, seed=np.int64(4))
+        b = monte_carlo_evaluate(separable, ["dcr"], lam=2.0, trials=3, seed=4)
+        assert a["dcr"].trial_accuracies == b["dcr"].trial_accuracies
+
+
+class TestOneFeatureColumn:
+    """Each feature column gives one piece of evidence, and fusion needs two."""
+
+    @pytest.mark.parametrize("method", ["dcr", "icef-bjs"])
+    def test_harnesses_refuse_before_fusing(self, separable, monkeypatch, method):
+        # this used to end in fusion's ValueError for a single piece
+        one = make_dataset(separable.features[:, :1], separable.labels)
+        monkeypatch.setattr(classify, "_fuse_batch",
+                            lambda *args: pytest.fail("fused a single piece of evidence"))
+        with pytest.raises(InvalidConfigError, match="two feature columns"):
+            monte_carlo_evaluate(one, [method], lam=2.0, trials=1)
+        with pytest.raises(InvalidConfigError, match="two feature columns"):
+            sweep_evaluate(one, [method], lam=2.0, fractions=[0.5])
+
 
 class TestEvaluationTallies:
     def test_conflicts_counted_per_method(self):

@@ -122,6 +122,43 @@ class TestFuse:
         assert len(full) > len(four)
 
 
+class TestMeasureFlag:
+    """``--measure`` picks the measure of ``cef-*`` and ``trace``; an ``icef-*``
+    method names its own, and a ``--measure`` naming another is refused."""
+
+    @pytest.mark.parametrize("argv", [
+        ["fuse", "--builtin", "fault-sensors", "--method", "icef-pbagd", "--measure", "bjs"],
+        ["fuse", "--builtin", "fault-sensors", "--method", "icef-bjs", "--measure", "pbagd"],
+        ["bench", "IRIS", "--label-column", "species", "--trials", "1",
+         "--methods", "murphy,icef-pbagd", "--measure", "bjs"],
+    ])
+    def test_a_measure_other_than_the_icef_method_exits_2(self, iris_path, capsys, argv):
+        # icef-pbagd with --measure bjs used to run PB-AGD silently
+        code, out, err = run(capsys, *[str(iris_path) if a == "IRIS" else a for a in argv])
+        assert code == EXIT_PARSE
+        assert err.startswith("error: --measure") and out == ""
+
+    def test_icef_method_keeps_its_measure(self, capsys):
+        base = ["fuse", "--builtin", "fault-sensors", "--method", "icef-bjs", "--tau", "5"]
+        _, named, _ = run(capsys, *base)
+        code, same, _ = run(capsys, *base, "--measure", "BJS")
+        assert code == EXIT_OK and same == named
+        _, default, _ = run(capsys, "fuse", "--builtin", "fault-sensors")
+        code, pbagd, _ = run(capsys, "fuse", "--builtin", "fault-sensors", "--measure", "pbagd")
+        assert code == EXIT_OK and pbagd == default
+
+    def test_cef_and_trace_honour_the_measure(self, capsys):
+        outputs = {}
+        for measure in ("pbagd", "bjs"):
+            for argv in (["fuse", "--builtin", "fault-sensors", "--method", "cef-avg"],
+                         ["trace", "--builtin", "fault-sensors", "--tau", "5"]):
+                code, out, _ = run(capsys, *argv, "--measure", measure)
+                assert code == EXIT_OK
+                outputs[argv[0], measure] = out
+        assert outputs["fuse", "pbagd"] != outputs["fuse", "bjs"]
+        assert outputs["trace", "pbagd"] != outputs["trace", "bjs"]
+
+
 class TestTrace:
     def test_writes_table(self, tmp_path, capsys):
         out_path = tmp_path / "trace.tsv"
@@ -284,6 +321,19 @@ class TestBench:
                              "--methods", "dcr", *flags)
         assert code == EXIT_PARSE
         assert err.startswith("error: ") and name in err
+        assert out == ""
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--seed", "-1"], "seed"),  # used to end in numpy's ValueError
+        (["--features", "petal_length", "--methods", "icef-bjs"], "two feature columns"),
+        (["--features", "petal_length", "--methods", "dcr"], "two feature columns"),
+        (["--mode", "sweep", "--features", "petal_length"], "two feature columns"),
+    ])
+    def test_invalid_seed_or_single_feature_exits_2(self, iris_path, capsys, flags, message):
+        code, out, err = run(capsys, "bench", str(iris_path), "--label-column", "species",
+                             "--trials", "1", *flags)
+        assert code == EXIT_PARSE
+        assert err.startswith("error: ") and message in err
         assert out == ""
 
     def test_unreadable_dataset_exits_2(self, capsys):

@@ -11,15 +11,23 @@ from hypothesis import strategies as st
 
 from credfuse import (
     BJS,
+    PBAGD,
     Frame,
+    FusionResult,
     IcefConfig,
     InvalidConfigError,
+    InvalidMassValueError,
     MassFunction,
+    NegativeMassError,
+    NotNormalizedError,
     TotalConflictError,
+    average_support_credibility,
+    build_edmm,
     build_eem,
     cef_fuse,
     dcr_fuse,
     decide,
+    eigenvalue_credibility,
     event_evidence,
     fuse,
     icef,
@@ -103,6 +111,77 @@ class TestOpenLoopFusion:
     def test_dcr_counterintuitive_decision(self, fault_case):
         result = dcr_fuse(fault_case)
         assert result.decision == "A3"
+
+    @pytest.mark.parametrize("weights, error", [
+        ([0.5, 0.5], LengthMismatchError),
+        ([[0.2] * 5], LengthMismatchError),
+        ([0.2, 0.2, math.nan, 0.2, 0.2], InvalidMassValueError),
+        ([0.2, 0.2, math.inf, 0.2, 0.2], InvalidMassValueError),
+        ([-0.5, 1.5, 0.0, 0.0, 0.0], NegativeMassError),
+        ([0.3] * 5, NotNormalizedError),
+    ])
+    def test_bad_weights_raise_what_weighted_average_raises(self, fault_case, weights, error):
+        with pytest.raises(error):
+            weighted_average(fault_case, weights)
+        with pytest.raises(error):
+            cef_fuse(fault_case, weights)
+
+    def test_weights_that_average_to_a_mass_are_accepted(self, fault_case):
+        # a negative weight on a copy of the same report still averages to a mass
+        ms = [fault_case[0], fault_case[0], fault_case[1]]
+        _assert_same_result(cef_fuse(ms, [1.5, -0.5, 0.0]), _reference(ms, [1.5, -0.5, 0.0]))
+
+
+def _reference(ms, weights, method="cef"):
+    """Credibility-weighted fusion through the dictionary average and the
+    single-mass self-combination, or the total conflict it raises."""
+    try:
+        mass = self_fuse(weighted_average(ms, weights), len(ms))
+    except TotalConflictError as error:
+        return error
+    probs = mass.pignistic()
+    return FusionResult(mass, probs, decide(mass), method, np.asarray(weights, dtype=float))
+
+
+def _weights(ms, method):
+    """The open-loop weights, from the credibility functions themselves."""
+    if method == "murphy":
+        return np.full(len(ms), 1.0 / len(ms))
+    edmm = build_edmm(ms, PBAGD)
+    return (average_support_credibility if method == "cef-avg" else eigenvalue_credibility)(edmm)
+
+
+@st.composite
+def _weighted_sets(draw):
+    """An evidence set and weights summing to 1, some of them exactly 0."""
+    n = draw(st.integers(min_value=1, max_value=6))
+    n_pieces = draw(st.integers(min_value=2, max_value=8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    ms = _random_set(rng, _frame(n), n_pieces)
+    weights = rng.random(n_pieces) + 1e-3
+    zeros = draw(st.lists(st.integers(0, n_pieces - 1), max_size=n_pieces - 1))
+    weights[zeros] = 0.0
+    return ms, weights / weights.sum()
+
+
+class TestCefFuseAgainstReference:
+    """``cef_fuse`` against the dictionary average self-combined, bit for bit."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=_weighted_sets())
+    def test_random_sets_and_weights(self, case):
+        ms, weights = case
+        want = _reference(ms, weights)
+        try:
+            got = cef_fuse(ms, weights)
+        except TotalConflictError as error:
+            got = error
+        _assert_same_outcome(got, want)
+
+    @pytest.mark.parametrize("method", ["murphy", "cef-avg", "cef-eig"])
+    def test_fuse_on_the_builtin_sets(self, fault_case, conflict_case, method):
+        for ms in (fault_case, conflict_case):
+            _assert_same_outcome(fuse(ms, method), _reference(ms, _weights(ms, method), method))
 
 
 @pytest.fixture(scope="module")
@@ -501,17 +580,19 @@ class TestFuseBatch:
         for ms, got in zip(sets, batch):
             _assert_same_result(got, icef(ms)[0])
 
-    def test_open_loop_methods_fuse_set_by_set(self, fault_case, conflict_case):
-        for method in ("dcr", "cef-avg", "cef-eig"):
-            batch = _fuse_batch([fault_case, conflict_case], method)
-            for got, ms in zip(batch, (fault_case, conflict_case)):
-                assert got.mass == fuse(ms, method).mass
+    def test_dcr_fuses_set_by_set(self, fault_case, conflict_case, close_pair):
+        # sets of any size or frame, as dcr needs no common arrays
+        sets = [fault_case, conflict_case[:3], list(close_pair)]
+        for got, ms in zip(_fuse_batch(sets, "dcr"), sets):
+            want = dcr_fuse(ms)
+            assert (got.mass, got.decision) == (want.mass, want.decision)
+            assert got.pignistic.tobytes() == want.pignistic.tobytes()
         frame = fault_case[0].frame
         clash = [event_evidence(frame, 0), event_evidence(frame, 1)]
         assert isinstance(_fuse_batch([clash], "dcr")[0], TotalConflictError)
 
     def test_sets_must_agree_in_size_and_frame(self, fault_case, close_pair):
-        for method in ("icef-pbagd", "murphy"):
+        for method in ("icef-pbagd", "murphy", "cef-avg", "cef-eig"):
             assert _fuse_batch([], method) == []
             with pytest.raises(LengthMismatchError):
                 _fuse_batch([fault_case, fault_case[:4]], method)
@@ -530,10 +611,11 @@ class TestFuseBatch:
 
 
 @st.composite
-def _murphy_batches(draw):
+def _open_loop_batches(draw):
     """Evidence sets of equal size on one frame with mixed focal patterns,
-    some made of clashing categorical reports, plus a chunk size and whether
-    to raise the conflict threshold so that some self-combinations fail."""
+    some made of clashing categorical reports, plus an open-loop method, a
+    chunk size and whether to raise the conflict threshold so that some
+    self-combinations fail."""
     n = draw(st.integers(min_value=1, max_value=6))
     n_pieces = draw(st.integers(min_value=2, max_value=8))
     n_sets = draw(st.integers(min_value=1, max_value=9))
@@ -542,14 +624,8 @@ def _murphy_batches(draw):
     sets = [_random_set(rng, frame, n_pieces) for _ in range(n_sets)]
     for b in draw(st.lists(st.integers(0, n_sets - 1), max_size=3)):
         sets[b] = [event_evidence(frame, int(rng.integers(n))) for _ in range(n_pieces)]
-    return sets, draw(st.sampled_from([None, 1, 2, 3])), draw(st.booleans())
-
-
-def _fuse_or_error(ms, method):
-    try:
-        return fuse(ms, method)
-    except TotalConflictError as error:
-        return error
+    method = draw(st.sampled_from(["murphy", "cef-avg", "cef-eig"]))
+    return sets, method, draw(st.sampled_from([None, 1, 2, 3])), draw(st.booleans())
 
 
 def _assert_same_outcome(got, want):
@@ -561,23 +637,24 @@ def _assert_same_outcome(got, want):
 
 
 class TestMurphyBatch:
-    """A batch of murphy fusions against one scalar ``fuse`` call per set, bit for bit."""
+    """A batch of murphy, cef-avg or cef-eig fusions against the dictionary
+    average self-combined per set, bit for bit."""
 
     @settings(max_examples=150, deadline=None)
-    @given(case=_murphy_batches())
+    @given(case=_open_loop_batches())
     def test_batch_equals_single_calls(self, case):
-        sets, chunk, conflict = case
+        sets, method, chunk, conflict = case
         with mock.patch.object(fusion, "_BLOCK_ENTRIES",
                                fusion._BLOCK_ENTRIES if chunk is None
                                else chunk << sets[0][0].frame.n), \
                 mock.patch.object(core, "_LOG2_CONFLICT_EPS",
                                   -1.0 if conflict else core._LOG2_CONFLICT_EPS):
-            batch = _fuse_batch(sets, "murphy")
+            batch = _fuse_batch(sets, method)
             assert len(batch) == len(sets)
             for ms, got in zip(sets, batch):
-                _assert_same_outcome(got, _fuse_or_error(ms, "murphy"))
+                _assert_same_outcome(got, _reference(ms, _weights(ms, method), method))
             # reversing the sets reverses the results, bit for bit
-            for got, want in zip(_fuse_batch(sets[::-1], "murphy")[::-1], batch):
+            for got, want in zip(_fuse_batch(sets[::-1], method)[::-1], batch):
                 _assert_same_outcome(got, want)
 
     def test_total_conflict_is_flagged_per_set(self, monkeypatch):
@@ -590,12 +667,12 @@ class TestMurphyBatch:
         flagged = [isinstance(result, TotalConflictError) for result in batch]
         assert flagged[1] and not all(flagged)
         for ms, got in zip(sets, batch):
-            _assert_same_outcome(got, _fuse_or_error(ms, "murphy"))
+            _assert_same_outcome(got, _reference(ms, _weights(ms, "murphy"), "murphy"))
 
     def test_one_focal_set_in_the_whole_table(self, frame3):
         sets = [[event_evidence(frame3, 1)] * n_pieces for n_pieces in (3, 3)]
         for ms, got in zip(sets, _fuse_batch(sets, "murphy")):
-            _assert_same_result(got, fuse(ms, "murphy"))
+            _assert_same_result(got, _reference(ms, _weights(ms, "murphy"), "murphy"))
 
     def test_one_array_step_per_chunk(self, monkeypatch):
         sizes = []
@@ -609,7 +686,7 @@ class TestMurphyBatch:
         batch = _fuse_batch(sets, "murphy")
         assert sizes == [4, 4, 1]
         for ms, got in zip(sets, batch):
-            _assert_same_result(got, fuse(ms, "murphy"))
+            _assert_same_result(got, _reference(ms, _weights(ms, "murphy"), "murphy"))
 
 
 def _relabelled(m, perm):
