@@ -19,6 +19,7 @@ from functools import cached_property
 
 import numpy as np
 
+from . import core
 from .core import Frame, MassFunction, TotalConflictError
 from .fusion import (
     IcefConfig,
@@ -201,20 +202,36 @@ def attribute_evidence(model: IntervalModel, sample, attribute: int) -> MassFunc
 
     Similarity to class c is ``1 / (1 + lam * dist)`` between the class
     interval and the sample's point interval; masses go to the class
-    singletons only.
+    singletons only.  This is one entry of :func:`_split_evidence`.
     """
-    x = float(np.asarray(sample, dtype=float)[attribute])
-    similarities = np.empty(len(model.class_labels))
-    for c in range(len(model.class_labels)):
-        d = interval_distance(model.lows[c, attribute], model.highs[c, attribute], x, x)
-        similarities[c] = 1.0 / (1.0 + model.lam * d)
-    masses = similarities / similarities.sum()
-    return MassFunction(model.frame,
-                        {1 << c: masses[c] for c in range(len(model.class_labels))})
+    return _split_evidence(model, [sample])[0][attribute]
 
 
-def _sample_evidence(model: IntervalModel, sample) -> list[MassFunction]:
-    return [attribute_evidence(model, sample, a) for a in range(model.n_attributes)]
+def _similarities(model: IntervalModel, samples) -> np.ndarray:
+    """The (S, A, C) similarities ``1 / (1 + lam * dist)`` of each of the S
+    samples' A attribute values, as point intervals, to each of the C class
+    intervals: :func:`interval_distance`'s formula, elementwise."""
+    x = np.asarray(samples, dtype=float)[:, :, None]
+    # C-ordered (A, C) bounds give a C-ordered table, whose sum over the last
+    # axis adds as the sum of one sample's (C,) similarities does
+    lo, hi = np.ascontiguousarray(model.lows.T), np.ascontiguousarray(model.highs.T)
+    # as in float arithmetic, a huge lam sends a far class's similarity to 0
+    # and an infinite value gives NaN, which the mass rules refuse
+    with np.errstate(over="ignore", invalid="ignore"):
+        mid = (lo + hi) / 2.0 - (x + x) / 2.0
+        half = (hi - lo) / 2.0 - (x - x) / 2.0
+        return 1.0 / (1.0 + model.lam * np.sqrt(mid * mid + half * half / 3.0))
+
+
+def _split_evidence(model: IntervalModel, samples) -> list[list[MassFunction]]:
+    """Per sample, one piece of evidence per attribute, all from one
+    similarity table and built in one :func:`core._mass_rows` call."""
+    similarities = _similarities(model, samples)
+    n_samples, n_attributes, n_classes = similarities.shape
+    masses = similarities / similarities.sum(axis=2, keepdims=True)
+    pieces = core._mass_rows(model.frame, 1 << np.arange(n_classes),
+                             masses.reshape(-1, n_classes))
+    return [pieces[s * n_attributes:(s + 1) * n_attributes] for s in range(n_samples)]
 
 
 def classify_sample(
@@ -228,7 +245,7 @@ def classify_sample(
     Total conflict during fusion propagates to the caller; the evaluation
     harnesses count such samples as misclassified.
     """
-    result = fuse(_sample_evidence(model, sample), method=method, config=config)
+    result = fuse(_split_evidence(model, [sample])[0], method=method, config=config)
     return result.decision, result
 
 
@@ -265,11 +282,11 @@ class _Score:
 def _evaluate_model(model, test: Dataset, methods, config) -> dict[str, _Score]:
     """Score every method on the test split.
 
-    Each sample's evidence is built once; each method fuses the whole split
-    in one :func:`~credfuse.fusion._fuse_batch` call, which runs the
-    ``icef-*`` loop over all samples at once.
+    Each sample's evidence is built once, from one similarity table of the
+    split; each method fuses the whole split in one
+    :func:`~credfuse.fusion._fuse_batch` call, on arrays.
     """
-    evidence = [_sample_evidence(model, sample) for sample in test.features]
+    evidence = _split_evidence(model, test.features)
     scores = {}
     for method in methods:
         score = scores[method] = _Score({label: 0 for label in test.class_labels})

@@ -197,11 +197,27 @@ def _summary_table(per_method: dict, class_labels, precision) -> str:
     return format_table(header, rows, precision=precision)
 
 
+def _bench_methods(spec: str) -> list[str]:
+    """The comma-separated names of ``--methods``, each checked before any
+    trial runs: a fusion method, or ``icef-`` and a registered measure."""
+    methods = [m.strip() for m in spec.split(",") if m.strip()]
+    if not methods:
+        raise InvalidConfigError("--methods names no fusion method")
+    for method in methods:
+        if method.lower().startswith("icef-"):
+            get_measure(method[len("icef-"):])  # a KeyError names the registered measures
+        elif method.lower() not in FUSION_METHODS:
+            raise InvalidConfigError(
+                f"unknown fusion method {method!r}; known: {', '.join(FUSION_METHODS)}, "
+                "or icef-<measure>")
+    return methods
+
+
 def cmd_bench(args) -> int:
     features = args.features.split(",") if args.features else None
     ds = load_dataset(args.dataset, label_column=args.label_column,
                       feature_columns=features, delimiter=args.delimiter)
-    methods = [m.strip() for m in args.methods.split(",") if m.strip()]
+    methods = _bench_methods(args.methods)
     cfg = _config(args, methods=methods)
     precision = _precision(args)
 

@@ -218,7 +218,9 @@ class MassFunction:
         if 0.0 in values:
             focal = [mask for mask in focal if merged[mask] != 0.0]
             values = array("d", map(merged.__getitem__, focal))
-        focal = array("q", focal)
+        self._assign(frame, array("q", focal), values)
+
+    def _assign(self, frame: Frame, focal: array, values: array) -> None:
         object.__setattr__(self, "frame", frame)
         object.__setattr__(self, "_focal", focal)
         object.__setattr__(self, "_values", values)
@@ -311,6 +313,62 @@ def _mass_table(ms) -> tuple[np.ndarray, np.ndarray]:
     return union, table
 
 
+#: Up to this many entries, :func:`_check_rows` runs ``_first_violation``
+#: on each row: a handful of numpy calls costs more than a short loop.
+_LOOP_CHECK_ENTRIES = 32
+
+
+def _check_rows(frame: Frame, masks: np.ndarray, table: np.ndarray) -> None:
+    """Raise what :func:`_first_violation` returns for the first row of the
+    (rows, F) ``table`` that breaks a mass rule, row ``b`` holding the
+    masses of the ascending ``masks``.
+
+    Larger tables have the rules applied to all rows at once.  The total
+    is the sequential sum that ``_first_violation`` forms
+    (``np.add.accumulate`` adds in order, where ``sum`` may pair terms),
+    and a non-finite entry leaves it non-finite, so a row is flagged
+    exactly when that function finds a violation in it; the error comes
+    from it.
+    """
+    if table.size > _LOOP_CHECK_ENTRIES:
+        with np.errstate(invalid="ignore", over="ignore"):
+            total = np.add.accumulate(table, axis=1)[:, -1]
+        bad = ~(np.abs(total - 1.0) <= NORMALIZATION_TOL) | (table < 0.0).any(axis=1)
+        if masks[0] == 0:
+            bad |= table[:, 0] != 0.0
+        if not bad.any():
+            return
+        table = table[bad.argmax()][None]
+    masks = masks.tolist()
+    for row in table.tolist():
+        error = _first_violation(frame, zip(masks, row))
+        if error is not None:
+            raise error
+
+
+def _mass_rows(frame: Frame, masks: np.ndarray, table: np.ndarray) -> list[MassFunction]:
+    """``MassFunction(frame, dict(zip(masks, row)))`` for each row of the
+    (rows, F) ``table`` on the ascending ``masks``, or the error that the
+    first invalid row raises there.
+
+    The rows are checked together by :func:`_check_rows`; each instance
+    keeps its row's nonzero entries, and rows with the same nonzero
+    entries share one array of focal masks.
+    """
+    if not len(table):
+        return []
+    _check_rows(frame, masks, table)
+    out: list = [None] * len(table)
+    new, assign = object.__new__, MassFunction._assign
+    for _, which, pattern in _focal_patterns(table != 0.0):
+        focal = array("q", masks[pattern].tolist())
+        rows = range(len(table)) if isinstance(which, slice) else which.tolist()
+        for b, values in zip(rows, table[which][:, pattern].tolist()):
+            m = out[b] = new(MassFunction)
+            assign(m, frame, focal, array("d", values))
+    return out
+
+
 def vacuous(frame: Frame) -> MassFunction:
     """The fully uncommitted assignment: all mass on the whole frame."""
     return MassFunction(frame, {frame.full_mask: 1.0})
@@ -336,7 +394,7 @@ def _require_same_frame(ms: Iterable[MassFunction]) -> Frame:
         raise ValueError("need at least one mass function")
     frame = ms[0].frame
     for m in ms[1:]:
-        if m.frame != frame:
+        if m.frame is not frame and m.frame != frame:
             raise FrameMismatchError(f"frames differ: {frame.events} vs {m.frame.events}")
     return frame
 
@@ -534,15 +592,12 @@ def _self_combine_rows(focal: np.ndarray, masses: np.ndarray, times: int, n: int
         if support is None:
             support = supports[key] = _intersections(focal[pattern], times, 1 << n)
         parts.append((which, support, np.maximum(unnormalized[which][:, support], 0.0)))
+    support, fused = _merged(parts, rows)
     if len(parts) == 1:
-        _, support, fused = parts[0]
         totals = fused.sum(axis=1)
-    else:
-        support = np.unique(np.concatenate([own for _, own, _ in parts]))
-        fused = np.zeros((rows, len(support)))
+    else:  # each row's total on its own support, as for a lone row
         totals = np.empty(rows)
-        for which, own, values in parts:
-            fused[np.ix_(which, np.searchsorted(support, own))] = values
+        for which, _, values in parts:
             totals[which] = values.sum(axis=1)
     # the unscaled survivor total is totals * 2**-shift; a failed row's
     # masses may come out infinite or NaN
@@ -564,6 +619,97 @@ def _focal_patterns(nonzero: np.ndarray):
     for b, row in enumerate(nonzero):
         members.setdefault(row.tobytes(), []).append(b)
     return [(key, np.array(bs), nonzero[bs[0]]) for key, bs in members.items()]
+
+
+def _merged(parts, rows: int) -> tuple[np.ndarray, np.ndarray]:
+    """One table of ``rows`` rows from ``(which, masks, values)`` parts, one
+    per focal pattern as :func:`_focal_patterns` gives them: the ascending
+    union of the parts' masks, and each part's values on it in its rows,
+    zero elsewhere."""
+    if len(parts) == 1:  # one pattern: every row, in order
+        return parts[0][1], parts[0][2]
+    union = np.unique(np.concatenate([masks for _, masks, _ in parts]))
+    table = np.zeros((rows, len(union)))
+    for which, masks, values in parts:
+        table[np.ix_(which, np.searchsorted(union, masks))] = values
+    return union, table
+
+
+def _dcr_fold(focal: np.ndarray, table: np.ndarray):
+    """:func:`dcr_n` of B evidence sets of N pieces each at once.
+
+    ``table`` holds the (B, N, F) masses of the sets on the ascending masks
+    ``focal`` of one frame; a zero entry is not a focal set of that piece.
+    Returns ``(support, fused, conflict, failed)`` as
+    :func:`_self_combine_rows` does: the (B, len(support)) combined masses,
+    zero outside a set's own focal sets; the conflict K of the set's last
+    combination; and whether that combination hit total conflict, in which
+    case the set left the fold there and its ``fused`` row is zero.  One
+    piece returns its row unchanged, with K = 0.
+
+    Each step is :func:`dcr_pair` of the running result with the next
+    piece, by :func:`_dcr_step` on the rows that share a pair of focal
+    patterns, so each set gets the bits ``dcr_n`` gives it.
+    """
+    rows, pieces, _ = table.shape
+    support, state = focal, table[:, 0]
+    conflict = np.zeros(rows)
+    failed = np.zeros(rows, dtype=bool)
+    live = np.arange(rows)
+    for k in range(1, pieces):
+        operand = table[live, k]
+        width = len(support)
+        parts, step_conflict, step_failed = [], np.empty(len(live)), np.empty(len(live), dtype=bool)
+        for _, which, pattern in _focal_patterns(
+                np.concatenate([state != 0.0, operand != 0.0], axis=1)):
+            mine, theirs = pattern[:width], pattern[width:]
+            keys, values, step_conflict[which], step_failed[which] = _dcr_step(
+                support[mine], state[which][:, mine], focal[theirs], operand[which][:, theirs])
+            parts.append((which, keys, values))
+        support, state = _merged(parts, len(live))
+        conflict[live] = step_conflict
+        failed[live] = step_failed
+        if step_failed.any():
+            live, state = live[~step_failed], state[~step_failed]
+            if not len(live):
+                break
+    fused = np.zeros((rows, len(support)))
+    fused[live] = state
+    return support, fused, conflict, failed
+
+
+def _dcr_step(b: np.ndarray, vb: np.ndarray, c: np.ndarray, vc: np.ndarray):
+    """:func:`dcr_pair` of row ``i`` of ``vb``, masses on the ascending masks
+    ``b``, with row ``i`` of ``vc`` on ``c``, for every row at once; every
+    entry is a focal set.  Returns ``(keys, masses, conflict, failed)``:
+    the ascending nonempty intersections, each row's normalized masses on
+    them, its conflict K, and whether K counts as total (the masses of such
+    a row are meaningless).
+
+    The products run in ``dcr_pair``'s pair order (``b`` outer, ``c``
+    inner).  Each intersection's products, and the conflict's, are summed
+    in that order (``np.add.accumulate`` adds in order; the zeros that pad
+    shorter lists come last and change nothing), and the surviving total is
+    Python's ``sum`` over the masses in ``dcr_pair``'s insertion order, the
+    order in which the pairs first reach each intersection.
+    """
+    inter = (b[:, None] & c).ravel()
+    products = (vb[:, :, None] * vc[:, None, :]).reshape(len(vb), -1)
+    keys, first, slot = np.unique(inter, return_index=True, return_inverse=True)
+    counts = np.bincount(slot, minlength=len(keys))
+    order = np.argsort(slot, kind="stable")
+    index = np.full((len(keys), counts.max()), len(inter))  # the last column is the pad
+    index[slot[order], np.arange(len(inter)) - np.repeat(np.cumsum(counts) - counts, counts)] = order
+    padded = np.concatenate([products, np.zeros((len(vb), 1))], axis=1)[:, index]
+    sums = np.add.accumulate(padded, axis=2)[:, :, -1]
+    if keys[0] == 0:
+        conflict, keys, first, sums = sums[:, 0], keys[1:], first[1:], sums[:, 1:]
+    else:
+        conflict = np.zeros(len(vb))
+    total = np.array([sum(row) for row in sums[:, np.argsort(first)].tolist()], dtype=float)
+    failed = (conflict >= 1.0 - CONFLICT_EPS) | (total <= CONFLICT_EPS)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return keys, sums / total[:, None], conflict, failed
 
 
 def _scaled_power(v: np.ndarray, times: int) -> tuple[np.ndarray, int]:

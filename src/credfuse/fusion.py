@@ -105,7 +105,7 @@ class IcefStep:
 
     @cached_property
     def fused(self) -> MassFunction:
-        return MassFunction(self.frame, dict(zip(self.support.tolist(), self.masses.tolist())))
+        return core._mass_rows(self.frame, self.support, self.masses[None])[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -193,7 +193,7 @@ def cef_fuse(ms: Sequence[MassFunction], weights, method: str = "cef") -> Fusion
 
 def murphy_fuse(ms: Sequence[MassFunction]) -> FusionResult:
     """Uniform-weight credible fusion (simple averaging)."""
-    return cef_fuse(ms, _method_weights("murphy", [ms])[0], method="murphy")
+    return fuse(ms, "murphy")
 
 
 def dcr_fuse(ms: Sequence[MassFunction]) -> FusionResult:
@@ -235,11 +235,12 @@ def icef(
         IcefStep(k, cred[0], probs[0], float(delta[0]), frame, support, fused[0])
         for k, (cred, support, fused, probs, delta) in enumerate(history[:-1], start=1)
     )
-    return _icef_result(final, converged, cfg), IcefTrace((*steps, final), converged)
+    return _icef_result(final, converged, cfg, final.fused), IcefTrace((*steps, final), converged)
 
 
-def _icef_result(final: IcefStep, converged: bool, cfg: IcefConfig) -> FusionResult:
-    return FusionResult(final.fused, final.probabilities,
+def _icef_result(final: IcefStep, converged: bool, cfg: IcefConfig,
+                 mass: MassFunction) -> FusionResult:
+    return FusionResult(mass, final.probabilities,
                         _decision(final.frame, final.probabilities), f"icef-{cfg.measure.name}",
                         final.credibilities, converged, final.index)
 
@@ -339,39 +340,72 @@ def _fuse_batch(
     ``fuse(sets[i], method, config)`` returns, or the
     :class:`TotalConflictError` it raises.
 
-    Every method but ``dcr`` fuses the sets through
-    :func:`_cef_rows` in chunks of ``max(1, 2**13 // 2**n)`` sets, so that
-    each array over the ``2**n`` subsets holds about ``2**13`` entries; all
-    sets need the same frame and the same number of pieces.  A set's result
-    has the same bits as its own ``fuse`` call.  ``dcr`` fuses set by set.
+    The sets are fused on arrays in chunks of ``max(1, 2**13 // 2**n)``
+    sets, so that each array over the ``2**n`` subsets holds about ``2**13``
+    entries: ``dcr`` through :func:`core._dcr_fold`, every other method
+    through :func:`_cef_rows`.  Those need the same frame and the same
+    number of pieces in every set; ``dcr`` takes any sets and fuses each
+    group of one frame and one size on its own.  A set's result has the
+    same bits as its own ``fuse`` call.
     """
     method = method.lower()
     if method == "dcr":
-        results = []
-        for ms in sets:
-            try:
-                results.append(dcr_fuse(ms))
-            except TotalConflictError as error:
-                results.append(error)
-        return results
-    if not sets:
-        return []
-    frame = _check_sets(sets)
-    rows = max(1, _BLOCK_ENTRIES // (1 << frame.n))
-    results = []
-    for start in range(0, len(sets), rows):
-        chunk = sets[start:start + rows]
-        if method.startswith("icef-"):
-            results.extend(_icef_chunk(chunk, frame, _icef_config(method, config)))
-        else:
-            weights = _method_weights(method, chunk, config)
-            results.extend(_cef_chunk(chunk, frame, weights, method))
+        groups: dict = {}
+        for i, ms in enumerate(sets):
+            groups.setdefault((_require_same_frame(ms), len(ms)), []).append(i)
+    else:
+        groups = {(_check_sets(sets), len(sets[0])): range(len(sets))} if sets else {}
+    results: list = [None] * len(sets)
+    for (frame, _), members in groups.items():
+        rows = max(1, _BLOCK_ENTRIES // (1 << frame.n))
+        for start in range(0, len(members), rows):
+            chunk = members[start:start + rows]
+            for i, result in zip(chunk, _fuse_chunk([sets[i] for i in chunk], frame, method,
+                                                    config)):
+                results[i] = result
     return results
 
 
+def _fuse_chunk(sets, frame: Frame, method: str, config: IcefConfig | None) -> list:
+    if method == "dcr":
+        focal, table = core._mass_table([m for ms in sets for m in ms])
+        support, fused, conflict, failed = core._dcr_fold(
+            focal, table.reshape(len(sets), len(sets[0]), -1))
+        probs = core._pignistic_rows(support, fused, frame.n)
+        return _results(frame, method, support, fused, conflict, failed, probs)
+    if method.startswith("icef-"):
+        return _icef_chunk(sets, frame, _icef_config(method, config))
+    return _cef_chunk(sets, frame, _method_weights(method, sets, config), method)
+
+
+def _results(frame: Frame, method: str, support, fused, conflict, failed, probs,
+             weights=None) -> list:
+    """A :class:`FusionResult` per row of the fused arrays, or the
+    :class:`TotalConflictError` of a row that failed; the masses of the
+    other rows are built in one :func:`core._mass_rows` call."""
+    masses = iter(core._mass_rows(frame, support, fused[~failed]))
+    decisions = probs.argmax(axis=1).tolist()  # the first maximum of each row, as _decision takes
+    return [
+        TotalConflictError(float(conflict[b])) if failed[b] else
+        FusionResult(next(masses), probs[b], frame.events[decisions[b]], method,
+                     None if weights is None else weights[b])
+        for b in range(len(fused))
+    ]
+
+
 def _icef_chunk(sets, frame: Frame, cfg: IcefConfig) -> list:
-    return [end if isinstance(end, TotalConflictError) else _icef_result(*end, cfg)
-            for end in _icef_loop(sets, frame, cfg)]
+    """:func:`_icef_loop` over the sets, with the final fused masses of the
+    sets that did not fail built in one :func:`core._mass_rows` call."""
+    ends = _icef_loop(sets, frame, cfg)
+    finals = [end[0] for end in ends if not isinstance(end, TotalConflictError)]
+    by_support: dict = {}  # sets that stopped in one iteration share its support
+    for row, step in enumerate(finals):
+        by_support.setdefault(id(step.support), []).append(row)
+    parts = [(rows, finals[rows[0]].support, np.array([finals[r].masses for r in rows]))
+             for rows in by_support.values()]
+    masses = iter(core._mass_rows(frame, *core._merged(parts, len(finals))) if parts else [])
+    return [end if isinstance(end, TotalConflictError) else _icef_result(*end, cfg, next(masses))
+            for end in ends]
 
 
 def _cef_chunk(sets, frame: Frame, weights: np.ndarray, method: str, check: bool = False) -> list:
@@ -380,18 +414,9 @@ def _cef_chunk(sets, frame: Frame, weights: np.ndarray, method: str, check: bool
     table = table.reshape(*weights.shape, -1)
     if check:  # the averages _cef_rows forms must be masses, as weighted_average requires
         with np.errstate(all="ignore"):  # a non-finite weight times a zero mass
-            for row in (weights[:, :, None] * table).sum(axis=1):
-                error = core._first_violation(frame, zip(focal.tolist(), row.tolist()))
-                if error is not None:
-                    raise error
+            core._check_rows(frame, focal, (weights[:, :, None] * table).sum(axis=1))
     support, fused, conflict, failed, probs = _cef_rows(focal, table, weights, frame.n, {})
-    masks = support.tolist()
-    return [
-        TotalConflictError(float(conflict[b])) if failed[b] else
-        FusionResult(MassFunction(frame, dict(zip(masks, fused[b].tolist()))), probs[b],
-                     _decision(frame, probs[b]), method, weights[b])
-        for b in range(len(sets))
-    ]
+    return _results(frame, method, support, fused, conflict, failed, probs, weights)
 
 
 def _icef_config(method: str, config: IcefConfig | None) -> IcefConfig:
@@ -426,4 +451,5 @@ def fuse(
     if method.startswith("icef-"):
         result, _ = icef(ms, _icef_config(method, config))
         return result
+    _check_sets([ms])  # before the weights, which divide by the number of pieces
     return cef_fuse(ms, _method_weights(method, [ms], config)[0], method=method)

@@ -5,11 +5,14 @@ from dataclasses import asdict
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from credfuse import (
     Dataset,
     IcefConfig,
     InvalidConfigError,
+    MassFunction,
     TotalConflictError,
     attribute_evidence,
     classify_sample,
@@ -189,6 +192,41 @@ class TestAttributeEvidence:
         assert m.mass("near") > 0.999
 
 
+def _scalar_evidence(model, sample, attribute):
+    """The per-element reference: interval_distance per class, normalized."""
+    x = float(np.asarray(sample, dtype=float)[attribute])
+    similarities = np.empty(len(model.class_labels))
+    for c in range(len(model.class_labels)):
+        d = interval_distance(model.lows[c, attribute], model.highs[c, attribute], x, x)
+        similarities[c] = 1.0 / (1.0 + model.lam * d)
+    masses = similarities / similarities.sum()
+    return MassFunction(model.frame, {1 << c: masses[c] for c in range(len(masses))})
+
+
+class TestSplitEvidence:
+    """The split's similarity table against the per-element formula, bit for bit."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n_classes=st.integers(1, 10),
+           n_attributes=st.integers(1, 5), n_samples=st.integers(1, 12),
+           lam=st.sampled_from([1e-3, 0.5, 5.0, 1e3]))
+    def test_table_matches_scalar_formula(self, seed, n_classes, n_attributes, n_samples, lam):
+        rng = np.random.default_rng(seed)
+        labels = [f"c{i % n_classes}" for i in range(3 * n_classes)]
+        train = make_dataset(rng.normal(0, 3, (len(labels), n_attributes)), labels)
+        model = fit_interval_model(train, lam)
+        samples = rng.normal(0, 4, (n_samples, n_attributes))
+        samples[0] = model.lows[0]  # on an interval's end
+        evidence = classify._split_evidence(model, samples)
+        assert [len(pieces) for pieces in evidence] == [n_attributes] * n_samples
+        for sample, pieces in zip(samples, evidence):
+            for a, got in enumerate(pieces):
+                want = _scalar_evidence(model, sample, a)
+                assert got == want and got.frame is model.frame
+                assert got._values.tobytes() == want._values.tobytes()
+                assert attribute_evidence(model, sample, a) == want
+
+
 class TestIntervalModelFrame:
     def test_frame_built_once(self, separable):
         model = fit_interval_model(separable, lam=2.0)
@@ -344,11 +382,13 @@ class TestEvaluationTallies:
         assert reports["murphy"].conflict_samples == 0
 
     def test_evidence_built_once_per_sample(self, separable, monkeypatch):
-        calls = []
-        monkeypatch.setattr(classify, "attribute_evidence",
-                            lambda *args: calls.append(1) or attribute_evidence(*args))
+        # the split's similarity table is where each sample's evidence comes from
+        samples = []
+        similarities = classify._similarities
+        monkeypatch.setattr(classify, "_similarities",
+                            lambda model, xs: samples.extend(xs) or similarities(model, xs))
         sweep_evaluate(separable, ["dcr", "murphy", "icef-pbagd"], lam=2.0, fractions=[0.6])
-        assert len(calls) == separable.n_records * separable.n_attributes
+        assert len(samples) == separable.n_records
 
 
 def _per_sample_scores(model, test, methods, config):

@@ -336,6 +336,33 @@ class TestBench:
         assert err.startswith("error: ") and message in err
         assert out == ""
 
+    @pytest.mark.parametrize("methods, message", [
+        ("magic", "unknown fusion method 'magic'"),  # used to end in a traceback
+        ("dcr,magic", "unknown fusion method 'magic'"),
+        ("icef-magic", "unknown divergence measure 'magic'"),
+        (",", "names no fusion method"),  # used to run and print no method column
+        (" , ,", "names no fusion method"),
+    ])
+    @pytest.mark.parametrize("mode", ["montecarlo", "sweep"])
+    def test_bad_method_list_exits_2_before_any_trial(self, iris_path, capsys, monkeypatch,
+                                                       methods, message, mode):
+        def no_trial(*args, **kwargs):
+            raise AssertionError("a trial ran")
+
+        monkeypatch.setattr(cli, "monte_carlo_evaluate", no_trial)
+        monkeypatch.setattr(cli, "sweep_evaluate", no_trial)
+        code, out, err = run(capsys, "bench", str(iris_path), "--label-column", "species",
+                             "--trials", "2", "--mode", mode, "--methods", methods)
+        assert code == EXIT_PARSE
+        assert err.startswith("error: ") and message in err
+        assert out == ""
+
+    def test_method_names_keep_their_case(self, iris_path, capsys):
+        code, out, _ = run(capsys, "bench", str(iris_path), "--label-column", "species",
+                           "--trials", "1", "--methods", "DCR,icef-BJS")
+        assert code == EXIT_OK
+        assert "Total[DCR]" in out and "Total[icef-BJS]" in out
+
     def test_unreadable_dataset_exits_2(self, capsys):
         code, _, _ = run(capsys, "bench", "/nonexistent.csv",
                          "--label-column", "y")

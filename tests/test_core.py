@@ -2,6 +2,7 @@
 
 import functools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -446,6 +447,122 @@ class TestSelfFuseAgainstFold:
         fused = self_fuse(m, 2)
         assert fused.mass(0b0001) > 0.0
         _assert_agree(fused, _fold(m, 2))
+
+
+def _dict_rows(frame, masks, table):
+    """The reference for ``core._mass_rows``: the dict constructor, row by row."""
+    return [MassFunction(frame, dict(zip(masks.tolist(), row.tolist()))) for row in table]
+
+
+def _built(build, *args):
+    try:
+        return build(*args)
+    except core.MassFunctionError as error:
+        return error
+
+
+_SPECIALS = [math.nan, math.inf, -math.inf, -0.25, -1e-300, -0.0, 0.0, 5e-324, 2.0]
+
+
+@st.composite
+def _mass_tables(draw):
+    """Tables on ascending masks (the empty set among them at times) whose rows
+    hold exact zeros, totals at 1 +- NORMALIZATION_TOL and around it, and
+    entries that are NaN, infinite, negative or out of range."""
+    n = draw(st.integers(min_value=1, max_value=4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    width = draw(st.integers(min_value=1, max_value=min(12, (1 << n) - 1)))
+    masks = np.sort(rng.choice(np.arange(1, 1 << n), size=width, replace=False))
+    if draw(st.integers(min_value=0, max_value=4)) == 0:
+        masks[0] = 0  # the empty set, which may hold only an exact zero
+    rows = draw(st.integers(min_value=1, max_value=6))
+    table = rng.random((rows, width)) * (rng.random((rows, width)) > 0.3)
+    table[table.sum(axis=1) == 0.0, -1] = 1.0
+    table /= table.sum(axis=1, keepdims=True)
+    tol = core.NORMALIZATION_TOL
+    scale = draw(st.sampled_from([1.0, 1 + tol, 1 - tol, 1 + 2 * tol, 1 - 2 * tol, 1 + tol / 2]))
+    table[int(rng.integers(rows))] *= scale
+    for _ in range(draw(st.sampled_from([0, 0, 0, 0, 0, 1, 2, 3]))):
+        table[rng.integers(rows), rng.integers(width)] = draw(st.sampled_from(_SPECIALS))
+    return _frame(n), masks, table
+
+
+# the row checks on arrays, and the loop that small tables take
+_CHECK_PATHS = pytest.mark.parametrize("loop_entries", [0, 10**6], ids=["arrays", "loop"])
+
+
+class TestMassRows:
+    """The row constructor against ``MassFunction(frame, dict)`` row by row."""
+
+    @_CHECK_PATHS
+    @settings(max_examples=300, deadline=None)
+    @given(case=_mass_tables())
+    def test_matches_dict_constructor(self, case, loop_entries):
+        frame, masks, table = case
+        want = _built(_dict_rows, frame, masks, table)
+        with mock.patch.object(core, "_LOOP_CHECK_ENTRIES", loop_entries):
+            got = _built(core._mass_rows, frame, masks, table)
+        if isinstance(want, Exception):
+            # the first invalid row, and in it the first broken rule
+            assert (type(got), str(got)) == (type(want), str(want))
+            return
+        assert got == want
+        for g, w in zip(got, want):
+            assert g.frame is frame
+            assert g.focal_elements() == w.focal_elements()
+            assert g._values.tobytes() == w._values.tobytes()
+            assert g.pignistic().tobytes() == w.pignistic().tobytes()
+            assert hash(g) == hash(w)
+
+    @_CHECK_PATHS
+    def test_every_rule_in_order(self, monkeypatch, loop_entries):
+        monkeypatch.setattr(core, "_LOOP_CHECK_ENTRIES", loop_entries)
+        frame = _frame(2)
+        masks = np.array([0, 1, 2, 3])
+        cases = [
+            ([0.0, 0.5, 0.5, 0.0], None),
+            ([0.0, math.nan, -1.0, 2.0], InvalidMassValueError),
+            ([0.1, 0.4, 0.5, 0.0], EmptySetFocalError),
+            ([0.0, -0.5, math.inf, 1.5], NegativeMassError),
+            ([0.0, 0.5, 0.5, 1e-8], NotNormalizedError),
+            ([0.0, 1e308, 1e308, -1.0], NegativeMassError),
+            ([0.0, 1e308, 1e308, 0.0], NotNormalizedError),  # the total overflows
+        ]
+        for values, error in cases:
+            table = np.array([[0.0, 0.25, 0.25, 0.5], values])
+            if error is None:
+                assert core._mass_rows(frame, masks, table) == _dict_rows(frame, masks, table)
+                continue
+            with pytest.raises(error) as raised:
+                core._mass_rows(frame, masks, table)
+            with pytest.raises(error) as expected:
+                _dict_rows(frame, masks, table)
+            assert str(raised.value) == str(expected.value)
+
+    @_CHECK_PATHS
+    def test_total_is_summed_in_order(self, monkeypatch, loop_entries):
+        monkeypatch.setattr(core, "_LOOP_CHECK_ENTRIES", loop_entries)
+        # added in order these ten masses exceed 1 by more than the tolerance;
+        # numpy's pairwise sum of them does not
+        values = [float.fromhex(h) for h in (
+            "0x1.d80871a6cd67ap-4", "0x1.535e2b33005dep-5", "0x1.3ab6be80cbde9p-4",
+            "0x1.6071d50fdcb9bp-3", "0x1.44c3dda08e0cap-3", "0x1.316dd33546327p-3",
+            "0x1.1bee6320011f8p-4", "0x1.64bc403e93145p-4", "0x1.e9a15c5ff8d81p-4",
+            "0x1.5ff577cd7de80p-7")]
+        table = np.array([values])
+        assert abs(table.sum() - 1.0) <= core.NORMALIZATION_TOL
+        with pytest.raises(NotNormalizedError) as raised:
+            core._mass_rows(_frame(4), np.arange(1, 11), table)
+        with pytest.raises(NotNormalizedError) as expected:
+            _dict_rows(_frame(4), np.arange(1, 11), table)
+        assert raised.value.total == expected.value.total
+
+    def test_rows_of_one_pattern_share_their_masks(self):
+        table = np.array([[0.5, 0.0, 0.5], [0.25, 0.0, 0.75], [0.0, 1.0, 0.0]])
+        a, b, c = core._mass_rows(_frame(2), np.array([1, 2, 3]), table)
+        assert a._focal is b._focal and a.focal_elements() == (1, 3)
+        assert c.focal_elements() == (2,)
+        assert core._mass_rows(_frame(2), np.array([1, 2, 3]), table[:0]) == []
 
 
 class TestEventEvidence:

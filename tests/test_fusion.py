@@ -392,6 +392,17 @@ class TestFuseDispatcher:
         with pytest.raises(ValueError):
             fuse(fault_case, method="magic")
 
+    @pytest.mark.parametrize("method", ["murphy", "cef-avg", "cef-eig", "icef-pbagd"])
+    @pytest.mark.parametrize("pieces", [0, 1])
+    def test_too_few_pieces(self, fault_case, method, pieces):
+        # murphy's 1/N weight used to divide by zero on an empty set
+        ms = fault_case[:pieces]
+        with pytest.raises(ValueError, match="need at least two pieces of evidence"):
+            fuse(ms, method=method)
+        if method == "murphy":
+            with pytest.raises(ValueError, match="need at least two pieces of evidence"):
+                murphy_fuse(ms)
+
     def test_icef_bjs_via_dispatcher(self, fault_case):
         result = fuse(fault_case, method="icef-bjs", config=IcefConfig(tau=5.0))
         assert result.method == "icef-bjs"
@@ -434,8 +445,12 @@ def _random_set(rng, frame, n_pieces):
 
 class TestIcefSteps:
     def test_fused_masses_built_when_read(self, fault_case, monkeypatch):
+        # counts the masses built by the row constructor, which the steps use,
+        # and by the dict constructor
         calls = []
-        init = MassFunction.__init__
+        mass_rows, init = core._mass_rows, MassFunction.__init__
+        monkeypatch.setattr(core, "_mass_rows", lambda frame, masks, table:
+                            calls.extend(table) or mass_rows(frame, masks, table))
         monkeypatch.setattr(MassFunction, "__init__",
                             lambda self, *args: calls.append(1) or init(self, *args))
         result, trace = icef(fault_case)
@@ -634,6 +649,117 @@ def _assert_same_outcome(got, want):
         assert got.conflict == want.conflict
     else:
         _assert_same_result(got, want)
+
+
+@st.composite
+def _dcr_batches(draw):
+    """Sets for one dcr batch: compound focal sets on n = 1..6, sets of mixed
+    sizes on up to two frames, a clash that ends the fold at its first, a
+    middle or its last step, masses whose products underflow to zero, a
+    conflict threshold at which random steps fail, and chunks of few sets."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    frames = [_frame(n) for n in draw(st.lists(st.integers(1, 6), min_size=1, max_size=2))]
+    clash = draw(st.sampled_from([None, "first", "middle", "last"]))
+    sets = []
+    for _ in range(draw(st.integers(min_value=1, max_value=8))):
+        frame = frames[int(rng.integers(len(frames)))]
+        n_pieces = int(rng.integers(1, 7))
+        floor = float(rng.choice([0.0, 0.3]))
+        ms = [random_mass_function(rng, frame, max_focals=6, omega_floor=floor)
+              for _ in range(n_pieces)]
+        if draw(st.booleans()) and frame.n > 1 and n_pieces > 2:
+            # two pieces with a 1e-170 mass: a product of 1e-340 is exactly 0
+            a, b = rng.choice(np.arange(1, 1 << frame.n), size=2, replace=False).tolist()
+            tiny = MassFunction(frame, {a: 1e-170, b: 1.0})
+            ms[1] = ms[2] = tiny
+        if clash and frame.n > 1 and n_pieces > 1:
+            step = {"first": 1, "middle": n_pieces // 2, "last": n_pieces - 1}[clash]
+            ms[0] = event_evidence(frame, 0)
+            ms[1:step] = [random_mass_function(rng, frame, omega_floor=0.3)
+                          for _ in range(step - 1)]
+            ms[step] = MassFunction(frame, {frame.full_mask ^ 1: 1.0})
+        sets.append(ms)
+    eps = draw(st.sampled_from([core.CONFLICT_EPS, 0.05, 0.3]))
+    chunk = draw(st.sampled_from([None, 1, 64, 256]))
+    return sets, eps, chunk
+
+
+def _assert_dcr_n(got, ms):
+    """``got`` is what ``dcr_n(ms)`` gives, bit for bit, or its total conflict."""
+    try:
+        want = core.dcr_n(ms)
+    except TotalConflictError as error:
+        assert isinstance(got, TotalConflictError)
+        assert got.conflict.hex() == error.conflict.hex()
+        return
+    assert got.mass == want and got.mass.frame == want.frame
+    assert got.mass.focal_elements() == want.focal_elements()
+    assert got.mass._values.tobytes() == want._values.tobytes()
+    assert got.pignistic.tobytes() == want.pignistic().tobytes()
+    assert (got.decision, got.method, got.credibilities) == (decide(want), "dcr", None)
+    assert (got.converged, got.n_iter) == (True, 1)
+
+
+def _same_outcome(got, want):
+    if isinstance(want, TotalConflictError):
+        return isinstance(got, TotalConflictError) and got.conflict.hex() == want.conflict.hex()
+    return (got.mass == want.mass and got.mass._values.tobytes() == want.mass._values.tobytes()
+            and got.pignistic.tobytes() == want.pignistic.tobytes()
+            and got.decision == want.decision)
+
+
+class TestDcrBatch:
+    """The batched Dempster fold against ``dcr_n`` set by set, bit for bit."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=_dcr_batches())
+    def test_batch_equals_dcr_n(self, case):
+        sets, eps, chunk = case
+        with mock.patch.object(fusion, "_BLOCK_ENTRIES",
+                               fusion._BLOCK_ENTRIES if chunk is None else chunk), \
+                mock.patch.object(core, "CONFLICT_EPS", eps):
+            batch = _fuse_batch(sets, "dcr")
+            assert len(batch) == len(sets)
+            for got, ms in zip(batch, sets):
+                _assert_dcr_n(got, ms)
+            again = _fuse_batch(sets[::-1], "dcr")[::-1]
+            assert all(_same_outcome(g, w) for g, w in zip(again, batch))
+
+    @pytest.mark.parametrize("step", [1, 2, 3, 4])
+    def test_total_conflict_ends_the_fold_at_its_step(self, frame3, step):
+        rng = np.random.default_rng(step)
+        pieces = [random_mass_function(rng, frame3, omega_floor=0.3) for _ in range(5)]
+        clash = pieces[:]
+        clash[0] = event_evidence(frame3, 0)
+        clash[step] = MassFunction(frame3, {"A2,A3": 1.0})
+        with pytest.raises(TotalConflictError) as error:
+            core.dcr_n(clash)
+        batch = _fuse_batch([pieces, clash, pieces[::-1]], "dcr")
+        assert isinstance(batch[1], TotalConflictError)
+        assert batch[1].conflict == error.value.conflict == 1.0
+        _assert_dcr_n(batch[0], pieces)
+        _assert_dcr_n(batch[2], pieces[::-1])
+
+    def test_one_fold_per_group_and_no_pairwise_combination(self, fault_case, conflict_case,
+                                                            close_pair, monkeypatch):
+        folds = []
+        fold = core._dcr_fold
+        monkeypatch.setattr(core, "_dcr_fold", lambda focal, table:
+                            folds.append(table.shape[:2]) or fold(focal, table))
+        monkeypatch.setattr(core, "dcr_pair", None)
+        sets = [fault_case, conflict_case[:3], list(close_pair), fault_case[::-1], [close_pair[0]]]
+        batch = _fuse_batch(sets, "dcr")
+        assert sorted(folds) == [(1, 1), (1, 2), (1, 3), (2, 5)]  # (sets, pieces)
+        monkeypatch.undo()
+        for got, ms in zip(batch, sets):
+            _assert_dcr_n(got, ms)
+
+    def test_bad_sets_raise_what_dcr_n_raises(self, fault_case, close_pair):
+        with pytest.raises(ValueError, match="at least one mass function"):
+            _fuse_batch([fault_case, []], "dcr")
+        with pytest.raises(core.FrameMismatchError):
+            _fuse_batch([fault_case[:1] + [close_pair[0]]], "dcr")
+        assert _fuse_batch([], "dcr") == []
 
 
 class TestMurphyBatch:
