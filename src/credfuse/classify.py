@@ -20,11 +20,11 @@ from functools import cached_property
 import numpy as np
 
 from . import core
-from .core import Frame, MassFunction, TotalConflictError
+from .core import Frame, MassFunction
 from .fusion import (
     IcefConfig,
     InvalidConfigError,
-    _fuse_batch,
+    _fuse_tables,
     _is_number,
     _is_positive_finite,
     fuse,
@@ -72,9 +72,14 @@ class Dataset:
     def n_attributes(self) -> int:
         return self.features.shape[1]
 
+    @cached_property
+    def _label_array(self) -> np.ndarray:
+        """The labels as one array, built once."""
+        return np.array(self.labels)
+
     def class_indices(self, label: str) -> np.ndarray:
         """Row indices of one class, in file order."""
-        return np.flatnonzero(np.array(self.labels) == label)
+        return np.flatnonzero(self._label_array == label)
 
     def subset(self, indices) -> "Dataset":
         indices = np.asarray(indices, dtype=int)
@@ -97,9 +102,9 @@ def load_dataset(
     """Read a delimiter-separated file with a header row into a Dataset.
 
     ``label_column`` names the class column; all other columns are numeric
-    features unless ``feature_columns`` narrows them.  Missing or
-    non-numeric feature cells raise :class:`ParseError` with the 1-based data
-    row number and column name.
+    features unless ``feature_columns`` narrows them.  Missing, non-numeric
+    or non-finite feature cells raise :class:`ParseError` with the 1-based
+    data row number and column name.
     """
     with open(path, newline="") as fh:
         reader = csv.reader(fh, delimiter=delimiter)
@@ -129,9 +134,12 @@ def load_dataset(
                 if not cell:
                     raise ParseError(row_number, col, "missing value")
                 try:
-                    values.append(float(cell))
+                    value = float(cell)
                 except ValueError:
                     raise ParseError(row_number, col, f"not numeric: {cell!r}") from None
+                if not math.isfinite(value):  # float() reads "nan" and "inf"
+                    raise ParseError(row_number, col, "not finite")
+                values.append(value)
             label = row[label_pos].strip() if label_pos < len(row) else ""
             if not label:
                 raise ParseError(row_number, label_column, "missing label")
@@ -223,14 +231,21 @@ def _similarities(model: IntervalModel, samples) -> np.ndarray:
         return 1.0 / (1.0 + model.lam * np.sqrt(mid * mid + half * half / 3.0))
 
 
+def _split_masses(model: IntervalModel, samples) -> tuple[np.ndarray, np.ndarray]:
+    """The class singleton masks and the (S, A, C) mass table of the
+    samples' evidence, one piece per attribute: each similarity over the
+    sum of its piece's; the rows are not checked."""
+    similarities = _similarities(model, samples)
+    return (1 << np.arange(similarities.shape[2]),
+            similarities / similarities.sum(axis=2, keepdims=True))
+
+
 def _split_evidence(model: IntervalModel, samples) -> list[list[MassFunction]]:
     """Per sample, one piece of evidence per attribute, all from one
     similarity table and built in one :func:`core._mass_rows` call."""
-    similarities = _similarities(model, samples)
-    n_samples, n_attributes, n_classes = similarities.shape
-    masses = similarities / similarities.sum(axis=2, keepdims=True)
-    pieces = core._mass_rows(model.frame, 1 << np.arange(n_classes),
-                             masses.reshape(-1, n_classes))
+    focal, masses = _split_masses(model, samples)
+    n_samples, n_attributes, n_classes = masses.shape
+    pieces = core._mass_rows(model.frame, focal, masses.reshape(-1, n_classes))
     return [pieces[s * n_attributes:(s + 1) * n_attributes] for s in range(n_samples)]
 
 
@@ -282,21 +297,27 @@ class _Score:
 def _evaluate_model(model, test: Dataset, methods, config) -> dict[str, _Score]:
     """Score every method on the test split.
 
-    Each sample's evidence is built once, from one similarity table of the
-    split; each method fuses the whole split in one
-    :func:`~credfuse.fusion._fuse_batch` call, on arrays.
+    The split's evidence is one (S, A, C) mass table, from one similarity
+    table; its rows are checked by the mass rules once.  Each method fuses
+    the whole table in one :func:`~credfuse.fusion._fuse_tables` call, and
+    the fused rows of the samples that did not hit total conflict are
+    checked by the same rules before their decisions are read.
     """
-    evidence = _split_evidence(model, test.features)
+    frame = model.frame
+    focal, masses = _split_masses(model, test.features)
+    core._check_rows(frame, focal, masses.reshape(-1, masses.shape[2]))
+    events = np.array(frame.events)
+    labels = test._label_array
+    of_class = {label: labels == label for label in test.class_labels}
     scores = {}
     for method in methods:
-        score = scores[method] = _Score({label: 0 for label in test.class_labels})
-        for truth, result in zip(test.labels, _fuse_batch(evidence, method, config)):
-            if isinstance(result, TotalConflictError):
-                score.conflicts += 1  # and counted as an error
-                continue
-            score.unconverged += not result.converged
-            if result.decision == truth:
-                score.correct[truth] += 1
+        out = _fuse_tables(frame, focal, masses, method.lower(), config)
+        core._check_rows(frame, out.support, out.fused[~out.failed])
+        hits = ~out.failed & (events[out.probs.argmax(axis=1)] == labels)
+        scores[method] = _Score(
+            {label: int(np.count_nonzero(hits & rows)) for label, rows in of_class.items()},
+            conflicts=int(np.count_nonzero(out.failed)),  # and counted as errors
+            unconverged=int(np.count_nonzero(~out.failed & ~out.converged)))
     return scores
 
 

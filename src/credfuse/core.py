@@ -622,12 +622,19 @@ def _focal_patterns(nonzero: np.ndarray):
 
 
 def _merged(parts, rows: int) -> tuple[np.ndarray, np.ndarray]:
-    """One table of ``rows`` rows from ``(which, masks, values)`` parts, one
-    per focal pattern as :func:`_focal_patterns` gives them: the ascending
+    """One table of ``rows`` rows from ``(which, masks, values)`` parts, each
+    holding the rows ``which`` (one part per focal pattern as
+    :func:`_focal_patterns` gives them, or per chunk of sets): the ascending
     union of the parts' masks, and each part's values on it in its rows,
-    zero elsewhere."""
+    zero elsewhere.  Parts that share one array of masks keep it."""
     if len(parts) == 1:  # one pattern: every row, in order
         return parts[0][1], parts[0][2]
+    first = parts[0][1]
+    if all(masks is first for _, masks, _ in parts):  # one array of masks: place the rows
+        table = np.zeros((rows, len(first)))
+        for which, _, values in parts:
+            table[which] = values
+        return first, table
     union = np.unique(np.concatenate([masks for _, masks, _ in parts]))
     table = np.zeros((rows, len(union)))
     for which, masks, values in parts:

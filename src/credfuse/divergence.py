@@ -16,6 +16,7 @@ from collections.abc import Sequence
 
 import numpy as np
 
+from . import core
 from .core import (
     Frame,
     FrameMismatchError,
@@ -124,6 +125,14 @@ class DivergenceMeasure:
         assertions = [event_evidence(frame, j) for j in range(frame.n)]
         return np.array([[self(m, a) for m in ms] for a in assertions])
 
+    def _table_event_divergences(self, frame: Frame, focal: np.ndarray,
+                                 table: np.ndarray) -> np.ndarray:
+        """:meth:`event_divergences` of the rows of the (rows, F) mass
+        ``table`` on the ascending masks ``focal``.  This method builds the
+        pieces once, with :func:`core._mass_rows`; a measure that can read
+        the table itself overrides it."""
+        return self.event_divergences(core._mass_rows(frame, focal, table), frame)
+
     def __repr__(self):
         return f"{type(self).__name__}(name={self.name!r})"
 
@@ -141,10 +150,19 @@ class PBAGDivergence(DivergenceMeasure):
         return ag_divergence(pb_transform(m1), pb_transform(m2))
 
     def event_divergences(self, ms: Sequence[MassFunction], frame: Frame) -> np.ndarray:
-        """As the base method, with the evidence's weights transformed a row
-        block at a time.
+        """As the base method, from one mass table of the evidence; see
+        :meth:`_table_event_divergences`."""
+        if not ms:
+            return np.empty((frame.n, 0))
+        return self._table_event_divergences(frame, *core._mass_table(ms))
 
-        The dense mass vectors are stacked in blocks of ``max(1,
+    def _table_event_divergences(self, frame: Frame, focal: np.ndarray,
+                                 table: np.ndarray) -> np.ndarray:
+        """The divergences of the rows of the (rows, F) mass ``table`` on the
+        ascending masks ``focal``, their weights transformed a row block at
+        a time.
+
+        The rows are scattered into dense mass vectors in blocks of ``max(1,
         _BLOCK_ENTRIES // 2**n)`` rows, and each block gets one
         :func:`pb_transform` along its rows.  The assertion of event ``j``
         has Bel = Pl = 1 on the subsets holding ``j`` and 0 elsewhere, so its
@@ -170,12 +188,14 @@ class PBAGDivergence(DivergenceMeasure):
                 alpha = weights[row, (1 << j) - 1]
                 beta = weights[row, (frame.full_mask ^ 1 << j or 1 << j) - 1]
                 levels.setdefault((float(alpha), float(beta)), []).append(j)
-        values = np.empty((frame.n, len(ms)))
-        for start in range(0, len(ms), rows):
-            block = ms[start:start + rows]
+        values = np.empty((frame.n, len(table)))
+        for start in range(0, len(table), rows):
+            block = table[start:start + rows]
             stop = start + len(block)
+            dense = np.zeros((len(block), size))
+            dense[:, focal] = block
             p = np.ones((len(block), size))  # column 0, the empty set, only pads
-            p[:, 1:] = _pb_rows(np.array([m.dense() for m in block]))
+            p[:, 1:] = _pb_rows(dense)
             for (alpha, beta), events in levels.items():
                 terms = _ag_terms(p, alpha)
                 terms[p == alpha] = 0.0
@@ -216,6 +236,28 @@ class MassJensenShannon(DivergenceMeasure):
             pos = vec > 0
             total += 0.5 * float(np.sum(vec[pos] * np.log2(vec[pos] / mid[pos])))
         return total
+
+    def _table_event_divergences(self, frame: Frame, focal: np.ndarray,
+                                 table: np.ndarray) -> np.ndarray:
+        """As the base method, for the rows of one focal pattern at a time:
+        :meth:`evaluate`'s operations on each row's masses, in ascending mask
+        order, against the assertion of each event, so each entry gets the
+        bits of that pair's call.  The assertion's own term is ``log2(1 /
+        mid)`` at its event, whose mid is 1/2 unless the row holds it."""
+        values = np.empty((frame.n, len(table)))
+        for _, which, pattern in core._focal_patterns(table != 0.0):
+            p = table[which][:, pattern]
+            masks = focal[pattern]
+            for j in range(frame.n):
+                asserted = (masks == 1 << j).astype(float)
+                mid = (p + asserted) / 2.0
+                # summed row by row: along a 2-D array's rows numpy may
+                # group the terms otherwise than along one vector
+                held = np.array([row.sum() for row in p * np.log2(p / mid)])
+                own = (mid[:, asserted == 1.0][:, 0] if asserted.any()
+                       else np.full(len(p), 0.5))
+                values[j, which] = (0.0 + 0.5 * held) + 0.5 * np.log2(1.0 / own)
+        return values
 
 
 PBAGD = PBAGDivergence()

@@ -33,7 +33,6 @@ from .credibility import (
     EventEvaluationMatrix,
     average_support_credibility,
     build_edmm,
-    build_eem,
     conditional_credibility,
     eigenvalue_credibility,
     initial_prob_from_eem,
@@ -185,7 +184,13 @@ def cef_fuse(ms: Sequence[MassFunction], weights, method: str = "cef") -> Fusion
     weights = np.asarray(weights, dtype=float)
     if weights.shape != (len(ms),):
         raise LengthMismatchError(f"{len(ms)} mass functions but {weights.size} weights")
-    (result,) = _cef_chunk([ms], frame, weights[None], method, check=True)
+    focal, table = core._mass_table(ms)
+    table, weights = table[None], weights[None]
+    with np.errstate(all="ignore"):  # a non-finite weight times a zero mass
+        # the average that _cef_rows forms must be a mass, as weighted_average requires
+        core._check_rows(frame, focal, (weights[:, :, None] * table).sum(axis=1))
+    (result,) = _results(frame, method, _Fused(*_cef_rows(focal, table, weights, frame.n, {}),
+                                               weights))
     if isinstance(result, TotalConflictError):
         raise result
     return result
@@ -222,37 +227,86 @@ def icef(
     weighted average, self-combination, pignistic feedback.  Stops when the
     L1 change in event probabilities drops to ``config.delta``, or returns a
     trace with ``converged=False`` after ``config.max_iter`` iterations.
-    The loop is :func:`_icef_loop` on one evidence set.
+    The loop is :func:`_icef_loop` on the mass table of one evidence set.
     """
     frame = _check_sets([ms])
     cfg = config or IcefConfig()
+    focal, table = core._mass_table(ms)
     history: list = []
-    (end,) = _icef_loop([ms], frame, cfg, history)
-    if isinstance(end, TotalConflictError):
-        raise end
-    final, converged = end
+    end = _icef_loop(frame, focal, table[None], cfg, history)
+    if end.failed[0]:
+        raise TotalConflictError(float(end.conflict[0]))
     steps = tuple(
         IcefStep(k, cred[0], probs[0], float(delta[0]), frame, support, fused[0])
-        for k, (cred, support, fused, probs, delta) in enumerate(history[:-1], start=1)
+        for k, (cred, support, fused, probs, delta) in enumerate(history, start=1)
     )
-    return _icef_result(final, converged, cfg, final.fused), IcefTrace((*steps, final), converged)
+    final, converged = steps[-1], bool(end.converged[0])
+    result = FusionResult(final.fused, final.probabilities,
+                          _decision(frame, final.probabilities), f"icef-{cfg.measure.name}",
+                          final.credibilities, converged, final.index)
+    return result, IcefTrace(steps, converged)
 
 
-def _icef_result(final: IcefStep, converged: bool, cfg: IcefConfig,
-                 mass: MassFunction) -> FusionResult:
-    return FusionResult(mass, final.probabilities,
-                        _decision(final.frame, final.probabilities), f"icef-{cfg.measure.name}",
-                        final.credibilities, converged, final.index)
+@dataclass(eq=False)
+class _Fused:
+    """What a batched fusion gives per set, a row each: the fused masses on
+    the ascending masks ``support`` (zero outside a set's own focal sets),
+    the pignistic probabilities, the conflict K, whether the set hit total
+    conflict (its masses and probabilities are then meaningless), its
+    credibilities (none for ``dcr``), whether the ``icef`` loop converged
+    and after how many iterations (open-loop methods fuse once: ``True``
+    and 1)."""
+
+    support: np.ndarray
+    fused: np.ndarray
+    probs: np.ndarray
+    conflict: np.ndarray
+    failed: np.ndarray
+    credibilities: np.ndarray | None = None
+    converged: np.ndarray | None = None
+    n_iter: np.ndarray | None = None
+
+    def __post_init__(self):
+        if self.converged is None:
+            self.converged = np.ones(len(self.fused), dtype=bool)
+        if self.n_iter is None:
+            self.n_iter = np.ones(len(self.fused), dtype=np.int64)
 
 
-def _icef_loop(sets, frame: Frame, cfg: IcefConfig, history: list | None = None) -> list:
+def _joined(parts, rows: int) -> _Fused:
+    """One :class:`_Fused` of ``rows`` sets from ``(which, part)`` pairs,
+    ``part`` holding the sets that the index array ``which`` names; a single
+    part holds every set, in order."""
+    if len(parts) == 1:
+        return parts[0][1]
+    support, fused = core._merged([(which, part.support, part.fused) for which, part in parts],
+                                  rows)
+
+    def gathered(name):
+        first = getattr(parts[0][1], name)
+        if first is None:
+            return None
+        out = np.empty((rows, *first.shape[1:]), dtype=first.dtype)
+        for which, part in parts:
+            out[which] = getattr(part, name)
+        return out
+
+    return _Fused(support, fused, *map(gathered, (
+        "probs", "conflict", "failed", "credibilities", "converged", "n_iter")))
+
+
+def _icef_loop(frame: Frame, focal: np.ndarray, table: np.ndarray, cfg: IcefConfig,
+               history: list | None = None) -> _Fused:
     """The ``icef`` loop over B evidence sets of N pieces each at once.
 
-    Returns, per set, its last :class:`IcefStep` and whether it converged,
-    or the :class:`TotalConflictError` that its self-combination raised.
-    When ``history`` is given, one tuple ``(credibilities, support, fused,
-    probabilities, delta)`` of arrays, a row per set still iterating, is
-    appended to it per iteration.
+    ``table`` holds the (B, N, F) masses of the sets on the ascending masks
+    ``focal`` of ``frame``.  Returns each set's last iteration as a
+    :class:`_Fused` row: its fused masses, probabilities, credibilities and
+    conflict K, whether its self-combination hit total conflict, whether
+    it converged, and the iteration count.  When ``history`` is given, one
+    tuple ``(credibilities, support, fused, probabilities, delta)`` of
+    arrays, a row per set still iterating, is appended to it per iteration;
+    :func:`icef` makes its steps from them.
 
     The EEM of all B·N pieces is built in one call; each column depends on
     its own piece only.  Per iteration, each set's credibilities are its
@@ -262,9 +316,11 @@ def _icef_loop(sets, frame: Frame, cfg: IcefConfig, history: list | None = None)
     probabilities move by at most ``cfg.delta``, or its self-combination
     hits total conflict.
     """
-    n_sets, n_pieces, n = len(sets), len(sets[0]), frame.n
-    pieces = [m for ms in sets for m in ms]
-    eem = build_eem(pieces, frame, cfg.measure)
+    n_sets, n_pieces, width = table.shape
+    n = frame.n
+    eem = EventEvaluationMatrix(
+        cfg.measure._table_event_divergences(frame, focal, table.reshape(-1, width)),
+        cfg.measure.name, frame)
     cond = conditional_credibility(support_matrix(eem, cfg.tau).reshape(n, n_sets, n_pieces))
     if not np.isfinite(cond).all():
         raise InvalidMassValueError(
@@ -278,14 +334,12 @@ def _icef_loop(sets, frame: Frame, cfg: IcefConfig, history: list | None = None)
                 eem.values[:, b * n_pieces:(b + 1) * n_pieces], eem.measure, frame))
             for b in range(n_sets)
         ])
-    focal, table = core._mass_table(pieces)
-    table = table.reshape(n_sets, n_pieces, -1)
     ids = np.arange(n_sets)
-    ends: list = [None] * n_sets
+    ends: list = []  # (sets, their last iteration) per iteration at which some stopped
     supports: dict = {}
     for k in range(1, cfg.max_iter + 1):
         cred = (cond * probs[:, :, None]).sum(axis=1)
-        support, fused, conflict, failed, new_probs = _cef_rows(focal, table, cred, n, supports)
+        support, fused, new_probs, conflict, failed = _cef_rows(focal, table, cred, n, supports)
         delta = np.abs(new_probs - probs).sum(axis=1)
         if history is not None:
             history.append((cred, support, fused, new_probs, delta))
@@ -293,18 +347,18 @@ def _icef_loop(sets, frame: Frame, cfg: IcefConfig, history: list | None = None)
         if k == cfg.max_iter:
             done[:] = True
         finished = done.nonzero()[0]
-        for row in finished:
-            ends[ids[row]] = (
-                TotalConflictError(float(conflict[row])) if failed[row] else
-                (IcefStep(k, cred[row], new_probs[row], float(delta[row]), frame, support,
-                          fused[row]), bool(delta[row] <= cfg.delta)))
+        if len(finished):
+            ends.append((ids[finished], _Fused(
+                support, fused[finished], new_probs[finished], conflict[finished],
+                failed[finished], cred[finished], delta[finished] <= cfg.delta,
+                np.full(len(finished), k))))
         if len(finished) == len(ids):
             break
+        probs = new_probs
         if len(finished):
             keep = ~done
-            ids, cond, table, new_probs = ids[keep], cond[keep], table[keep], new_probs[keep]
-        probs = new_probs
-    return ends
+            ids, cond, table, probs = ids[keep], cond[keep], table[keep], probs[keep]
+    return _joined(ends, n_sets)
 
 
 def _cef_rows(focal: np.ndarray, table: np.ndarray, cred: np.ndarray, n: int, supports: dict):
@@ -312,11 +366,11 @@ def _cef_rows(focal: np.ndarray, table: np.ndarray, cred: np.ndarray, n: int, su
 
     ``table`` holds the (B, N, F) masses of the sets on the ascending masks
     ``focal`` of an ``n``-event frame, and ``cred`` their (B, N) weights.
-    Returns ``(support, fused, conflict, failed, probabilities)``: the
-    self-combination as :func:`core._self_combine_rows` returns it (which
-    keeps the supports it finds in ``supports``), plus the (B, n) pignistic
-    probabilities from the one array helper that
-    :meth:`MassFunction.pignistic` calls.
+    Returns the first five fields of a :class:`_Fused`, ``(support, fused,
+    probabilities, conflict, failed)``: the self-combination of
+    :func:`core._self_combine_rows` (which keeps the supports it finds in
+    ``supports``) and the (B, n) pignistic probabilities from the one array
+    helper that :meth:`MassFunction.pignistic` calls.
 
     Each weighted average is one sum along the evidence axis, which runs
     piece by piece as :func:`weighted_average` adds them (a zero weight adds
@@ -329,7 +383,7 @@ def _cef_rows(focal: np.ndarray, table: np.ndarray, cred: np.ndarray, n: int, su
     averaged = (cred[:, :, None] * table).sum(axis=1)
     support, fused, conflict, failed = core._self_combine_rows(
         focal, averaged, table.shape[1], n, supports)
-    return support, fused, conflict, failed, core._pignistic_rows(support, fused, n)
+    return support, fused, core._pignistic_rows(support, fused, n), conflict, failed
 
 
 def _fuse_batch(
@@ -340,13 +394,11 @@ def _fuse_batch(
     ``fuse(sets[i], method, config)`` returns, or the
     :class:`TotalConflictError` it raises.
 
-    The sets are fused on arrays in chunks of ``max(1, 2**13 // 2**n)``
-    sets, so that each array over the ``2**n`` subsets holds about ``2**13``
-    entries: ``dcr`` through :func:`core._dcr_fold`, every other method
-    through :func:`_cef_rows`.  Those need the same frame and the same
+    The pieces of each chunk of :func:`_fuse_tables`'s size go into one
+    mass table, which it fuses, and :func:`_results` turns the rows into
+    results.  Every method but ``dcr`` needs the same frame and the same
     number of pieces in every set; ``dcr`` takes any sets and fuses each
-    group of one frame and one size on its own.  A set's result has the
-    same bits as its own ``fuse`` call.
+    group of one frame and one size on its own.
     """
     method = method.lower()
     if method == "dcr":
@@ -356,67 +408,78 @@ def _fuse_batch(
     else:
         groups = {(_check_sets(sets), len(sets[0])): range(len(sets))} if sets else {}
     results: list = [None] * len(sets)
-    for (frame, _), members in groups.items():
-        rows = max(1, _BLOCK_ENTRIES // (1 << frame.n))
+    for (frame, size), members in groups.items():
+        label = (f"icef-{_icef_config(method, config).measure.name}"
+                 if method.startswith("icef-") else method)
+        rows = _chunk_sets(frame)
         for start in range(0, len(members), rows):
             chunk = members[start:start + rows]
-            for i, result in zip(chunk, _fuse_chunk([sets[i] for i in chunk], frame, method,
-                                                    config)):
+            focal, table = core._mass_table([m for i in chunk for m in sets[i]])
+            fused = _fuse_tables(frame, focal, table.reshape(len(chunk), size, -1), method,
+                                 config)
+            for i, result in zip(chunk, _results(frame, label, fused)):
                 results[i] = result
     return results
 
 
-def _fuse_chunk(sets, frame: Frame, method: str, config: IcefConfig | None) -> list:
+def _chunk_sets(frame: Frame) -> int:
+    """Sets per chunk, ``max(1, 2**13 // 2**n)``: each array over the
+    ``2**n`` subsets of a chunk holds about ``2**13`` entries."""
+    return max(1, _BLOCK_ENTRIES // (1 << frame.n))
+
+
+def _fuse_tables(frame: Frame, focal: np.ndarray, table: np.ndarray, method: str,
+                 config: IcefConfig | None = None) -> _Fused:
+    """:func:`fuse` of B evidence sets of N pieces each, on arrays.
+
+    ``table`` holds the (B, N, F) masses of the sets on the ascending masks
+    ``focal`` of ``frame``; a zero entry is not a focal set of that piece.
+    ``method`` is a lower-case method name.  The sets are fused in chunks
+    of :func:`_chunk_sets` sets: ``dcr`` through :func:`core._dcr_fold`,
+    ``icef-*`` through :func:`_icef_loop`, and the open-loop methods through
+    :func:`_cef_rows`.  A set gets the bits of its own ``fuse`` call.  No
+    mass is checked here; a caller checks the rows it reads.
+    """
+    rows = _chunk_sets(frame)
+    return _joined([
+        (np.arange(start, min(start + rows, len(table))),
+         _fuse_chunk(frame, focal, table[start:start + rows], method, config))
+        for start in range(0, len(table), rows)
+    ], len(table))
+
+
+def _fuse_chunk(frame: Frame, focal: np.ndarray, table: np.ndarray, method: str,
+                config: IcefConfig | None) -> _Fused:
     if method == "dcr":
-        focal, table = core._mass_table([m for ms in sets for m in ms])
-        support, fused, conflict, failed = core._dcr_fold(
-            focal, table.reshape(len(sets), len(sets[0]), -1))
-        probs = core._pignistic_rows(support, fused, frame.n)
-        return _results(frame, method, support, fused, conflict, failed, probs)
+        support, fused, conflict, failed = core._dcr_fold(focal, table)
+        return _Fused(support, fused, core._pignistic_rows(support, fused, frame.n),
+                      conflict, failed)
     if method.startswith("icef-"):
-        return _icef_chunk(sets, frame, _icef_config(method, config))
-    return _cef_chunk(sets, frame, _method_weights(method, sets, config), method)
+        return _icef_loop(frame, focal, table, _icef_config(method, config))
+    if method in ("cef-avg", "cef-eig"):  # their weights compare the pieces themselves
+        pieces = core._mass_rows(frame, focal, table.reshape(-1, table.shape[2]))
+        size = table.shape[1]
+        sets = [pieces[start:start + size] for start in range(0, len(pieces), size)]
+    else:  # murphy's weights read the number and size of the sets only
+        sets = table
+    weights = _method_weights(method, sets, config)
+    return _Fused(*_cef_rows(focal, table, weights, frame.n, {}), weights)
 
 
-def _results(frame: Frame, method: str, support, fused, conflict, failed, probs,
-             weights=None) -> list:
-    """A :class:`FusionResult` per row of the fused arrays, or the
-    :class:`TotalConflictError` of a row that failed; the masses of the
-    other rows are built in one :func:`core._mass_rows` call."""
-    masses = iter(core._mass_rows(frame, support, fused[~failed]))
-    decisions = probs.argmax(axis=1).tolist()  # the first maximum of each row, as _decision takes
+def _results(frame: Frame, method: str, out: _Fused) -> list:
+    """A :class:`FusionResult` per set of ``out``, or the
+    :class:`TotalConflictError` of a set that failed; the masses of the
+    other sets are built in one :func:`core._mass_rows` call."""
+    masses = iter(core._mass_rows(frame, out.support, out.fused[~out.failed]))
+    decisions = out.probs.argmax(axis=1).tolist()  # the first maximum, as _decision takes
+    cred = out.credibilities
     return [
-        TotalConflictError(float(conflict[b])) if failed[b] else
-        FusionResult(next(masses), probs[b], frame.events[decisions[b]], method,
-                     None if weights is None else weights[b])
-        for b in range(len(fused))
+        TotalConflictError(float(out.conflict[b])) if out.failed[b] else
+        FusionResult(next(masses), out.probs[b], frame.events[decisions[b]], method,
+                     None if cred is None else cred[b], bool(out.converged[b]),
+                     int(out.n_iter[b]))
+        for b in range(len(out.fused))
     ]
-
-
-def _icef_chunk(sets, frame: Frame, cfg: IcefConfig) -> list:
-    """:func:`_icef_loop` over the sets, with the final fused masses of the
-    sets that did not fail built in one :func:`core._mass_rows` call."""
-    ends = _icef_loop(sets, frame, cfg)
-    finals = [end[0] for end in ends if not isinstance(end, TotalConflictError)]
-    by_support: dict = {}  # sets that stopped in one iteration share its support
-    for row, step in enumerate(finals):
-        by_support.setdefault(id(step.support), []).append(row)
-    parts = [(rows, finals[rows[0]].support, np.array([finals[r].masses for r in rows]))
-             for rows in by_support.values()]
-    masses = iter(core._mass_rows(frame, *core._merged(parts, len(finals))) if parts else [])
-    return [end if isinstance(end, TotalConflictError) else _icef_result(*end, cfg, next(masses))
-            for end in ends]
-
-
-def _cef_chunk(sets, frame: Frame, weights: np.ndarray, method: str, check: bool = False) -> list:
-    """:func:`cef_fuse` of each set under its row of the (B, N) ``weights``."""
-    focal, table = core._mass_table([m for ms in sets for m in ms])
-    table = table.reshape(*weights.shape, -1)
-    if check:  # the averages _cef_rows forms must be masses, as weighted_average requires
-        with np.errstate(all="ignore"):  # a non-finite weight times a zero mass
-            core._check_rows(frame, focal, (weights[:, :, None] * table).sum(axis=1))
-    support, fused, conflict, failed, probs = _cef_rows(focal, table, weights, frame.n, {})
-    return _results(frame, method, support, fused, conflict, failed, probs, weights)
 
 
 def _icef_config(method: str, config: IcefConfig | None) -> IcefConfig:
@@ -425,7 +488,8 @@ def _icef_config(method: str, config: IcefConfig | None) -> IcefConfig:
 
 
 def _method_weights(method: str, sets, config: IcefConfig | None = None) -> np.ndarray:
-    """Rows of 1/N, or of EDMM credibilities under ``config``'s measure, one per set."""
+    """Rows of 1/N, or of EDMM credibilities under ``config``'s measure, one
+    per set; for murphy, ``sets`` may be any (B, N, ...) array."""
     if method == "murphy":
         return np.full((len(sets), len(sets[0])), 1.0 / len(sets[0]))
     if method not in ("cef-avg", "cef-eig"):

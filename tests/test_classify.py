@@ -10,8 +10,10 @@ from hypothesis import strategies as st
 
 from credfuse import (
     Dataset,
+    FusionResult,
     IcefConfig,
     InvalidConfigError,
+    InvalidMassValueError,
     MassFunction,
     TotalConflictError,
     attribute_evidence,
@@ -23,7 +25,7 @@ from credfuse import (
     monte_carlo_evaluate,
     sweep_evaluate,
 )
-from credfuse import classify
+from credfuse import classify, core
 from credfuse.classify import (
     EmptyDatasetError,
     MissingClassError,
@@ -90,6 +92,23 @@ class TestLoadDataset:
         with pytest.raises(ParseError) as excinfo:
             load_dataset(path, label_column="y")
         assert excinfo.value.row == 1
+
+    @pytest.mark.parametrize("cell", ["nan", "NaN", "inf", "-inf", "Infinity"])
+    def test_non_finite_cell_reports_location(self, tmp_path, cell):
+        # float() reads these, and they used to fail later as a NaN mass
+        path = tmp_path / "nonfinite.csv"
+        path.write_text(f"a,b,y\n1.0,2.0,x\n1.0,{cell},x\n")
+        with pytest.raises(ParseError, match="not finite") as excinfo:
+            load_dataset(path, label_column="y")
+        assert (excinfo.value.row, excinfo.value.column) == (2, "b")
+
+    def test_class_indices_read_one_label_array(self, iris, monkeypatch):
+        labels = iris._label_array
+        monkeypatch.setattr(np, "array", lambda *args, **kwargs: pytest.fail("built again"))
+        for label in iris.class_labels + ("absent",):
+            want = [i for i, name in enumerate(iris.labels) if name == label]
+            assert iris.class_indices(label).tolist() == want
+        assert iris._label_array is labels
 
     def test_missing_label_column(self, tmp_path):
         path = tmp_path / "schema.csv"
@@ -343,7 +362,7 @@ class TestOneFeatureColumn:
     def test_harnesses_refuse_before_fusing(self, separable, monkeypatch, method):
         # this used to end in fusion's ValueError for a single piece
         one = make_dataset(separable.features[:, :1], separable.labels)
-        monkeypatch.setattr(classify, "_fuse_batch",
+        monkeypatch.setattr(classify, "_fuse_tables",
                             lambda *args: pytest.fail("fused a single piece of evidence"))
         with pytest.raises(InvalidConfigError, match="two feature columns"):
             monte_carlo_evaluate(one, [method], lam=2.0, trials=1)
@@ -434,3 +453,64 @@ class TestBatchedScoringAgainstPerSample:
         assert {m: asdict(s) for m, s in batched.items()} == (
             {m: asdict(s) for m, s in expected.items()})
         assert batched["dcr"].conflicts == 1
+
+
+class TestTableScoring:
+    """A split is scored on mass tables: no mass function and no fusion
+    result is built, and every row that is read passes the mass rules."""
+
+    METHODS = ["dcr", "murphy", "icef-pbagd", "icef-bjs"]
+
+    def _split(self, iris):
+        train = iris.subset(stratified_head_indices(iris, 0.7))
+        return fit_interval_model(train, lam=5.0), iris.subset(range(0, 150, 4))
+
+    def test_builds_no_mass_function_and_no_result(self, iris, monkeypatch):
+        model, test = self._split(iris)
+        config = IcefConfig(tau=5.0)
+        expected = _per_sample_scores(model, test, self.METHODS, config)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("built an object per piece or per result")
+
+        monkeypatch.setattr(MassFunction, "_assign", refuse)
+        monkeypatch.setattr(core, "_mass_rows", refuse)
+        monkeypatch.setattr(FusionResult, "__init__", refuse)
+        scores = _evaluate_model(model, test, self.METHODS, config)
+        assert {m: asdict(s) for m, s in scores.items()} == (
+            {m: asdict(s) for m, s in expected.items()})
+
+    def test_evidence_and_fused_rows_are_checked(self, iris, monkeypatch):
+        model, test = self._split(iris)
+        checked = []
+        check_rows = core._check_rows
+        monkeypatch.setattr(core, "_check_rows", lambda frame, masks, table:
+                            checked.append(len(table)) or check_rows(frame, masks, table))
+        _evaluate_model(model, test, self.METHODS, None)
+        # the evidence once, then each method's fused rows
+        assert checked == [test.n_records * model.n_attributes] + [test.n_records] * 4
+
+    def test_total_conflict_of_the_loop_is_no_non_convergence(self, iris, monkeypatch):
+        # a threshold at which some self-combinations fail: those samples
+        # count as conflicts only, as the per-sample oracle counts them
+        monkeypatch.setattr(core, "_LOG2_CONFLICT_EPS", -1.3)
+        model, test = self._split(iris)
+        config = IcefConfig(max_iter=3)
+        scores = _evaluate_model(model, test, self.METHODS, config)
+        expected = _per_sample_scores(model, test, self.METHODS, config)
+        assert {m: asdict(s) for m, s in scores.items()} == (
+            {m: asdict(s) for m, s in expected.items()})
+        assert 0 < scores["icef-pbagd"].conflicts < test.n_records
+        assert scores["icef-pbagd"].unconverged > 0
+
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_non_finite_feature_raises_what_attribute_evidence_raises(self, separable, value):
+        model = fit_interval_model(separable, lam=2.0)
+        features = separable.features[:6].copy()
+        features[3, 1] = value
+        test = make_dataset(features, separable.labels[:6])
+        with pytest.raises(InvalidMassValueError) as want:
+            attribute_evidence(model, features[3], 1)
+        with pytest.raises(InvalidMassValueError) as got:
+            _evaluate_model(model, test, ["dcr", "icef-pbagd"], None)
+        assert str(got.value) == str(want.value)

@@ -1,6 +1,10 @@
 """Command-line surface: output formats and exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -367,3 +371,23 @@ class TestBench:
         code, _, _ = run(capsys, "bench", "/nonexistent.csv",
                          "--label-column", "y")
         assert code == EXIT_PARSE
+
+    @pytest.mark.parametrize("cell", ["nan", "inf"])
+    def test_non_finite_cell_exits_2(self, tmp_path, capsys, cell):
+        # used to end in a traceback, InvalidMassValueError from the NaN mass
+        path = tmp_path / "nonfinite.csv"
+        path.write_text(f"a,b,y\n1.0,2.0,x\n2.0,1.0,z\n1.5,{cell},x\n")
+        code, out, err = run(capsys, "bench", str(path), "--label-column", "y",
+                             "--trials", "1")
+        assert code == EXIT_PARSE
+        assert err == "error: row 3, column 'b': not finite\n"
+        assert out == ""
+
+
+def test_python_dash_m_runs_the_cli():
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    proc = subprocess.run([sys.executable, "-m", "credfuse", "fuse", "--builtin", "fault-sensors"],
+                          cwd=root, env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == EXIT_OK, proc.stderr
+    assert "decision: A1" in proc.stdout

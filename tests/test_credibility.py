@@ -12,6 +12,7 @@ from credfuse import (
     PBAGD,
     Frame,
     FrameMismatchError,
+    MassFunction,
     PBAGDivergence,
     average_support_credibility,
     build_edmm,
@@ -25,7 +26,7 @@ from credfuse import (
     support_matrix,
     vacuous,
 )
-from credfuse import divergence
+from credfuse import core, divergence
 from credfuse.credibility import (
     EventEvaluationMatrix,
     NonpositiveTauError,
@@ -60,6 +61,24 @@ class TestBuildEdmm:
         edmm = build_edmm(fault_case, PBAGD).values
         permuted = build_edmm([fault_case[i] for i in perm], PBAGD).values
         np.testing.assert_allclose(permuted, edmm[np.ix_(perm, perm)], atol=1e-15)
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(1, 5), n_pieces=st.integers(2, 7), seed=st.integers(0, 2**32 - 1),
+           measure=st.sampled_from([PBAGD, BJS]), data=st.data())
+    def test_permuting_the_evidence_permutes_the_matrix(self, n, n_pieces, seed, measure, data):
+        # bit for bit, repeated pieces included; with the exact symmetry and
+        # zero diagonal, this holds a matrix built any other way to the pairwise one
+        rng = np.random.default_rng(seed)
+        frame = Frame(tuple(f"E{i + 1}" for i in range(n)))
+        ms = [random_mass_function(rng, frame) for _ in range(n_pieces)]
+        ms[-1] = ms[int(rng.integers(n_pieces))]
+        perm = data.draw(st.permutations(range(n_pieces)))
+        values = build_edmm(ms, measure).values
+        permuted = build_edmm([ms[i] for i in perm], measure).values
+        assert permuted.tobytes() == values[np.ix_(perm, perm)].tobytes()
+        assert values.tobytes() == values.T.tobytes()
+        assert not values.diagonal().any()
+        assert all(measure(m, m) == 0.0 for m in ms)
 
     def test_needs_two(self, fault_case):
         with pytest.raises(ValueError):
@@ -138,6 +157,24 @@ class TestBuildEem:
         for j in range(3):
             for i, m in enumerate(fault_case):
                 assert eem.values[j, i] == BJS(m, event_evidence(frame3, j))
+
+    @settings(max_examples=80, deadline=None)
+    @given(n=st.integers(min_value=1, max_value=6), n_pieces=st.integers(min_value=1, max_value=8),
+           seed=st.integers(min_value=0, max_value=2**32 - 1))
+    def test_bjs_table_gives_the_bits_of_each_pair(self, n, n_pieces, seed):
+        # up to 63 focal sets a piece, where numpy may group a sum along the
+        # rows of a 2-D array otherwise than along one vector; pieces that
+        # share a focal pattern are read together
+        rng = np.random.default_rng(seed)
+        frame = Frame(tuple(f"E{i + 1}" for i in range(n)))
+        ms = [random_mass_function(rng, frame, max_focals=int(rng.integers(1, 64)))
+              for _ in range(n_pieces)]
+        masks = ms[0].focal_elements()
+        weights = rng.random(len(masks)) + 1e-3
+        ms.append(MassFunction(frame, dict(zip(masks, weights / weights.sum()))))
+        ms.append(event_evidence(frame, int(rng.integers(n))))
+        table = BJS._table_event_divergences(frame, *core._mass_table(ms))
+        assert table.tobytes() == build_eem(ms, frame, BJS).values.tobytes()
 
     @pytest.mark.parametrize("measure", [PBAGD, BJS])
     def test_frame_mismatch(self, fault_case, measure):

@@ -37,8 +37,9 @@ from credfuse import (
     vacuous,
     weighted_average,
 )
-from credfuse import core, fusion
+from credfuse import core, divergence, fusion
 from credfuse.core import _intersections
+from credfuse.divergence import DivergenceMeasure
 from credfuse.divergence import LengthMismatchError as DivergenceLengthMismatchError
 from credfuse.fusion import LengthMismatchError, _fuse_batch
 
@@ -587,7 +588,8 @@ class TestFuseBatch:
         sizes = []
         loop = fusion._icef_loop
         monkeypatch.setattr(fusion, "_icef_loop",
-                            lambda sets, *args: sizes.append(len(sets)) or loop(sets, *args))
+                            lambda frame, focal, table, *args: sizes.append(len(table))
+                            or loop(frame, focal, table, *args))
         monkeypatch.setattr(fusion, "_BLOCK_ENTRIES", 4 << 3)  # 4 sets of n = 3 per chunk
         sets = self._mixed_sets()
         batch = _fuse_batch(sets, "icef-pbagd")
@@ -615,6 +617,28 @@ class TestFuseBatch:
                 _fuse_batch([fault_case[:2], list(close_pair)], method)
             with pytest.raises(ValueError):
                 _fuse_batch([fault_case[:1]], method)
+
+    def test_a_registered_measure_reads_pieces_built_once(self, monkeypatch):
+        class PairwiseBjs(DivergenceMeasure):
+            name = "bjs-pairwise"
+
+            def evaluate(self, m1, m2):
+                return BJS.evaluate(m1, m2)
+
+        monkeypatch.setitem(divergence._MEASURES, PairwiseBjs.name, PairwiseBjs())
+        rng = np.random.default_rng(47)
+        sets = [_random_set(rng, _frame(3), 4) for _ in range(5)]
+        config = IcefConfig(tau=5.0)
+        expected = _fuse_batch(sets, "icef-bjs", config)
+        built = []
+        mass_rows = core._mass_rows
+        monkeypatch.setattr(core, "_mass_rows", lambda frame, masks, table:
+                            built.append(len(table)) or mass_rows(frame, masks, table))
+        batch = _fuse_batch(sets, "icef-bjs-pairwise", config)
+        assert built == [20, 5]  # the 20 pieces for the EEM, then the 5 results
+        for got, want in zip(batch, expected):
+            assert got.method == "icef-bjs-pairwise"
+            _assert_same_result(got, replace(want, method=got.method))
 
     @pytest.mark.filterwarnings("ignore:invalid value encountered in divide")
     def test_unsupported_events_are_refused(self, frame3):
@@ -813,6 +837,71 @@ class TestMurphyBatch:
         assert sizes == [4, 4, 1]
         for ms, got in zip(sets, batch):
             _assert_same_result(got, _reference(ms, _weights(ms, "murphy"), "murphy"))
+
+
+@st.composite
+def _tables(draw):
+    """A (B, N, F) mass table of sets on one frame, some of clashing
+    categorical reports, with any method, a chunk size and whether to raise
+    the conflict thresholds so that some sets hit total conflict."""
+    n = draw(st.integers(min_value=1, max_value=5))
+    n_pieces = draw(st.integers(min_value=2, max_value=6))
+    n_sets = draw(st.integers(min_value=1, max_value=8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    frame = _frame(n)
+    sets = [_random_set(rng, frame, n_pieces) for _ in range(n_sets)]
+    for b in draw(st.lists(st.integers(0, n_sets - 1), max_size=3)):
+        sets[b] = [event_evidence(frame, int(rng.integers(n))) for _ in range(n_pieces)]
+    method = draw(st.sampled_from(
+        ["dcr", "murphy", "cef-avg", "cef-eig", "icef-pbagd", "icef-bjs"]))
+    config = IcefConfig(tau=5.0 if method == "icef-bjs" else 200.0,
+                        max_iter=draw(st.sampled_from([1, 3, 200])))
+    return sets, method, config, draw(st.sampled_from([None, 1, 2, 3])), draw(st.booleans())
+
+
+class TestFuseTables:
+    """The array core against the wrapper and ``fuse``, set by set, bit for bit."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=_tables())
+    def test_rows_equal_the_results_of_the_pieces(self, case):
+        sets, method, config, chunk, conflict = case
+        frame = sets[0][0].frame
+        with mock.patch.object(fusion, "_BLOCK_ENTRIES",
+                               fusion._BLOCK_ENTRIES if chunk is None else chunk << frame.n), \
+                mock.patch.object(core, "_LOG2_CONFLICT_EPS",
+                                  -1.0 if conflict else core._LOG2_CONFLICT_EPS), \
+                mock.patch.object(core, "CONFLICT_EPS", 0.3 if conflict else core.CONFLICT_EPS):
+            focal, table = core._mass_table([m for ms in sets for m in ms])
+            out = fusion._fuse_tables(frame, focal, table.reshape(len(sets), len(sets[0]), -1),
+                                      method, config)
+            batch = _fuse_batch(sets, method, config)
+            for b, (ms, got) in enumerate(zip(sets, batch)):
+                try:
+                    want = fuse(ms, method, config)
+                except TotalConflictError as error:
+                    assert isinstance(got, TotalConflictError)
+                    assert out.failed[b]
+                    assert out.conflict[b].hex() == got.conflict.hex() == error.conflict.hex()
+                    continue
+                assert not isinstance(got, TotalConflictError)
+                assert (got.mass, got.mass._values.tobytes(), got.pignistic.tobytes()) == (
+                    want.mass, want.mass._values.tobytes(), want.pignistic.tobytes())
+                assert (got.decision, got.method, got.converged, got.n_iter) == (
+                    want.decision, want.method, want.converged, want.n_iter)
+                assert not out.failed[b]
+                row = out.fused[b]
+                assert out.support[row != 0.0].tolist() == list(want.mass.focal_elements())
+                assert row[row != 0.0].tobytes() == want.mass._values.tobytes()
+                assert out.probs[b].tobytes() == want.pignistic.tobytes()
+                assert frame.events[out.probs[b].argmax()] == want.decision
+                if want.credibilities is None:
+                    assert out.credibilities is got.credibilities is None
+                else:
+                    assert out.credibilities[b].tobytes() == got.credibilities.tobytes() == (
+                        want.credibilities.tobytes())
+                assert (bool(out.converged[b]), int(out.n_iter[b])) == (
+                    want.converged, want.n_iter)
 
 
 def _relabelled(m, perm):
