@@ -236,8 +236,11 @@ def _split_masses(model: IntervalModel, samples) -> tuple[np.ndarray, np.ndarray
     samples' evidence, one piece per attribute: each similarity over the
     sum of its piece's; the rows are not checked."""
     similarities = _similarities(model, samples)
-    return (1 << np.arange(similarities.shape[2]),
-            similarities / similarities.sum(axis=2, keepdims=True))
+    # a value far from every class interval can have all its similarities
+    # at 0, and then its masses are 0/0 = NaN, which the mass rules refuse
+    with np.errstate(invalid="ignore"):
+        return (1 << np.arange(similarities.shape[2]),
+                similarities / similarities.sum(axis=2, keepdims=True))
 
 
 def _split_evidence(model: IntervalModel, samples) -> list[list[MassFunction]]:

@@ -7,9 +7,9 @@ Subcommands::
     credfuse divergence  pairwise/event matrices or builtin curve data
     credfuse bench       interval-classifier benchmark on a tabular dataset
 
-Exit codes: 0 success, 2 unparseable input, 3 total conflict, 4 iterative
-fusion did not converge, 5 output could not be written, 6 invalid dataset
-schema.
+Exit codes: 0 success, 2 unparseable input or invalid evidence, 3 total
+conflict, 4 iterative fusion did not converge, 5 output could not be
+written, 6 invalid dataset schema.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from .classify import (
     monte_carlo_evaluate,
     sweep_evaluate,
 )
-from .core import TotalConflictError
+from .core import MassFunctionError, TotalConflictError
 from .credibility import build_edmm, build_eem
 from .divergence import get_measure, span_imbalance_grid, span_overlap_series
 from .documents import (
@@ -346,6 +346,9 @@ def main(argv=None) -> int:
     except (DocumentError, InvalidConfigError, ParseError, EmptyDatasetError, OSError,
             KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_PARSE
+    except MassFunctionError as exc:
+        print(f"error: invalid evidence: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except SchemaError as exc:
         print(f"error: {exc}", file=sys.stderr)

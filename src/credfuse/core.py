@@ -436,17 +436,65 @@ def dcr_n(ms: Iterable[MassFunction]) -> MassFunction:
     return result
 
 
-def _bit_halves(v: np.ndarray):
-    """Per bit, highest first: views of the entries of ``v`` without and with
-    that bit in their index along the last axis.
+#: Arrays of fewer entries take every butterfly step in place; larger ones
+#: take their low bits on a transposed copy (see :func:`_butterfly`).
+_RELAYOUT_ENTRIES = 1 << 10
 
-    ``v`` is C-ordered, so each block of ``2**(j + 1)`` consecutive
-    entries lies within one vector along the last axis, and a flat view
-    pairs entries of the same vector only.
+#: Bits of an index that the butterfly handles on the transposed copy.
+_LOW_BITS = 5
+
+#: Entries per cache block of the butterfly's low steps.
+_CACHE_BLOCK = 1 << 15
+
+
+def _butterfly(v: np.ndarray, ufunc) -> np.ndarray:
+    """Per bit of the index along the last axis, highest first, combine in
+    place each entry without that bit with its partner with it:
+    ``v[A] = ufunc(v[A], v[A | 1 << j])``.  Returns ``v``.
+
+    ``v`` is C-ordered, so each block of ``2**(j + 1)`` consecutive entries
+    lies within one vector along the last axis, and a flat view pairs
+    entries of the same vector only.  In place, the step for bit ``j``
+    runs on ``2**j`` consecutive entries at a time, which numpy iterates
+    slowly for the low bits.  So on arrays of ``_RELAYOUT_ENTRIES`` or more
+    entries the bits from ``_LOW_BITS`` up run in place, and the low ones
+    on a transposed copy: a cache block of ``_CACHE_BLOCK`` entries at a
+    time (whole vectors while they fit) is copied to ``(2**low, -1)``,
+    where bit ``j < low`` pairs whole rows, and copied back.  Every entry
+    sees the same operations in the same bit order in either layout, so the
+    results are the same bits.  Each step then runs on at least
+    ``2**_LOW_BITS`` consecutive entries (or whole rows), and numpy's ufunc
+    buffer is set to its minimum so that it iterates them in place rather
+    than copying them into buffers first.
     """
-    for j in reversed(range(v.shape[-1].bit_length() - 1)):
-        pairs = v.reshape(-1, 2, 1 << j)
-        yield pairs[:, 0, :], pairs[:, 1, :]
+    n = v.shape[-1].bit_length() - 1
+    if v.size < _RELAYOUT_ENTRIES:
+        _steps(v, range(n), ufunc)
+        return v
+    low = min(n, _LOW_BITS)
+    top = min(n, _CACHE_BLOCK.bit_length() - 1)
+    vectors = v.reshape(-1, 1 << top)
+    rows = max(1, _CACHE_BLOCK >> n)
+    with np.errstate():
+        np.setbufsize(16)
+        _steps(v, range(top, n), ufunc)
+        for start in range(0, len(vectors), rows):
+            block = vectors[start:start + rows]
+            _steps(block, range(low, top), ufunc)
+            grid = block.reshape(-1, 1 << low)
+            transposed = np.ascontiguousarray(grid.T)
+            _steps(transposed, range(low), ufunc, len(grid))
+            grid[...] = transposed.T
+    return v
+
+
+def _steps(v: np.ndarray, bits: range, ufunc, width: int = 1) -> None:
+    """The butterfly steps for ``bits``, highest first, on ``v`` whose bit
+    ``j`` pairs runs of ``width * 2**j`` consecutive entries."""
+    for j in reversed(bits):
+        pairs = v.reshape(-1, 2, width << j)
+        without = pairs[:, 0]
+        ufunc(without, pairs[:, 1], out=without)
 
 
 def superset_zeta(v) -> np.ndarray:
@@ -458,18 +506,12 @@ def superset_zeta(v) -> np.ndarray:
     this gives the commonality function; applied to the mass vector indexed
     by complement it gives belief of the complement.
     """
-    v = np.array(v, dtype=float, order="C")
-    for without, with_ in _bit_halves(v):
-        without += with_
-    return v
+    return _butterfly(np.array(v, dtype=float, order="C"), np.add)
 
 
 def superset_mobius(v) -> np.ndarray:
     """Inverse of :func:`superset_zeta` (along the last axis): commonality back to mass."""
-    v = np.array(v, dtype=float, order="C")
-    for without, with_ in _bit_halves(v):
-        without -= with_
-    return v
+    return _butterfly(np.array(v, dtype=float, order="C"), np.subtract)
 
 
 def _intersections(focal: np.ndarray, times: int, size: int) -> np.ndarray:
@@ -481,7 +523,7 @@ def _intersections(focal: np.ndarray, times: int, size: int) -> np.ndarray:
     an element that no other member removes, and one element is left.  So
     once ``times`` reaches that count, the masks are those ``A`` equal to the
     intersection of their focal supersets, which one pass of
-    :func:`_bit_halves` over the ``size`` masks finds, as for
+    :func:`_butterfly` over the ``size`` masks finds, as for
     :func:`superset_zeta` but with ``&`` for ``+``; bit ``n`` marks masks
     that have no focal superset.  Fewer operands take a breadth-first
     search: round ``t`` intersects only the masks first reached in round
@@ -491,8 +533,7 @@ def _intersections(focal: np.ndarray, times: int, size: int) -> np.ndarray:
     if times >= max(1, size.bit_length() - 2):
         common = np.full(size, 2 * size - 1)
         common[focal] = focal
-        for without, with_ in _bit_halves(common):
-            without &= with_
+        _butterfly(common, np.bitwise_and)
         closed = common == np.arange(size)
         closed[0] = False  # the empty set is never part of the support
         return closed.nonzero()[0]

@@ -12,6 +12,7 @@ All logarithms in this module are base 2.
 
 from __future__ import annotations
 
+import functools
 from collections.abc import Sequence
 
 import numpy as np
@@ -167,7 +168,8 @@ class PBAGDivergence(DivergenceMeasure):
         :func:`pb_transform` along its rows.  The assertion of event ``j``
         has Bel = Pl = 1 on the subsets holding ``j`` and 0 elsewhere, so its
         weights take two values, ``alpha`` and ``beta``, read exactly as
-        :func:`pb_transform` would compute them.  The divergence of weights
+        :func:`pb_transform` would compute them, once per frame size
+        (:func:`_assertion_levels`).  The divergence of weights
         ``p`` from it is then the sum of the elementwise terms against
         ``alpha`` over the subsets holding ``j`` and against ``beta`` over
         the others.  Events whose two values agree share the elementwise
@@ -176,18 +178,7 @@ class PBAGDivergence(DivergenceMeasure):
         """
         size = 1 << frame.n
         rows = max(1, _BLOCK_ENTRIES // size)
-        levels: dict[tuple[float, float], list[int]] = {}
-        for start in range(0, frame.n, rows):
-            events = range(start, min(frame.n, start + rows))
-            assertions = np.zeros((len(events), size))
-            assertions[range(len(events)), [1 << j for j in events]] = 1.0
-            weights = _pb_rows(assertions)
-            for row, j in enumerate(events):
-                # the weights of {j} and of its complement (of {j} again when n = 1,
-                # where no nonempty subset lacks j and beta is never used)
-                alpha = weights[row, (1 << j) - 1]
-                beta = weights[row, (frame.full_mask ^ 1 << j or 1 << j) - 1]
-                levels.setdefault((float(alpha), float(beta)), []).append(j)
+        levels = _assertion_levels(frame.n)
         values = np.empty((frame.n, len(table)))
         for start in range(0, len(table), rows):
             block = table[start:start + rows]
@@ -196,7 +187,7 @@ class PBAGDivergence(DivergenceMeasure):
             dense[:, focal] = block
             p = np.ones((len(block), size))  # column 0, the empty set, only pads
             p[:, 1:] = _pb_rows(dense)
-            for (alpha, beta), events in levels.items():
+            for (alpha, beta), events in levels:
                 terms = _ag_terms(p, alpha)
                 terms[p == alpha] = 0.0
                 for j in events:
@@ -207,6 +198,34 @@ class PBAGDivergence(DivergenceMeasure):
                 for j in events:
                     values[j, start:stop] += _half_sums(terms, j, 0)
         return values
+
+
+@functools.cache
+def _assertion_levels(n: int) -> tuple[tuple[tuple[float, float], tuple[int, ...]], ...]:
+    """The two weight values ``(alpha, beta)`` of the assertion of each event
+    of an ``n``-event frame, with the events that share them, in event
+    order: ``((alpha, beta), events)`` per distinct pair.
+
+    The assertions are transformed by :func:`_pb_rows` in blocks of ``max(1,
+    _BLOCK_ENTRIES // 2**n)`` rows, as the evidence is.  They depend on
+    ``n`` alone, so the levels are computed once per frame size.
+    """
+    size = 1 << n
+    full_mask = size - 1
+    rows = max(1, _BLOCK_ENTRIES // size)
+    levels: dict[tuple[float, float], list[int]] = {}
+    for start in range(0, n, rows):
+        events = range(start, min(n, start + rows))
+        assertions = np.zeros((len(events), size))
+        assertions[range(len(events)), [1 << j for j in events]] = 1.0
+        weights = _pb_rows(assertions)
+        for row, j in enumerate(events):
+            # the weights of {j} and of its complement (of {j} again when n = 1,
+            # where no nonempty subset lacks j and beta is never used)
+            alpha = weights[row, (1 << j) - 1]
+            beta = weights[row, (full_mask ^ 1 << j or 1 << j) - 1]
+            levels.setdefault((float(alpha), float(beta)), []).append(j)
+    return tuple((pair, tuple(events)) for pair, events in levels.items())
 
 
 def _half_sums(terms: np.ndarray, j: int, holding: int) -> np.ndarray:

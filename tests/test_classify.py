@@ -210,6 +210,19 @@ class TestAttributeEvidence:
         m = attribute_evidence(model, [0.1], 0)
         assert m.mass("near") > 0.999
 
+    def test_overflowing_scale_raises_the_typed_error(self, recwarn):
+        # lam * distance overflows for a value far from every class interval,
+        # every similarity is 0 and the masses are 0/0
+        ds = make_dataset([[0.0, 0.0], [0.2, 0.2], [5.0, 5.0], [5.2, 5.2]],
+                          ["p", "p", "q", "q"])
+        model = fit_interval_model(ds, lam=1e308)
+        with pytest.raises(InvalidMassValueError, match="not finite"):
+            attribute_evidence(model, [1e300, 0.1], 0)
+        far = make_dataset([[0.1, 0.1], [1e300, 1e300]], ["p", "q"])
+        with pytest.raises(InvalidMassValueError, match="not finite"):
+            _evaluate_model(model, far, ["dcr", "icef-pbagd"], None)
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
 
 def _scalar_evidence(model, sample, attribute):
     """The per-element reference: interval_distance per class, normalized."""

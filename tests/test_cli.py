@@ -383,6 +383,20 @@ class TestBench:
         assert err == "error: row 3, column 'b': not finite\n"
         assert out == ""
 
+    @pytest.mark.parametrize("mode", ["montecarlo", "sweep"])
+    def test_overflowing_lambda_exits_2(self, tmp_path, capsys, mode):
+        # used to end in a traceback: lam * distance overflows for the far
+        # rows, and their evidence is 0/0 = NaN
+        path = tmp_path / "far.csv"
+        path.write_text("x1,x2,y\n0.0,0.0,p\n0.1,0.1,p\n0.2,0.2,p\n1e300,1e300,p\n"
+                        "5.0,5.0,q\n5.1,5.1,q\n5.2,5.2,q\n-1e300,-1e300,q\n")
+        code, out, err = run(capsys, "bench", str(path), "--label-column", "y",
+                             "--trials", "5", "--lambda", "1e308", "--methods", "dcr",
+                             "--mode", mode)
+        assert code == EXIT_PARSE
+        assert err == "error: invalid evidence: mass nan on 'p' is not finite\n"
+        assert out == ""
+
 
 def test_python_dash_m_runs_the_cli():
     root = Path(__file__).resolve().parent.parent

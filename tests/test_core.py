@@ -319,6 +319,116 @@ class TestDenseKernel:
         assert q[0] == pytest.approx(1.0)
 
 
+def _bit_halves(v: np.ndarray):
+    """The butterfly's loop as the library first wrote it, kept as the
+    oracle: per bit, highest first, views of the entries of ``v`` without
+    and with that bit in their index along the last axis.
+
+    ``v`` is C-ordered, so each block of ``2**(j + 1)`` consecutive
+    entries lies within one vector along the last axis, and a flat view
+    pairs entries of the same vector only.
+    """
+    for j in reversed(range(v.shape[-1].bit_length() - 1)):
+        pairs = v.reshape(-1, 2, 1 << j)
+        yield pairs[:, 0, :], pairs[:, 1, :]
+
+
+def _oracle_zeta(v):
+    v = np.array(v, dtype=float, order="C")
+    for without, with_ in _bit_halves(v):
+        without += with_
+    return v
+
+
+def _oracle_mobius(v):
+    v = np.array(v, dtype=float, order="C")
+    for without, with_ in _bit_halves(v):
+        without -= with_
+    return v
+
+
+def _oracle_intersections(focal, size):
+    """The closure branch of ``_intersections`` on the oracle's loop."""
+    common = np.full(size, 2 * size - 1)
+    common[focal] = focal
+    for without, with_ in _bit_halves(common):
+        without &= with_
+    closed = common == np.arange(size)
+    closed[0] = False
+    return closed.nonzero()[0]
+
+
+def _assert_same_bits(got, want):
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert got.flags.c_contiguous
+    np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def _spread_values(rng, shape):
+    """Signed values over many decades, so that a change in the order of
+    the additions changes the rounding."""
+    return rng.standard_normal(shape) * 10.0 ** rng.integers(-12, 12, shape)
+
+
+class TestButterflyAgainstOracle:
+    """``superset_zeta``, ``superset_mobius`` and the ``&`` closure of
+    ``_intersections`` run the butterfly in two layouts; every result has
+    the bits of the in-place loop above."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(n=st.integers(min_value=0, max_value=12), seed=st.integers(0, 2**32 - 1),
+           data=st.data())
+    def test_stacks_of_rows(self, n, seed, data):
+        # up to 2**14 entries: small stacks take the in-place steps, larger
+        # ones the transposed copy, with any count of rows
+        rows = data.draw(st.integers(min_value=1, max_value=max(1, (1 << 14) >> n)))
+        split = data.draw(st.sampled_from([None, 2, 3]))
+        order = data.draw(st.sampled_from(["C", "F"]))
+        shape = (rows, 1 << n) if split is None or rows % split else (
+            split, rows // split, 1 << n)
+        rng = np.random.default_rng(seed)
+        v = np.asarray(_spread_values(rng, shape), order=order)
+        before = v.copy()
+        _assert_same_bits(superset_zeta(v), _oracle_zeta(v))
+        _assert_same_bits(superset_mobius(v), _oracle_mobius(v))
+        np.testing.assert_array_equal(v, before)  # the input is not touched
+        masks = rng.integers(0, 2 * (1 << n), shape)
+        got, want = masks.copy(), masks.copy()
+        core._butterfly(got, np.bitwise_and)
+        for without, with_ in _bit_halves(want):
+            without &= with_
+        np.testing.assert_array_equal(got, want)
+
+    @settings(max_examples=100, deadline=None)
+    @given(n=st.integers(min_value=1, max_value=12), seed=st.integers(0, 2**32 - 1))
+    def test_intersection_closure(self, n, seed):
+        rng = np.random.default_rng(seed)
+        k = int(rng.integers(1, min(40, (1 << n) - 1) + 1))
+        focal = np.sort(rng.choice(np.arange(1, 1 << n), size=k, replace=False))
+        np.testing.assert_array_equal(_intersections(focal, max(1, n - 1), 1 << n),
+                                      _oracle_intersections(focal, 1 << n))
+
+    @pytest.mark.parametrize("shape", [(1, 1 << 16), (3, 1 << 16), (1 << 20,)])
+    def test_wide_frames(self, shape):
+        v = _spread_values(np.random.default_rng(len(shape) * 16 + shape[0]), shape)
+        _assert_same_bits(superset_zeta(v), _oracle_zeta(v))
+        _assert_same_bits(superset_mobius(v), _oracle_mobius(v))
+
+    @pytest.mark.parametrize("n", [16, 20])
+    def test_wide_intersection_closure(self, n):
+        rng = np.random.default_rng(n)
+        focal = np.sort(rng.choice(np.arange(1, 1 << n), size=30, replace=False))
+        focal[-1] = (1 << n) - 1
+        np.testing.assert_array_equal(_intersections(focal, n - 1, 1 << n),
+                                      _oracle_intersections(focal, 1 << n))
+
+    def test_the_ufunc_buffer_size_is_restored(self):
+        with np.errstate():
+            np.setbufsize(4096)
+            superset_zeta(np.ones(1 << 12))
+            assert np.getbufsize() == 4096
+
+
 @st.composite
 def _self_fuse_cases(draw):
     n = draw(st.integers(min_value=1, max_value=8))

@@ -23,10 +23,16 @@ from credfuse import (
     subset_bel_pl,
     vacuous,
 )
-from credfuse.divergence import DivergenceMeasure, LengthMismatchError, _pb_rows
+from credfuse import divergence, fusion
+from credfuse.divergence import (
+    DivergenceMeasure,
+    LengthMismatchError,
+    _assertion_levels,
+    _pb_rows,
+)
 
 from .conftest import random_mass_function
-from .test_core import bba_pairs, bbas
+from .test_core import _oracle_zeta, bba_pairs, bbas
 
 
 def scalar_ag(p, q):
@@ -109,6 +115,68 @@ class TestPbTransform:
         stacked = _pb_rows(np.array([m.dense() for m in ms]))
         singles = np.array([pb_transform(m) for m in ms])
         np.testing.assert_array_equal(stacked, singles)
+
+
+def _per_call_levels(frame):
+    """The assertion levels as the table EEM first computed them on every
+    call, kept as the oracle."""
+    size = 1 << frame.n
+    rows = max(1, divergence._BLOCK_ENTRIES // size)
+    levels: dict[tuple[float, float], list[int]] = {}
+    for start in range(0, frame.n, rows):
+        events = range(start, min(frame.n, start + rows))
+        assertions = np.zeros((len(events), size))
+        assertions[range(len(events)), [1 << j for j in events]] = 1.0
+        weights = _pb_rows(assertions)
+        for row, j in enumerate(events):
+            alpha = weights[row, (1 << j) - 1]
+            beta = weights[row, (frame.full_mask ^ 1 << j or 1 << j) - 1]
+            levels.setdefault((float(alpha), float(beta)), []).append(j)
+    return levels
+
+
+class TestAssertionLevels:
+    """The table EEM reads the assertions' two weight values from one table
+    per frame size."""
+
+    @pytest.mark.parametrize("entries", [None, 1 << 4, 1 << 16])
+    def test_table_equals_the_per_call_computation(self, entries, monkeypatch):
+        default = divergence._BLOCK_ENTRIES
+        if entries is not None:
+            monkeypatch.setattr(divergence, "_BLOCK_ENTRIES", entries)
+        _assertion_levels.cache_clear()
+        try:
+            for n in range(1, 21):
+                if entries is not None and max(1, entries >> n) == max(1, default >> n):
+                    continue  # the same blocks as the default size, checked there
+                frame = Frame(tuple(f"E{i + 1}" for i in range(n)))
+                got = _assertion_levels(n)
+                with monkeypatch.context() as patch:  # on the oracle's butterfly
+                    patch.setattr(divergence, "superset_zeta", _oracle_zeta)
+                    want = _per_call_levels(frame)
+                assert [(pair, list(events)) for pair, events in got] == list(want.items())
+                assert sorted(j for _, events in got for j in events) == list(range(n))
+        finally:
+            _assertion_levels.cache_clear()
+
+    def test_an_icef_call_transforms_only_its_evidence_once_the_table_exists(
+            self, monkeypatch):
+        # n = 12: two rows of 2**12 per block, so 8 pieces take 4 transforms
+        # and the 12 assertions 6 more, on the first call at that size only
+        calls = []
+        monkeypatch.setattr(divergence, "_pb_rows",
+                            lambda dense: calls.append(len(dense)) or _pb_rows(dense))
+        rng = np.random.default_rng(12)
+        frame = Frame(tuple(f"E{i + 1}" for i in range(12)))
+        ms = [random_mass_function(rng, frame, max_focals=6, omega_floor=0.05)
+              for _ in range(8)]
+        _assertion_levels.cache_clear()
+        first, _ = fusion.icef(ms)
+        assert calls == [2] * 10
+        calls.clear()
+        again, _ = fusion.icef(ms)
+        assert calls == [2] * 4
+        assert again.mass == first.mass
 
 
 class TestPbagd:

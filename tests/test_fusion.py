@@ -364,6 +364,35 @@ class TestIcefMechanics:
         assert all(len(row) == len(header) for row in rows)
 
 
+class TestConvergenceBoundary:
+    """A step whose change equals ``delta`` exactly ends the loop as converged."""
+
+    @pytest.mark.parametrize("k", [2, 4])
+    def test_single_call_stops_at_the_step(self, fault_case, k):
+        _, trace = icef(fault_case)
+        deltas = [step.delta for step in trace.steps]
+        assert len(deltas) > k and min(deltas[:k - 1]) > deltas[k - 1]
+        result, again = icef(fault_case, IcefConfig(delta=deltas[k - 1]))
+        assert (result.converged, result.n_iter, again.converged) == (True, k, True)
+        assert [step.delta for step in again.steps] == deltas[:k]
+
+    @pytest.mark.parametrize("k", [2, 4])
+    def test_batched_sets_stop_at_the_step(self, fault_case, conflict_case, k):
+        _, trace = icef(fault_case)
+        delta = trace.steps[k - 1].delta
+        config = IcefConfig(delta=delta)
+        sets = [conflict_case, fault_case, fault_case[::-1]]
+        focal, table = core._mass_table([m for ms in sets for m in ms])
+        out = fusion._fuse_tables(fault_case[0].frame, focal, table.reshape(3, 5, -1),
+                                  "icef-pbagd", config)
+        assert (bool(out.converged[1]), int(out.n_iter[1])) == (True, k)
+        for b, ms in enumerate(sets):
+            want, _ = icef(ms, config)
+            assert (bool(out.converged[b]), int(out.n_iter[b])) == (
+                want.converged, want.n_iter)
+            assert out.probs[b].tobytes() == want.pignistic.tobytes()
+
+
 class TestDecide:
     def test_maximum_pignistic(self, fault_case):
         result = murphy_fuse(fault_case)
@@ -961,3 +990,54 @@ class TestMetamorphic:
         assert _same_decision(result.pignistic, other.pignistic, perm)
         batched = _fuse_batch([relabelled, ms])
         np.testing.assert_allclose(batched[0].pignistic[perm], batched[1].pignistic, atol=1e-6)
+
+
+def _wide_set(rng, frame, n_pieces, n_focal):
+    """Pieces with a few compound focal sets, each holding event 0 and
+    hedging on the frame, so that no method meets total conflict."""
+    pieces = []
+    for _ in range(n_pieces):
+        masks = {int(rng.integers(0, 1 << frame.n)) | 1 for _ in range(n_focal)}
+        masks.add(frame.full_mask)
+        weights = rng.random(len(masks)) + 0.1
+        pieces.append(MassFunction(frame, dict(zip(sorted(masks), weights / weights.sum()))))
+    return pieces
+
+
+class TestLargeFrames:
+    """The batched path against ``fuse``, bit for bit, where a chunk holds
+    one set (n = 13), on the widest frame (n = 20), and on one event."""
+
+    @pytest.mark.parametrize("method", ["dcr", "murphy", "cef-avg", "cef-eig",
+                                        "icef-pbagd", "icef-bjs"])
+    @pytest.mark.parametrize("n, n_sets", [(1, 3), (13, 3), (20, 1)])
+    def test_batch_equals_single_calls(self, n, n_sets, method):
+        rng = np.random.default_rng(n * 10 + n_sets)
+        frame = _frame(n)
+        sets = [_wide_set(rng, frame, 3, 3) for _ in range(n_sets)]
+        config = IcefConfig(tau=5.0) if method == "icef-bjs" else None
+        if n > 1:
+            assert fusion._chunk_sets(frame) == 1
+        wants = [fuse(ms, method, config) for ms in sets]
+        for got, want in zip(_fuse_batch(sets, method, config), wants):
+            assert (got.mass, got.mass._values.tobytes(), got.pignistic.tobytes()) == (
+                want.mass, want.mass._values.tobytes(), want.pignistic.tobytes())
+            assert (got.decision, got.method, got.converged, got.n_iter) == (
+                want.decision, want.method, want.converged, want.n_iter)
+            if want.credibilities is None:
+                assert got.credibilities is None
+            else:
+                assert got.credibilities.tobytes() == want.credibilities.tobytes()
+        if n_sets == 1:  # the batch above was this one table
+            return
+        # the array core on all sets at once, which it splits into chunks
+        focal, table = core._mass_table([m for ms in sets for m in ms])
+        out = fusion._fuse_tables(frame, focal, table.reshape(n_sets, 3, -1), method, config)
+        for b, want in enumerate(wants):
+            row = out.fused[b]
+            assert out.support[row != 0.0].tolist() == list(want.mass.focal_elements())
+            assert row[row != 0.0].tobytes() == want.mass._values.tobytes()
+            assert out.probs[b].tobytes() == want.pignistic.tobytes()
+            assert (bool(out.converged[b]), int(out.n_iter[b])) == (want.converged, want.n_iter)
+            if want.credibilities is not None:
+                assert out.credibilities[b].tobytes() == want.credibilities.tobytes()
