@@ -501,17 +501,25 @@ def superset_zeta(v) -> np.ndarray:
     """Superset sums of a vector indexed by mask: entry ``A`` of the result
     is the sum of ``v[B]`` over every ``B`` containing ``A``.
 
-    ``v`` has length ``2**n`` along its last axis, which is transformed;
-    leading axes index independent vectors.  Applied to a dense mass vector
-    this gives the commonality function; applied to the mass vector indexed
-    by complement it gives belief of the complement.
+    ``v`` must have length ``2**n`` along its last axis, which is
+    transformed; leading axes index independent vectors.  Applied to a dense
+    mass vector this gives the commonality function; applied to the mass
+    vector indexed by complement it gives belief of the complement.
     """
-    return _butterfly(np.array(v, dtype=float, order="C"), np.add)
+    return _butterfly(_subset_vectors(v), np.add)
 
 
 def superset_mobius(v) -> np.ndarray:
     """Inverse of :func:`superset_zeta` (along the last axis): commonality back to mass."""
-    return _butterfly(np.array(v, dtype=float, order="C"), np.subtract)
+    return _butterfly(_subset_vectors(v), np.subtract)
+
+
+def _subset_vectors(v) -> np.ndarray:
+    """``v`` as C-ordered floats; its last axis must have a length ``2**n``."""
+    v = np.array(v, dtype=float, order="C")
+    if not v.ndim or v.shape[-1].bit_count() != 1:
+        raise ValueError(f"the last axis must have a length 2**n; got shape {v.shape}")
+    return v
 
 
 def _intersections(focal: np.ndarray, times: int, size: int) -> np.ndarray:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Frame, FrameMismatchError, MassFunction
+from .core import Frame, MassFunction
 from .divergence import DivergenceMeasure
 
 
@@ -76,9 +76,6 @@ def build_eem(
     :meth:`~credfuse.divergence.DivergenceMeasure.event_divergences`."""
     if not ms:
         raise ValueError("need at least one piece of evidence")
-    for m in ms:
-        if m.frame != frame:
-            raise FrameMismatchError(f"frames differ: {m.frame.events} vs {frame.events}")
     return EventEvaluationMatrix(measure.event_divergences(ms, frame), measure.name, frame)
 
 

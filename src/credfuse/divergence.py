@@ -122,17 +122,23 @@ class DivergenceMeasure:
 
     def event_divergences(self, ms: Sequence[MassFunction], frame: Frame) -> np.ndarray:
         """Divergence of each evidence (columns) from the categorical assertion
-        of each event (rows), one call of the measure per entry."""
-        assertions = [event_evidence(frame, j) for j in range(frame.n)]
-        return np.array([[self(m, a) for m in ms] for a in assertions])
+        of each event (rows), from one mass table of the evidence; see
+        :meth:`_table_event_divergences`.  Every piece must be on ``frame``."""
+        if any(m.frame != frame for m in ms):
+            raise FrameMismatchError(f"every piece must be on the frame {frame.events}")
+        if not ms:
+            return np.empty((frame.n, 0))
+        return self._table_event_divergences(frame, *core._mass_table(ms))
 
     def _table_event_divergences(self, frame: Frame, focal: np.ndarray,
                                  table: np.ndarray) -> np.ndarray:
         """:meth:`event_divergences` of the rows of the (rows, F) mass
-        ``table`` on the ascending masks ``focal``.  This method builds the
-        pieces once, with :func:`core._mass_rows`; a measure that can read
-        the table itself overrides it."""
-        return self.event_divergences(core._mass_rows(frame, focal, table), frame)
+        ``table`` on the ascending masks ``focal``: one call of the measure
+        per entry, on pieces built once with :func:`core._mass_rows`.  A
+        measure that can read the table itself overrides this."""
+        assertions = [event_evidence(frame, j) for j in range(frame.n)]
+        ms = core._mass_rows(frame, focal, table)
+        return np.array([[self(m, a) for m in ms] for a in assertions])
 
     def __repr__(self):
         return f"{type(self).__name__}(name={self.name!r})"
@@ -149,13 +155,6 @@ class PBAGDivergence(DivergenceMeasure):
 
     def evaluate(self, m1: MassFunction, m2: MassFunction) -> float:
         return ag_divergence(pb_transform(m1), pb_transform(m2))
-
-    def event_divergences(self, ms: Sequence[MassFunction], frame: Frame) -> np.ndarray:
-        """As the base method, from one mass table of the evidence; see
-        :meth:`_table_event_divergences`."""
-        if not ms:
-            return np.empty((frame.n, 0))
-        return self._table_event_divergences(frame, *core._mass_table(ms))
 
     def _table_event_divergences(self, frame: Frame, focal: np.ndarray,
                                  table: np.ndarray) -> np.ndarray:

@@ -164,33 +164,42 @@ def decide(m: MassFunction) -> str:
 def weighted_average(ms: Sequence[MassFunction], weights) -> MassFunction:
     """Mass-by-mass convex combination of the evidence under the given weights."""
     frame = _require_same_frame(ms)
+    _, masks, average = _checked_average(frame, *core._mass_table(ms), weights)
+    return MassFunction(frame, dict(zip(masks.tolist(), average.tolist())))
+
+
+def _checked_average(frame: Frame, focal: np.ndarray, table: np.ndarray, weights):
+    """``(weights, masks, masses)``: ``weights`` as an array of shape (N,),
+    and the average under them of the rows of the (N, F) mass ``table`` on
+    ``focal``, its masks in the order in which the pieces first hold them,
+    added in piece order as a loop over the pieces' focal sets adds them
+    (``sum`` may pair the terms).  Raises what the :class:`MassFunction`
+    constructor raises for that loop's average if it is not a mass."""
     weights = np.asarray(weights, dtype=float)
-    if len(weights) != len(ms):
-        raise LengthMismatchError(f"{len(ms)} mass functions but {len(weights)} weights")
-    combined: dict[int, float] = {}
-    for w, m in zip(weights, ms):
-        for mask, value in m.items():
-            combined[mask] = combined.get(mask, 0.0) + w * value
-    return MassFunction(frame, combined)
+    if weights.shape != (len(table),):
+        raise LengthMismatchError(f"{len(table)} pieces but weights of shape {weights.shape}")
+    held = table != 0.0
+    with np.errstate(all="ignore"):  # a non-finite weight
+        terms = np.multiply(weights[:, None], table, where=held, out=np.zeros(table.shape))
+        average = np.add.accumulate(terms, axis=0)[-1]
+    order = np.argsort(held.argmax(axis=0), kind="stable")
+    masks, average = focal[order], average[order]
+    core._check_rows(frame, masks, average[None])
+    return weights, masks, average
 
 
 def cef_fuse(ms: Sequence[MassFunction], weights, method: str = "cef") -> FusionResult:
     """Credibility-weighted average, self-combined once per piece of evidence.
 
-    The weighted average is combined with itself ``len(ms) - 1`` times, so the
-    result commits as sharply as fusing that many independent reports.
+    The weighted average, which must be a mass as for :func:`weighted_average`,
+    is combined with itself ``len(ms) - 1`` times, so the result commits as
+    sharply as fusing that many independent reports.
     """
-    frame = _check_sets([ms])
-    weights = np.asarray(weights, dtype=float)
-    if weights.shape != (len(ms),):
-        raise LengthMismatchError(f"{len(ms)} mass functions but {weights.size} weights")
+    frame = _check_set(ms)
     focal, table = core._mass_table(ms)
-    table, weights = table[None], weights[None]
-    with np.errstate(all="ignore"):  # a non-finite weight times a zero mass
-        # the average that _cef_rows forms must be a mass, as weighted_average requires
-        core._check_rows(frame, focal, (weights[:, :, None] * table).sum(axis=1))
-    (result,) = _results(frame, method, _Fused(*_cef_rows(focal, table, weights, frame.n, {}),
-                                               weights))
+    weights, _, _ = _checked_average(frame, focal, table, weights)
+    (result,) = _results(frame, method, _Fused(*_cef_rows(focal, table[None], weights[None],
+                                                          frame.n, {}), weights[None]))
     if isinstance(result, TotalConflictError):
         raise result
     return result
@@ -208,13 +217,11 @@ def dcr_fuse(ms: Sequence[MassFunction]) -> FusionResult:
     return FusionResult(mass, probs, _decision(mass.frame, probs), "dcr")
 
 
-def _check_sets(sets) -> Frame:
-    """The one frame of evidence sets of the same size, at least two pieces."""
-    if len(sets[0]) < 2:
+def _check_set(ms) -> Frame:
+    """The one frame of an evidence set of at least two pieces."""
+    if len(ms) < 2:
         raise ValueError("need at least two pieces of evidence")
-    if any(len(ms) != len(sets[0]) for ms in sets):
-        raise LengthMismatchError("every evidence set needs the same number of pieces")
-    return _require_same_frame([m for ms in sets for m in ms])
+    return _require_same_frame(ms)
 
 
 def icef(
@@ -229,7 +236,7 @@ def icef(
     trace with ``converged=False`` after ``config.max_iter`` iterations.
     The loop is :func:`_icef_loop` on the mass table of one evidence set.
     """
-    frame = _check_sets([ms])
+    frame = _check_set(ms)
     cfg = config or IcefConfig()
     focal, table = core._mass_table(ms)
     history: list = []
@@ -386,48 +393,6 @@ def _cef_rows(focal: np.ndarray, table: np.ndarray, cred: np.ndarray, n: int, su
     return support, fused, core._pignistic_rows(support, fused, n), conflict, failed
 
 
-def _fuse_batch(
-    sets: Sequence[Sequence[MassFunction]], method: str = "icef-pbagd",
-    config: IcefConfig | None = None,
-) -> list:
-    """:func:`fuse` over many evidence sets: entry ``i`` is what
-    ``fuse(sets[i], method, config)`` returns, or the
-    :class:`TotalConflictError` it raises.
-
-    The pieces of each chunk of :func:`_fuse_tables`'s size go into one
-    mass table, which it fuses, and :func:`_results` turns the rows into
-    results.  Every method but ``dcr`` needs the same frame and the same
-    number of pieces in every set; ``dcr`` takes any sets and fuses each
-    group of one frame and one size on its own.
-    """
-    method = method.lower()
-    if method == "dcr":
-        groups: dict = {}
-        for i, ms in enumerate(sets):
-            groups.setdefault((_require_same_frame(ms), len(ms)), []).append(i)
-    else:
-        groups = {(_check_sets(sets), len(sets[0])): range(len(sets))} if sets else {}
-    results: list = [None] * len(sets)
-    for (frame, size), members in groups.items():
-        label = (f"icef-{_icef_config(method, config).measure.name}"
-                 if method.startswith("icef-") else method)
-        rows = _chunk_sets(frame)
-        for start in range(0, len(members), rows):
-            chunk = members[start:start + rows]
-            focal, table = core._mass_table([m for i in chunk for m in sets[i]])
-            fused = _fuse_tables(frame, focal, table.reshape(len(chunk), size, -1), method,
-                                 config)
-            for i, result in zip(chunk, _results(frame, label, fused)):
-                results[i] = result
-    return results
-
-
-def _chunk_sets(frame: Frame) -> int:
-    """Sets per chunk, ``max(1, 2**13 // 2**n)``: each array over the
-    ``2**n`` subsets of a chunk holds about ``2**13`` entries."""
-    return max(1, _BLOCK_ENTRIES // (1 << frame.n))
-
-
 def _fuse_tables(frame: Frame, focal: np.ndarray, table: np.ndarray, method: str,
                  config: IcefConfig | None = None) -> _Fused:
     """:func:`fuse` of B evidence sets of N pieces each, on arrays.
@@ -435,12 +400,13 @@ def _fuse_tables(frame: Frame, focal: np.ndarray, table: np.ndarray, method: str
     ``table`` holds the (B, N, F) masses of the sets on the ascending masks
     ``focal`` of ``frame``; a zero entry is not a focal set of that piece.
     ``method`` is a lower-case method name.  The sets are fused in chunks
-    of :func:`_chunk_sets` sets: ``dcr`` through :func:`core._dcr_fold`,
+    of ``max(1, 2**13 // 2**n)``, so each array over the ``2**n`` subsets
+    holds about ``2**13`` entries: ``dcr`` through :func:`core._dcr_fold`,
     ``icef-*`` through :func:`_icef_loop`, and the open-loop methods through
     :func:`_cef_rows`.  A set gets the bits of its own ``fuse`` call.  No
     mass is checked here; a caller checks the rows it reads.
     """
-    rows = _chunk_sets(frame)
+    rows = max(1, _BLOCK_ENTRIES // (1 << frame.n))
     return _joined([
         (np.arange(start, min(start + rows, len(table))),
          _fuse_chunk(frame, focal, table[start:start + rows], method, config))
@@ -515,5 +481,5 @@ def fuse(
     if method.startswith("icef-"):
         result, _ = icef(ms, _icef_config(method, config))
         return result
-    _check_sets([ms])  # before the weights, which divide by the number of pieces
+    _check_set(ms)  # before the weights, which divide by the number of pieces
     return cef_fuse(ms, _method_weights(method, [ms], config)[0], method=method)

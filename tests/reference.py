@@ -1,0 +1,31 @@
+"""Dictionary-and-loop forms of the array kernels, kept as the tests' oracles.
+
+Each function is the library's earlier code for the same result, one mass
+or one divergence at a time; the kernels must give the same bits.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from credfuse.core import LengthMismatchError, MassFunction, _require_same_frame, event_evidence
+
+
+def weighted_average(ms, weights) -> MassFunction:
+    """Mass-by-mass convex combination of the evidence under the given weights."""
+    frame = _require_same_frame(ms)
+    weights = np.asarray(weights, dtype=float)
+    if len(weights) != len(ms):
+        raise LengthMismatchError(f"{len(ms)} mass functions but {len(weights)} weights")
+    combined: dict[int, float] = {}
+    for w, m in zip(weights, ms):
+        for mask, value in m.items():
+            combined[mask] = combined.get(mask, 0.0) + w * value
+    return MassFunction(frame, combined)
+
+
+def event_divergences(measure, ms, frame) -> np.ndarray:
+    """Divergence of each evidence (columns) from the categorical assertion
+    of each event (rows), one call of the measure per entry."""
+    assertions = [event_evidence(frame, j) for j in range(frame.n)]
+    return np.array([[measure(m, a) for m in ms] for a in assertions])

@@ -2,6 +2,7 @@
 
 import functools
 import math
+import re
 from unittest import mock
 
 import numpy as np
@@ -304,6 +305,13 @@ class TestDenseKernel:
         for transform in (superset_zeta, superset_mobius):
             expected = np.array([transform(row) for row in rows]).reshape(shape)
             np.testing.assert_array_equal(transform(v), expected)
+
+    @pytest.mark.parametrize("shape", [(4, 3), (2, 6), (100, 12), (3,), (0,), (1536,), ()])
+    def test_a_last_axis_not_a_power_of_two_is_refused(self, shape):
+        # a flat view would pair entries across rows, or reshape would fail
+        for transform in (superset_zeta, superset_mobius):
+            with pytest.raises(ValueError, match=re.escape(f"got shape {shape}")):
+                transform(np.ones(shape))
 
     def test_mobius_inverts_zeta(self):
         v = np.random.default_rng(8).random(64)

@@ -32,7 +32,9 @@ from credfuse.credibility import (
     NonpositiveTauError,
     PairwiseDifferenceMatrix,
 )
+from credfuse.divergence import DivergenceMeasure, register_measure
 
+from . import reference
 from .conftest import random_mass_function
 
 
@@ -154,9 +156,9 @@ class TestBuildEem:
     def test_other_measures_evaluate_each_pair(self, fault_case, frame3):
         eem = build_eem(fault_case, frame3, BJS)
         assert eem.measure == "bjs"
-        for j in range(3):
-            for i, m in enumerate(fault_case):
-                assert eem.values[j, i] == BJS(m, event_evidence(frame3, j))
+        want = reference.event_divergences(BJS, fault_case, frame3)
+        assert eem.values.tobytes() == want.tobytes()
+        assert want[1, 0] == BJS(fault_case[0], event_evidence(frame3, 1))
 
     @settings(max_examples=80, deadline=None)
     @given(n=st.integers(min_value=1, max_value=6), n_pieces=st.integers(min_value=1, max_value=8),
@@ -174,12 +176,39 @@ class TestBuildEem:
         ms.append(MassFunction(frame, dict(zip(masks, weights / weights.sum()))))
         ms.append(event_evidence(frame, int(rng.integers(n))))
         table = BJS._table_event_divergences(frame, *core._mass_table(ms))
-        assert table.tobytes() == build_eem(ms, frame, BJS).values.tobytes()
+        assert table.tobytes() == reference.event_divergences(BJS, ms, frame).tobytes()
+        assert build_eem(ms, frame, BJS).values.tobytes() == table.tobytes()
 
     @pytest.mark.parametrize("measure", [PBAGD, BJS])
     def test_frame_mismatch(self, fault_case, measure):
         with pytest.raises(FrameMismatchError):
             build_eem(fault_case, Frame(("B1", "B2", "B3")), measure)
+
+    @pytest.mark.parametrize("name", ["pbagd", "bjs", "registered"])
+    def test_every_measure_checks_each_piece_frame(self, fault_case, frame3, name, monkeypatch):
+        class PairwiseBjs(DivergenceMeasure):
+            name = "bjs-pairwise"
+
+            def evaluate(self, m1, m2):
+                return BJS.evaluate(m1, m2)
+
+        monkeypatch.setattr(divergence, "_MEASURES", dict(divergence._MEASURES))
+        register_measure(PairwiseBjs())
+        measure = divergence.get_measure("bjs-pairwise" if name == "registered" else name)
+        wider = MassFunction(Frame(("A1", "A2", "A3", "A4")), {"A1": 0.6, "A1,A4": 0.4})
+        relabelled = MassFunction(Frame(("A1", "A3", "A2")), {"A1": 0.6, "A2,A3": 0.4})
+        for stranger in (wider, relabelled):
+            for ms in ([stranger], [fault_case[0], stranger], [stranger, fault_case[0]]):
+                with pytest.raises(FrameMismatchError):
+                    measure.event_divergences(ms, frame3)
+                with pytest.raises(FrameMismatchError):
+                    build_eem(ms, frame3, measure)
+        # pbagd's closed form agrees with its pairwise calls to 1e-12, bjs
+        # and a registered measure bit for bit
+        np.testing.assert_allclose(measure.event_divergences(fault_case, frame3),
+                                   reference.event_divergences(measure, fault_case, frame3),
+                                   rtol=0.0, atol=1e-12 if name == "pbagd" else 0.0)
+        assert measure.event_divergences([], frame3).shape == (3, 0)
 
 
 class TestSupportMatrix:

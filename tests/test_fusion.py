@@ -41,8 +41,9 @@ from credfuse import core, divergence, fusion
 from credfuse.core import _intersections
 from credfuse.divergence import DivergenceMeasure
 from credfuse.divergence import LengthMismatchError as DivergenceLengthMismatchError
-from credfuse.fusion import LengthMismatchError, _fuse_batch
+from credfuse.fusion import LengthMismatchError
 
+from . import reference
 from .conftest import random_mass_function
 
 # converged credibilities for the five-sensor fault case (tau=200)
@@ -54,16 +55,55 @@ FAULT_STEP1_EEM = np.array([0.1706, 0.1807, 0.2144, 0.1966, 0.2378])
 CONFLICT_CRED = np.array([0.0091, 0.0001, 0.3663, 0.3123, 0.3123])
 
 
+def _same_average(ms, weights):
+    """``weighted_average`` and the dictionary oracle give the same mass,
+    bit for bit, or raise the same type of error; returns the mass or error."""
+    try:
+        with np.errstate(all="ignore"):  # the loop's sums of non-finite weights
+            want = reference.weighted_average(ms, weights)
+    except (ValueError, TypeError) as error:
+        with pytest.raises(type(error)):
+            weighted_average(ms, weights)
+        return error
+    got = weighted_average(ms, weights)
+    assert got == want and got.frame == want.frame
+    assert got._focal == want._focal and got._values.tobytes() == want._values.tobytes()
+    return got
+
+
+_WEIGHTS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False, width=64, min_value=-2.0, max_value=2.0),
+    st.sampled_from([0.0, -0.0, 1e-300, -1e-300, 1e300, math.nan, math.inf, -math.inf]),
+)
+
+
+@st.composite
+def _averaged_sets(draw):
+    """Evidence on one frame of up to 4 events, and weights: normalized, some
+    exactly 0, or any floats (negative, huge, tiny, NaN or infinite)."""
+    n = draw(st.integers(min_value=1, max_value=4))
+    n_pieces = draw(st.integers(min_value=1, max_value=10))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    ms = _random_set(rng, _frame(n), n_pieces)
+    if draw(st.booleans()):
+        weights = rng.random(n_pieces)
+        weights[draw(st.lists(st.integers(0, n_pieces - 1), max_size=n_pieces - 1))] = 0.0
+        return ms, weights / weights.sum()
+    return ms, draw(st.lists(_WEIGHTS, min_size=n_pieces, max_size=n_pieces))
+
+
 class TestWeightedAverage:
+    """The table average against the dictionary loop of ``reference``."""
+
     def test_single_evidence_unchanged(self, fault_case):
-        assert weighted_average(fault_case[:1], [1.0]) == fault_case[0]
+        assert _same_average(fault_case[:1], [1.0]) == fault_case[0]
 
     def test_identical_evidence_any_weights(self, fault_case):
         ms = [fault_case[0]] * 3
-        assert weighted_average(ms, [0.2, 0.5, 0.3]) == fault_case[0]
+        assert _same_average(ms, [0.2, 0.5, 0.3]) == fault_case[0]
 
     def test_uniform_average_masses(self, fault_case):
-        avg = weighted_average(fault_case, np.full(5, 0.2))
+        avg = _same_average(fault_case, np.full(5, 0.2))
         assert avg.mass("A1") == pytest.approx(0.56)
         assert avg.mass("A2") == pytest.approx(0.09)
         assert avg.mass("A3") == pytest.approx(0.17)
@@ -73,6 +113,18 @@ class TestWeightedAverage:
         with pytest.raises(LengthMismatchError):
             weighted_average(fault_case, [0.5, 0.5])
         assert LengthMismatchError is DivergenceLengthMismatchError
+
+    def test_one_focal_set_and_nine_pieces_add_in_order(self, frame3):
+        # numpy's pairwise sum of nine ninths gives exactly 1; adding them in
+        # piece order, as the loop does, gives the next float up
+        ms = [event_evidence(frame3, 0)] * 9
+        avg = _same_average(ms, np.full(9, 1.0 / 9.0))
+        assert avg.mass("A1").hex() == "0x1.0000000000001p+0"
+
+    @settings(max_examples=400, deadline=None)
+    @given(case=_averaged_sets())
+    def test_random_sets_and_weights(self, case):
+        _same_average(*case)
 
 
 class TestOpenLoopFusion:
@@ -120,12 +172,18 @@ class TestOpenLoopFusion:
         ([0.2, 0.2, math.inf, 0.2, 0.2], InvalidMassValueError),
         ([-0.5, 1.5, 0.0, 0.0, 0.0], NegativeMassError),
         ([0.3] * 5, NotNormalizedError),
+        ([[0.2]] * 5, LengthMismatchError),
+        ([[0.1, 0.1]] * 5, LengthMismatchError),
+        (0.2, LengthMismatchError),
     ])
     def test_bad_weights_raise_what_weighted_average_raises(self, fault_case, weights, error):
-        with pytest.raises(error):
+        with pytest.raises(error) as raised:
             weighted_average(fault_case, weights)
-        with pytest.raises(error):
+        with pytest.raises(error) as again:
             cef_fuse(fault_case, weights)
+        assert str(raised.value) == str(again.value)
+        if error is LengthMismatchError:
+            assert str(np.shape(weights)) in str(raised.value)
 
     def test_weights_that_average_to_a_mass_are_accepted(self, fault_case):
         # a negative weight on a copy of the same report still averages to a mass
@@ -137,7 +195,7 @@ def _reference(ms, weights, method="cef"):
     """Credibility-weighted fusion through the dictionary average and the
     single-mass self-combination, or the total conflict it raises."""
     try:
-        mass = self_fuse(weighted_average(ms, weights), len(ms))
+        mass = self_fuse(reference.weighted_average(ms, weights), len(ms))
     except TotalConflictError as error:
         return error
     probs = mass.pignistic()
@@ -532,6 +590,19 @@ def _batches(draw):
     return sets, method, config, chunk, conflict
 
 
+def _fuse_sets(sets, method="icef-pbagd", config=None):
+    """What ``fuse(ms, method, config)`` gives for each set ``ms`` of one
+    frame and size, or the total conflict it raises: one mass table of every
+    set, fused by the array core, a result per set."""
+    frame, method = sets[0][0].frame, method.lower()
+    focal, table = core._mass_table([m for ms in sets for m in ms])
+    out = fusion._fuse_tables(frame, focal, table.reshape(len(sets), len(sets[0]), -1), method,
+                              config)
+    if method.startswith("icef-"):
+        method = f"icef-{fusion._icef_config(method, config).measure.name}"
+    return fusion._results(frame, method, out)
+
+
 def _assert_same_result(got, want):
     assert got.credibilities.tobytes() == want.credibilities.tobytes()
     assert got.pignistic.tobytes() == want.pignistic.tobytes()
@@ -553,7 +624,7 @@ class TestFuseBatch:
                                else chunk << sets[0][0].frame.n), \
                 mock.patch.object(core, "_LOG2_CONFLICT_EPS",
                                   -1.0 if conflict else core._LOG2_CONFLICT_EPS):
-            batch = _fuse_batch(sets, method, config)
+            batch = _fuse_sets(sets, method, config)
             assert len(batch) == len(sets)
             for ms, got in zip(sets, batch):
                 try:
@@ -564,7 +635,7 @@ class TestFuseBatch:
                     continue
                 _assert_same_result(got, want)
             # permuting the sets permutes the results, bit for bit
-            again = _fuse_batch(sets[::-1], method, config)[::-1]
+            again = _fuse_sets(sets[::-1], method, config)[::-1]
             for got, want in zip(again, batch):
                 if isinstance(want, TotalConflictError):
                     assert got.conflict == want.conflict
@@ -580,7 +651,7 @@ class TestFuseBatch:
 
     def test_sets_stop_at_different_steps(self):
         sets = self._mixed_sets()
-        batch = _fuse_batch(sets, "icef-pbagd")
+        batch = _fuse_sets(sets, "icef-pbagd")
         assert len({result.n_iter for result in batch}) > 1
         for ms, got in zip(sets, batch):
             _assert_same_result(got, icef(ms)[0])
@@ -593,7 +664,7 @@ class TestFuseBatch:
         sets = [[event_evidence(frame, j) for j in range(3)] + _random_set(rng, frame, 2)
                 for _ in range(5)]
         config = IcefConfig(tau=1e5)
-        batch = _fuse_batch(sets, "icef-pbagd", config)
+        batch = _fuse_sets(sets, "icef-pbagd", config)
         zeros = [(result.credibilities == 0.0).any() for result in batch]
         assert sum(zeros) > 1 and not all(zeros)  # so the averages' focal sets differ
         for ms, got in zip(sets, batch):
@@ -602,7 +673,7 @@ class TestFuseBatch:
     def test_total_conflict_is_flagged_per_set(self, monkeypatch):
         monkeypatch.setattr(core, "_LOG2_CONFLICT_EPS", -1.0)
         sets = self._mixed_sets()
-        batch = _fuse_batch(sets, "icef-pbagd")
+        batch = _fuse_sets(sets, "icef-pbagd")
         flagged = [isinstance(result, TotalConflictError) for result in batch]
         assert any(flagged) and not all(flagged)
         for ms, got in zip(sets, batch):
@@ -621,31 +692,20 @@ class TestFuseBatch:
                             or loop(frame, focal, table, *args))
         monkeypatch.setattr(fusion, "_BLOCK_ENTRIES", 4 << 3)  # 4 sets of n = 3 per chunk
         sets = self._mixed_sets()
-        batch = _fuse_batch(sets, "icef-pbagd")
+        batch = _fuse_sets(sets, "icef-pbagd")
         assert sizes == [4, 4, 1]
         for ms, got in zip(sets, batch):
             _assert_same_result(got, icef(ms)[0])
 
-    def test_dcr_fuses_set_by_set(self, fault_case, conflict_case, close_pair):
-        # sets of any size or frame, as dcr needs no common arrays
-        sets = [fault_case, conflict_case[:3], list(close_pair)]
-        for got, ms in zip(_fuse_batch(sets, "dcr"), sets):
+    def test_dcr_fuses_set_by_set(self, fault_case, conflict_case):
+        sets = [fault_case, conflict_case]
+        for got, ms in zip(_fuse_sets(sets, "dcr"), sets):
             want = dcr_fuse(ms)
             assert (got.mass, got.decision) == (want.mass, want.decision)
             assert got.pignistic.tobytes() == want.pignistic.tobytes()
         frame = fault_case[0].frame
         clash = [event_evidence(frame, 0), event_evidence(frame, 1)]
-        assert isinstance(_fuse_batch([clash], "dcr")[0], TotalConflictError)
-
-    def test_sets_must_agree_in_size_and_frame(self, fault_case, close_pair):
-        for method in ("icef-pbagd", "murphy", "cef-avg", "cef-eig"):
-            assert _fuse_batch([], method) == []
-            with pytest.raises(LengthMismatchError):
-                _fuse_batch([fault_case, fault_case[:4]], method)
-            with pytest.raises(core.FrameMismatchError):
-                _fuse_batch([fault_case[:2], list(close_pair)], method)
-            with pytest.raises(ValueError):
-                _fuse_batch([fault_case[:1]], method)
+        assert isinstance(_fuse_sets([clash], "dcr")[0], TotalConflictError)
 
     def test_a_registered_measure_reads_pieces_built_once(self, monkeypatch):
         class PairwiseBjs(DivergenceMeasure):
@@ -658,12 +718,12 @@ class TestFuseBatch:
         rng = np.random.default_rng(47)
         sets = [_random_set(rng, _frame(3), 4) for _ in range(5)]
         config = IcefConfig(tau=5.0)
-        expected = _fuse_batch(sets, "icef-bjs", config)
+        expected = _fuse_sets(sets, "icef-bjs", config)
         built = []
         mass_rows = core._mass_rows
         monkeypatch.setattr(core, "_mass_rows", lambda frame, masks, table:
                             built.append(len(table)) or mass_rows(frame, masks, table))
-        batch = _fuse_batch(sets, "icef-bjs-pairwise", config)
+        batch = _fuse_sets(sets, "icef-bjs-pairwise", config)
         assert built == [20, 5]  # the 20 pieces for the EEM, then the 5 results
         for got, want in zip(batch, expected):
             assert got.method == "icef-bjs-pairwise"
@@ -706,17 +766,16 @@ def _assert_same_outcome(got, want):
 
 @st.composite
 def _dcr_batches(draw):
-    """Sets for one dcr batch: compound focal sets on n = 1..6, sets of mixed
-    sizes on up to two frames, a clash that ends the fold at its first, a
+    """Sets for one dcr table: compound focal sets on n = 1..6, one frame and
+    one size of 1..6 pieces, a clash that ends the fold at its first, a
     middle or its last step, masses whose products underflow to zero, a
     conflict threshold at which random steps fail, and chunks of few sets."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    frames = [_frame(n) for n in draw(st.lists(st.integers(1, 6), min_size=1, max_size=2))]
+    frame = _frame(draw(st.integers(1, 6)))
+    n_pieces = draw(st.integers(1, 6))
     clash = draw(st.sampled_from([None, "first", "middle", "last"]))
     sets = []
     for _ in range(draw(st.integers(min_value=1, max_value=8))):
-        frame = frames[int(rng.integers(len(frames)))]
-        n_pieces = int(rng.integers(1, 7))
         floor = float(rng.choice([0.0, 0.3]))
         ms = [random_mass_function(rng, frame, max_focals=6, omega_floor=floor)
               for _ in range(n_pieces)]
@@ -771,11 +830,11 @@ class TestDcrBatch:
         with mock.patch.object(fusion, "_BLOCK_ENTRIES",
                                fusion._BLOCK_ENTRIES if chunk is None else chunk), \
                 mock.patch.object(core, "CONFLICT_EPS", eps):
-            batch = _fuse_batch(sets, "dcr")
+            batch = _fuse_sets(sets, "dcr")
             assert len(batch) == len(sets)
             for got, ms in zip(batch, sets):
                 _assert_dcr_n(got, ms)
-            again = _fuse_batch(sets[::-1], "dcr")[::-1]
+            again = _fuse_sets(sets[::-1], "dcr")[::-1]
             assert all(_same_outcome(g, w) for g, w in zip(again, batch))
 
     @pytest.mark.parametrize("step", [1, 2, 3, 4])
@@ -787,32 +846,25 @@ class TestDcrBatch:
         clash[step] = MassFunction(frame3, {"A2,A3": 1.0})
         with pytest.raises(TotalConflictError) as error:
             core.dcr_n(clash)
-        batch = _fuse_batch([pieces, clash, pieces[::-1]], "dcr")
+        batch = _fuse_sets([pieces, clash, pieces[::-1]], "dcr")
         assert isinstance(batch[1], TotalConflictError)
         assert batch[1].conflict == error.value.conflict == 1.0
         _assert_dcr_n(batch[0], pieces)
         _assert_dcr_n(batch[2], pieces[::-1])
 
     def test_one_fold_per_group_and_no_pairwise_combination(self, fault_case, conflict_case,
-                                                            close_pair, monkeypatch):
+                                                            monkeypatch):
         folds = []
         fold = core._dcr_fold
         monkeypatch.setattr(core, "_dcr_fold", lambda focal, table:
                             folds.append(table.shape[:2]) or fold(focal, table))
         monkeypatch.setattr(core, "dcr_pair", None)
-        sets = [fault_case, conflict_case[:3], list(close_pair), fault_case[::-1], [close_pair[0]]]
-        batch = _fuse_batch(sets, "dcr")
-        assert sorted(folds) == [(1, 1), (1, 2), (1, 3), (2, 5)]  # (sets, pieces)
+        sets = [fault_case, conflict_case, fault_case[::-1]]
+        batch = _fuse_sets(sets, "dcr")
+        assert folds == [(3, 5)]  # (sets, pieces)
         monkeypatch.undo()
         for got, ms in zip(batch, sets):
             _assert_dcr_n(got, ms)
-
-    def test_bad_sets_raise_what_dcr_n_raises(self, fault_case, close_pair):
-        with pytest.raises(ValueError, match="at least one mass function"):
-            _fuse_batch([fault_case, []], "dcr")
-        with pytest.raises(core.FrameMismatchError):
-            _fuse_batch([fault_case[:1] + [close_pair[0]]], "dcr")
-        assert _fuse_batch([], "dcr") == []
 
 
 class TestMurphyBatch:
@@ -828,12 +880,12 @@ class TestMurphyBatch:
                                else chunk << sets[0][0].frame.n), \
                 mock.patch.object(core, "_LOG2_CONFLICT_EPS",
                                   -1.0 if conflict else core._LOG2_CONFLICT_EPS):
-            batch = _fuse_batch(sets, method)
+            batch = _fuse_sets(sets, method)
             assert len(batch) == len(sets)
             for ms, got in zip(sets, batch):
                 _assert_same_outcome(got, _reference(ms, _weights(ms, method), method))
             # reversing the sets reverses the results, bit for bit
-            for got, want in zip(_fuse_batch(sets[::-1], method)[::-1], batch):
+            for got, want in zip(_fuse_sets(sets[::-1], method)[::-1], batch):
                 _assert_same_outcome(got, want)
 
     def test_total_conflict_is_flagged_per_set(self, monkeypatch):
@@ -842,7 +894,7 @@ class TestMurphyBatch:
         frame = _frame(3)
         sets = [_random_set(rng, frame, 4) for _ in range(6)]
         sets[1] = [event_evidence(frame, j % 3) for j in range(4)]
-        batch = _fuse_batch(sets, "murphy")
+        batch = _fuse_sets(sets, "murphy")
         flagged = [isinstance(result, TotalConflictError) for result in batch]
         assert flagged[1] and not all(flagged)
         for ms, got in zip(sets, batch):
@@ -850,7 +902,7 @@ class TestMurphyBatch:
 
     def test_one_focal_set_in_the_whole_table(self, frame3):
         sets = [[event_evidence(frame3, 1)] * n_pieces for n_pieces in (3, 3)]
-        for ms, got in zip(sets, _fuse_batch(sets, "murphy")):
+        for ms, got in zip(sets, _fuse_sets(sets, "murphy")):
             _assert_same_result(got, _reference(ms, _weights(ms, "murphy"), "murphy"))
 
     def test_one_array_step_per_chunk(self, monkeypatch):
@@ -862,7 +914,7 @@ class TestMurphyBatch:
         monkeypatch.setattr(fusion, "_BLOCK_ENTRIES", 4 << 3)  # 4 sets of n = 3 per chunk
         rng = np.random.default_rng(43)
         sets = [_random_set(rng, _frame(3), 4) for _ in range(9)]
-        batch = _fuse_batch(sets, "murphy")
+        batch = _fuse_sets(sets, "murphy")
         assert sizes == [4, 4, 1]
         for ms, got in zip(sets, batch):
             _assert_same_result(got, _reference(ms, _weights(ms, "murphy"), "murphy"))
@@ -889,7 +941,7 @@ def _tables(draw):
 
 
 class TestFuseTables:
-    """The array core against the wrapper and ``fuse``, set by set, bit for bit."""
+    """The array core's rows and results against ``fuse``, set by set, bit for bit."""
 
     @settings(max_examples=150, deadline=None)
     @given(case=_tables())
@@ -904,7 +956,7 @@ class TestFuseTables:
             focal, table = core._mass_table([m for ms in sets for m in ms])
             out = fusion._fuse_tables(frame, focal, table.reshape(len(sets), len(sets[0]), -1),
                                       method, config)
-            batch = _fuse_batch(sets, method, config)
+            batch = _fuse_sets(sets, method, config)
             for b, (ms, got) in enumerate(zip(sets, batch)):
                 try:
                     want = fuse(ms, method, config)
@@ -967,7 +1019,7 @@ class TestMetamorphic:
                                    trace.steps[0].credibilities[perm], rtol=1e-12, atol=1e-15)
         np.testing.assert_allclose(other.credibilities, result.credibilities[perm], atol=1e-6)
         assert _same_decision(result.pignistic, other.pignistic)
-        batched = _fuse_batch([ms, permuted, ms])
+        batched = _fuse_sets([ms, permuted, ms])
         np.testing.assert_allclose(batched[1].credibilities, batched[0].credibilities[perm],
                                    atol=1e-6)
         assert batched[2].credibilities.tobytes() == batched[0].credibilities.tobytes()
@@ -988,7 +1040,7 @@ class TestMetamorphic:
                                    trace.steps[0].probabilities, rtol=1e-9, atol=1e-15)
         np.testing.assert_allclose(other.pignistic[perm], result.pignistic, atol=1e-6)
         assert _same_decision(result.pignistic, other.pignistic, perm)
-        batched = _fuse_batch([relabelled, ms])
+        batched = _fuse_sets([relabelled, ms])
         np.testing.assert_allclose(batched[0].pignistic[perm], batched[1].pignistic, atol=1e-6)
 
 
@@ -1005,7 +1057,7 @@ def _wide_set(rng, frame, n_pieces, n_focal):
 
 
 class TestLargeFrames:
-    """The batched path against ``fuse``, bit for bit, where a chunk holds
+    """The array core against ``fuse``, bit for bit, where a chunk holds
     one set (n = 13), on the widest frame (n = 20), and on one event."""
 
     @pytest.mark.parametrize("method", ["dcr", "murphy", "cef-avg", "cef-eig",
@@ -1016,10 +1068,10 @@ class TestLargeFrames:
         frame = _frame(n)
         sets = [_wide_set(rng, frame, 3, 3) for _ in range(n_sets)]
         config = IcefConfig(tau=5.0) if method == "icef-bjs" else None
-        if n > 1:
-            assert fusion._chunk_sets(frame) == 1
+        if n > 1:  # one set per chunk
+            assert fusion._BLOCK_ENTRIES >> n <= 1
         wants = [fuse(ms, method, config) for ms in sets]
-        for got, want in zip(_fuse_batch(sets, method, config), wants):
+        for got, want in zip(_fuse_sets(sets, method, config), wants):
             assert (got.mass, got.mass._values.tobytes(), got.pignistic.tobytes()) == (
                 want.mass, want.mass._values.tobytes(), want.pignistic.tobytes())
             assert (got.decision, got.method, got.converged, got.n_iter) == (
@@ -1028,16 +1080,3 @@ class TestLargeFrames:
                 assert got.credibilities is None
             else:
                 assert got.credibilities.tobytes() == want.credibilities.tobytes()
-        if n_sets == 1:  # the batch above was this one table
-            return
-        # the array core on all sets at once, which it splits into chunks
-        focal, table = core._mass_table([m for ms in sets for m in ms])
-        out = fusion._fuse_tables(frame, focal, table.reshape(n_sets, 3, -1), method, config)
-        for b, want in enumerate(wants):
-            row = out.fused[b]
-            assert out.support[row != 0.0].tolist() == list(want.mass.focal_elements())
-            assert row[row != 0.0].tobytes() == want.mass._values.tobytes()
-            assert out.probs[b].tobytes() == want.pignistic.tobytes()
-            assert (bool(out.converged[b]), int(out.n_iter[b])) == (want.converged, want.n_iter)
-            if want.credibilities is not None:
-                assert out.credibilities[b].tobytes() == want.credibilities.tobytes()
