@@ -566,10 +566,11 @@ def self_fuse(m: MassFunction, times: int) -> MassFunction:
 
     ``times`` counts operands, so ``times=1`` returns ``m`` unchanged and
     ``times=k`` combines ``k`` copies: one row of :func:`_self_combine_rows`,
-    built through the validating constructor.
+    built through the validating constructor.  ``times`` must be an
+    integer (not a bool or a float) of at least 1.
     """
-    if times < 1:
-        raise ValueError(f"times must be >= 1, got {times}")
+    if isinstance(times, bool) or not isinstance(times, (int, np.integer)) or times < 1:
+        raise ValueError(f"times must be an integer >= 1, got {times!r}")
     if times == 1:
         return m
     support, fused, conflict, failed = _self_combine_rows(
@@ -595,7 +596,9 @@ def _self_combine_rows(focal: np.ndarray, masses: np.ndarray, times: int, n: int
     Dempster's rule multiplies commonalities, so the unnormalized k-fold
     combination is the Moebius transform of ``q**k``, with ``q`` the
     commonality of the row: one transform pair over the ``2**n`` subsets
-    instead of ``k - 1`` pairwise combinations.  Each row is read only on its
+    instead of ``k - 1`` pairwise combinations.  When every mask of ``focal``
+    is a singleton (Bayesian masses) the commonality is the mass and the
+    pair is the identity, so it is skipped.  Each row is read only on its
     exact support, the nonempty intersections of at most ``times`` of its
     focal sets, so rounding left on the other subsets never becomes mass;
     there it is clipped at 0 and normalized.  The support is found once per
@@ -617,9 +620,14 @@ def _self_combine_rows(focal: np.ndarray, masses: np.ndarray, times: int, n: int
     rows = len(masses)
     if times == 1:
         return focal, masses, np.zeros(rows), np.zeros(rows, dtype=bool)
+    # on singletons alone both transforms only add or subtract exact zeros:
+    # the commonality of a singleton is its mass, of a larger set 0, and the
+    # Moebius transform of q**times is q**times on every singleton
+    bayesian = _singletons_only(focal)
     q = np.zeros((rows, 1 << n))
     q[:, focal] = masses
-    q = superset_zeta(q)
+    if not bayesian:
+        q = superset_zeta(q)
     # a row's largest nonempty commonality, a singleton's plausibility, is at
     # least 1/n (half of it leaves room for rounding), so only many operands
     # take its power below the floor; q[:, 0], the empty set's, only reaches
@@ -633,7 +641,7 @@ def _self_combine_rows(focal: np.ndarray, masses: np.ndarray, times: int, n: int
     for b, (power, row_shift) in scaled.items():
         q[b, 1:] = power
         shift[b] = row_shift
-    unnormalized = superset_mobius(q)
+    unnormalized = q if bayesian else superset_mobius(q)
 
     parts = []
     for key, which, pattern in _focal_patterns(masses != 0.0):
@@ -705,30 +713,42 @@ def _dcr_fold(focal: np.ndarray, table: np.ndarray):
 
     Each step is :func:`dcr_pair` of the running result with the next
     piece, by :func:`_dcr_step` on the rows that share a pair of focal
-    patterns, so each set gets the bits ``dcr_n`` gives it.
+    patterns, so each set gets the bits ``dcr_n`` gives it.  When every
+    mask of ``focal`` is a singleton, each step is :func:`_bayesian_step`
+    on all rows, the state staying on ``focal``; the support is then the
+    masks that some row held on both sides of the last step, as the keys
+    ``_dcr_step`` finds.
     """
     rows, pieces, _ = table.shape
     support, state = focal, table[:, 0]
     conflict = np.zeros(rows)
     failed = np.zeros(rows, dtype=bool)
     live = np.arange(rows)
+    bayesian = pieces > 1 and _singletons_only(focal)
     for k in range(1, pieces):
         operand = table[live, k]
-        width = len(support)
-        parts, step_conflict, step_failed = [], np.empty(len(live)), np.empty(len(live), dtype=bool)
-        for _, which, pattern in _focal_patterns(
-                np.concatenate([state != 0.0, operand != 0.0], axis=1)):
-            mine, theirs = pattern[:width], pattern[width:]
-            keys, values, step_conflict[which], step_failed[which] = _dcr_step(
-                support[mine], state[which][:, mine], focal[theirs], operand[which][:, theirs])
-            parts.append((which, keys, values))
-        support, state = _merged(parts, len(live))
+        if bayesian:
+            held = ((state != 0.0) & (operand != 0.0)).any(axis=0)
+            state, step_conflict, step_failed = _bayesian_step(state, operand)
+        else:
+            width = len(support)
+            parts = []
+            step_conflict, step_failed = np.empty(len(live)), np.empty(len(live), dtype=bool)
+            for _, which, pattern in _focal_patterns(
+                    np.concatenate([state != 0.0, operand != 0.0], axis=1)):
+                mine, theirs = pattern[:width], pattern[width:]
+                keys, values, step_conflict[which], step_failed[which] = _dcr_step(
+                    support[mine], state[which][:, mine], focal[theirs], operand[which][:, theirs])
+                parts.append((which, keys, values))
+            support, state = _merged(parts, len(live))
         conflict[live] = step_conflict
         failed[live] = step_failed
         if step_failed.any():
             live, state = live[~step_failed], state[~step_failed]
             if not len(live):
                 break
+    if bayesian:
+        support, state = focal[held], state[:, held]
     fused = np.zeros((rows, len(support)))
     fused[live] = state
     return support, fused, conflict, failed
@@ -766,6 +786,34 @@ def _dcr_step(b: np.ndarray, vb: np.ndarray, c: np.ndarray, vc: np.ndarray):
     failed = (conflict >= 1.0 - CONFLICT_EPS) | (total <= CONFLICT_EPS)
     with np.errstate(divide="ignore", invalid="ignore"):
         return keys, sums / total[:, None], conflict, failed
+
+
+def _bayesian_step(vb: np.ndarray, vc: np.ndarray):
+    """:func:`_dcr_step` of the rows of ``vb`` and ``vc``, masses on the same
+    ascending singleton masks (zero where a row holds none), for every row
+    at once.  Returns ``(masses, conflict, failed)``, the masses on those
+    masks.
+
+    Two singletons meet only when they are equal, so the kept mass is the
+    elementwise product, and K adds every other product in ``dcr_pair``'s
+    pair order (``b`` outer, ``c`` inner), where the zeros on the diagonal
+    and of masks a row does not hold add exactly nothing.  The surviving
+    total is Python's ``sum`` over the products in ascending mask order,
+    ``dcr_pair``'s insertion order.
+    """
+    kept = vb * vc
+    products = (vb[:, :, None] * vc[:, None, :]).reshape(len(vb), -1)
+    products[:, ::vb.shape[1] + 1] = 0.0
+    conflict = np.add.accumulate(products, axis=1)[:, -1]
+    total = np.array([sum(row) for row in kept.tolist()], dtype=float)
+    failed = (conflict >= 1.0 - CONFLICT_EPS) | (total <= CONFLICT_EPS)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return kept / total[:, None], conflict, failed
+
+
+def _singletons_only(focal: np.ndarray) -> bool:
+    """Whether every mask of ``focal`` is a singleton."""
+    return np.count_nonzero(np.bitwise_count(focal) != 1) == 0
 
 
 def _scaled_power(v: np.ndarray, times: int) -> tuple[np.ndarray, int]:

@@ -13,6 +13,7 @@ All logarithms in this module are base 2.
 from __future__ import annotations
 
 import functools
+import math
 from collections.abc import Sequence
 
 import numpy as np
@@ -82,7 +83,9 @@ def ag_divergence(p, q) -> float:
     Symmetric in its arguments; positions where the entries are equal
     (including both zero) contribute exactly 0, so the divergence of a
     vector with itself is exactly 0.0.  An entry that is zero on one side
-    only yields ``inf``.
+    only yields ``inf``.  Entries must be finite and nonnegative: a pair of
+    differing entries that makes the sum NaN or ``-inf`` (a NaN, an
+    infinite or a negative entry) raises ``ValueError``.
     """
     p = np.asarray(p, dtype=float)
     q = np.asarray(q, dtype=float)
@@ -91,9 +94,11 @@ def ag_divergence(p, q) -> float:
     differs = p != q
     if not differs.any():
         return 0.0
-    with np.errstate(divide="ignore"):
-        terms = _ag_terms(p[differs], q[differs])
-    return float(terms.sum())
+    with np.errstate(divide="ignore", invalid="ignore"):
+        total = float(_ag_terms(p[differs], q[differs]).sum())
+    if not total > -math.inf:  # NaN, or -inf from a negative entry against a zero
+        raise ValueError(f"entries must be finite and nonnegative; the sum is {total}")
+    return total
 
 
 def _ag_terms(p, q):

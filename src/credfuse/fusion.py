@@ -66,7 +66,7 @@ class IcefConfig:
     ``tau`` scales the exponential support kernel, ``delta`` is the L1
     termination threshold on event probabilities, ``init`` selects the
     starting probabilities (``"uniform"`` or ``"eem"``), and ``measure`` is
-    the divergence used to build the event evaluation matrix.
+    the :class:`DivergenceMeasure` used to build the event evaluation matrix.
     """
 
     tau: float = 200.0
@@ -84,6 +84,9 @@ class IcefConfig:
             raise InvalidConfigError(f"max_iter must be an integer >= 1, got {self.max_iter!r}")
         if self.init not in ("uniform", "eem"):
             raise InvalidConfigError(f"init must be 'uniform' or 'eem', got {self.init!r}")
+        if not isinstance(self.measure, DivergenceMeasure):
+            raise InvalidConfigError(
+                f"measure must be a DivergenceMeasure, got {self.measure!r}")
 
 
 @dataclass(frozen=True, eq=False)

@@ -60,3 +60,18 @@ def random_mass_function(rng: np.random.Generator, frame: Frame,
     if omega_floor > 0.0:
         masses[frame.full_mask] = masses.get(frame.full_mask, 0.0) + omega_floor
     return MassFunction(frame, masses)
+
+
+def random_bayesian_mass(rng: np.random.Generator, frame: Frame,
+                         first_floor: float = 0.0) -> MassFunction:
+    """A random BBA on singletons only; ``first_floor`` reserves mass for
+    the first event (handy to keep a fold that holds it from total
+    conflict)."""
+    k = int(rng.integers(1, frame.n + 1))
+    events = rng.choice(frame.n, size=k, replace=False)
+    weights = rng.random(k) + 1e-3
+    weights = weights / weights.sum() * (1.0 - first_floor)
+    masses = {1 << int(j): float(w) for j, w in zip(events, weights)}
+    if first_floor > 0.0:
+        masses[1] = masses.get(1, 0.0) + first_floor
+    return MassFunction(frame, masses)

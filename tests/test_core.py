@@ -7,7 +7,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from credfuse import (
@@ -31,7 +31,7 @@ from credfuse import (
 from credfuse import core, decide
 from credfuse.core import MAX_EVENTS, _intersections
 
-from .conftest import random_mass_function
+from .conftest import random_bayesian_mass, random_mass_function
 
 
 class TestFrame:
@@ -260,9 +260,17 @@ class TestSelfFuse:
     def test_vacuous_fixed_point(self, frame3):
         assert self_fuse(vacuous(frame3), 4) == vacuous(frame3)
 
-    def test_times_must_be_positive(self, fault_case):
-        with pytest.raises(ValueError):
-            self_fuse(fault_case[0], 0)
+    def test_times_must_be_positive(self, monkeypatch):
+        # on this mass 2.0 and 2.5 used to fail in range() inside
+        # _intersections, 3.0 returned a result and True was read as 1
+        m = MassFunction(_frame(4), {0b0011: 0.5, 0b0110: 0.3, 0b1111: 0.2})
+        monkeypatch.setattr(core, "_self_combine_rows", None)  # refused before any work
+        for times in [0, -3, 2.0, 2.5, 3.0, True, False, "2", None]:
+            with pytest.raises(ValueError, match=re.escape(f"got {times!r}")):
+                self_fuse(m, times)
+
+    def test_numpy_integer_times(self, fault_case):
+        assert self_fuse(fault_case[0], np.int64(3)) == self_fuse(fault_case[0], 3)
 
     def test_average_five_fold_matches_uniform_fusion(self, fault_case, frame3):
         combined = {}
@@ -439,10 +447,15 @@ class TestButterflyAgainstOracle:
 
 @st.composite
 def _self_fuse_cases(draw):
+    """A random mass on n = 1..8, on singletons only (Bayesian) in about half
+    of the draws, and 1..30 operands."""
     n = draw(st.integers(min_value=1, max_value=8))
-    seed = draw(st.integers(min_value=0, max_value=2**32 - 1))
-    max_focals = draw(st.integers(min_value=1, max_value=6))
-    m = random_mass_function(np.random.default_rng(seed), _frame(n), max_focals=max_focals)
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    if draw(st.booleans()):
+        m = random_bayesian_mass(rng, _frame(n))
+    else:
+        max_focals = draw(st.integers(min_value=1, max_value=6))
+        m = random_mass_function(rng, _frame(n), max_focals=max_focals)
     return m, draw(st.integers(min_value=1, max_value=30))
 
 
@@ -565,6 +578,119 @@ class TestSelfFuseAgainstFold:
         fused = self_fuse(m, 2)
         assert fused.mass(0b0001) > 0.0
         _assert_agree(fused, _fold(m, 2))
+
+
+def _singleton_table(rng, n, rows):
+    """Ascending singleton masks of an n-event frame and a random table of
+    masses on them, of shape ``(*rows, len(masks))``: zeros in several
+    patterns, and in some tables masses that span hundreds of decades, so
+    that products and powers underflow."""
+    events = np.sort(rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False))
+    masses = rng.random((*rows, len(events))) ** rng.choice([1, 4, 40, 300])
+    masses[rng.random(masses.shape) < 0.3] = 0.0
+    empty = ~masses.any(axis=-1)
+    masses[empty, rng.integers(len(events))] = 1.0
+    return 1 << events, masses / masses.sum(axis=-1, keepdims=True)
+
+
+def _with_zero_column(focal, masses, n):
+    """The same masses with a zero column on a mask that is not a singleton
+    (the full frame, or the empty set when n = 1), which sends a call down
+    the transform path and changes no row's result."""
+    extra = (1 << n) - 1 if n > 1 else 0
+    at = int(np.searchsorted(focal, extra))
+    return np.insert(focal, at, extra), np.insert(masses, at, 0.0, axis=-1), extra
+
+
+def _assert_same_kernel_result(got, want, extra):
+    """``got`` from the singleton branch has the bits of ``want`` from the
+    transform path; an unchanged table (one operand or piece) returns the
+    zero column as well, which is dropped."""
+    support, fused = want[0], want[1]
+    if extra in support.tolist():
+        keep = support != extra
+        support, fused = support[keep], fused[:, keep]
+    assert got[0].dtype == support.dtype and got[0].tolist() == support.tolist()
+    assert got[1].shape == fused.shape and got[1].tobytes() == fused.tobytes()
+    assert got[2].tobytes() == want[2].tobytes()
+    assert got[3].tolist() == want[3].tolist()
+
+
+_NO_TRANSFORM = dict.fromkeys(["superset_zeta", "superset_mobius", "_dcr_step"])
+
+
+class TestBayesianKernels:
+    """On singletons only, ``_self_combine_rows`` skips the power-set
+    transforms and ``_dcr_fold`` multiplies elementwise; both give the bits
+    of the transform path, which a zero column on a compound mask forces."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(n=st.integers(min_value=1, max_value=MAX_EVENTS), seed=st.integers(0, 2**32 - 1),
+           times=st.sampled_from([1, 2, 3, 7, 30, 500, 1080, 2000]))
+    @example(n=20, seed=1, times=2)
+    @example(n=20, seed=2, times=2000)
+    @example(n=12, seed=3, times=500)
+    @example(n=9, seed=4, times=1080)
+    def test_self_combination_equals_the_transform_path(self, n, seed, times):
+        rng = np.random.default_rng(seed)
+        focal, masses = _singleton_table(rng, n, (int(rng.integers(1, 3 if n > 12 else 7)),))
+        with mock.patch.multiple(core, **_NO_TRANSFORM):
+            got = core._self_combine_rows(focal, masses, times, n, {})
+        wide_focal, wide, extra = _with_zero_column(focal, masses, n)
+        want = core._self_combine_rows(wide_focal, wide, times, n, {})
+        _assert_same_kernel_result(got, want, extra)
+
+    @settings(max_examples=200, deadline=None)
+    @given(n=st.integers(min_value=1, max_value=MAX_EVENTS), seed=st.integers(0, 2**32 - 1),
+           pieces=st.integers(min_value=1, max_value=7),
+           eps=st.sampled_from([core.CONFLICT_EPS, 0.05, 0.3]), clash=st.booleans())
+    @example(n=20, seed=5, pieces=6, eps=core.CONFLICT_EPS, clash=True)
+    @example(n=12, seed=6, pieces=7, eps=0.05, clash=False)
+    @example(n=9, seed=7, pieces=4, eps=0.3, clash=True)
+    @example(n=5, seed=8, pieces=1, eps=core.CONFLICT_EPS, clash=False)
+    def test_fold_equals_the_transform_path(self, n, seed, pieces, eps, clash):
+        rng = np.random.default_rng(seed)
+        focal, table = _singleton_table(rng, n, (int(rng.integers(1, 9)), pieces))
+        if clash and len(focal) > 1 and pieces > 1:
+            # some sets hold the first mask and not mask j until a random
+            # step, where a piece on mask j alone leaves no mass: they fail
+            # at that step at the latest
+            for b in rng.choice(len(table), size=int(rng.integers(1, len(table) + 1))):
+                step, j = int(rng.integers(1, pieces)), int(rng.integers(1, len(focal)))
+                table[b, 0, j] = 0.0
+                table[b, :step, 0] += 0.5
+                table[b, :step] /= table[b, :step].sum(axis=-1, keepdims=True)
+                table[b, step] = 0.0
+                table[b, step, j] = 1.0
+        with mock.patch.object(core, "CONFLICT_EPS", eps):
+            with mock.patch.multiple(core, **_NO_TRANSFORM):
+                got = core._dcr_fold(focal, table)
+            wide_focal, wide, extra = _with_zero_column(focal, table, n)
+            want = core._dcr_fold(wide_focal, wide)
+        _assert_same_kernel_result(got, want, extra)
+
+    def test_failing_sets_leave_the_fold_at_their_step(self, monkeypatch):
+        frame = _frame(3)
+        a, b, c = (MassFunction(frame, {1: 0.6, 2: 0.4}), MassFunction(frame, {1: 0.5, 4: 0.5}),
+                   MassFunction(frame, {1: 0.9, 2: 0.1}))
+        clash = event_evidence(frame, 2)
+        sets = [[a, b, c, clash], [a, clash, b, c], [a, b, clash, c]]  # fail at steps 3, 1, 2
+        focal, table = core._mass_table([m for ms in sets for m in ms])
+        table = table.reshape(3, 4, -1)
+        live = []
+        step = core._bayesian_step
+        monkeypatch.setattr(core, "_bayesian_step", lambda vb, vc: live.append(len(vb)) or
+                            step(vb, vc))
+        got = core._dcr_fold(focal, table)
+        monkeypatch.undo()
+        assert live == [3, 2, 1]
+        assert got[3].tolist() == [True] * 3 and not got[1].any()
+        for ms, conflict in zip(sets, got[2].tolist()):
+            with pytest.raises(TotalConflictError) as error:
+                dcr_n(ms)
+            assert conflict == error.value.conflict == 1.0
+        wide_focal, wide, extra = _with_zero_column(focal, table, 3)
+        _assert_same_kernel_result(got, core._dcr_fold(wide_focal, wide), extra)
 
 
 def _dict_rows(frame, masks, table):

@@ -1,6 +1,7 @@
 """Divergence measures: subset weights, arithmetic-geometric divergence, BJS."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -69,6 +70,23 @@ class TestAgDivergence:
     def test_length_mismatch(self):
         with pytest.raises(LengthMismatchError):
             ag_divergence([1.0], [0.5, 0.5])
+
+    @pytest.mark.parametrize("p, q", [
+        ([0.5, 0.5], [-0.1, 1.1]),
+        ([math.nan, 1.0], [0.5, 0.5]),
+        ([math.inf, 0.0], [1.0, 0.0]),
+        ([0.5, 0.5], [0.5, math.nan]),
+        ([-0.1, 1.1], [0.0, 1.1]),  # -inf
+        ([-0.1, 0.2], [-0.2, 0.2]),
+    ])
+    def test_non_finite_or_negative_entries_raise(self, p, q):
+        # these used to return NaN (or -inf) along with a RuntimeWarning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="finite and nonnegative"):
+                ag_divergence(p, q)
+            with pytest.raises(ValueError, match="finite and nonnegative"):
+                ag_divergence(q, p)
 
     def test_zero_iff_equal(self):
         rng = np.random.default_rng(11)

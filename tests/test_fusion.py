@@ -1,6 +1,7 @@
 """Open-loop and iterative fusion against the benchmark evidence sets."""
 
 import math
+import re
 from dataclasses import replace
 from unittest import mock
 
@@ -44,7 +45,7 @@ from credfuse.divergence import LengthMismatchError as DivergenceLengthMismatchE
 from credfuse.fusion import LengthMismatchError
 
 from . import reference
-from .conftest import random_mass_function
+from .conftest import random_bayesian_mass, random_mass_function
 
 # converged credibilities for the five-sensor fault case (tau=200)
 FAULT_CRED = np.array([0.2349, 0.2874, 0.1588, 0.3180, 0.0009])
@@ -401,6 +402,15 @@ class TestIcefMechanics:
     def test_config_rejects_integer_beyond_float_range(self):
         with pytest.raises(InvalidConfigError, match="tau"):
             IcefConfig(tau=10**400)
+
+    @pytest.mark.parametrize("measure", ["pbagd", None, 3, PBAGD.__class__, pbagd])
+    def test_config_rejects_a_measure_that_is_no_divergence_measure(self, measure):
+        # a name, None or a number used to build a config on which icef died
+        # with an AttributeError and fuse(..., "cef-avg", config) on .symmetric
+        with pytest.raises(InvalidConfigError, match=re.escape(f"got {measure!r}")):
+            IcefConfig(measure=measure)
+        with pytest.raises(InvalidConfigError):
+            replace(IcefConfig(), measure=measure)
 
     def test_config_accepts_integers_and_numpy_scalars(self):
         config = IcefConfig(tau=200, delta=np.float64(1e-6), max_iter=np.int64(5))
@@ -766,30 +776,36 @@ def _assert_same_outcome(got, want):
 
 @st.composite
 def _dcr_batches(draw):
-    """Sets for one dcr table: compound focal sets on n = 1..6, one frame and
-    one size of 1..6 pieces, a clash that ends the fold at its first, a
-    middle or its last step, masses whose products underflow to zero, a
-    conflict threshold at which random steps fail, and chunks of few sets."""
+    """Sets for one dcr table: compound focal sets on n = 1..6, or in about
+    half of the tables singletons only (Bayesian), one frame and one size
+    of 1..6 pieces, a clash that ends the fold at its first, a middle or its
+    last step, masses whose products underflow to zero, a conflict
+    threshold at which random steps fail, and chunks of few sets."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     frame = _frame(draw(st.integers(1, 6)))
     n_pieces = draw(st.integers(1, 6))
     clash = draw(st.sampled_from([None, "first", "middle", "last"]))
+    bayesian = draw(st.booleans())
+    masks = 1 << np.arange(frame.n) if bayesian else np.arange(1, 1 << frame.n)
     sets = []
     for _ in range(draw(st.integers(min_value=1, max_value=8))):
         floor = float(rng.choice([0.0, 0.3]))
-        ms = [random_mass_function(rng, frame, max_focals=6, omega_floor=floor)
+        ms = [random_bayesian_mass(rng, frame, floor) if bayesian else
+              random_mass_function(rng, frame, max_focals=6, omega_floor=floor)
               for _ in range(n_pieces)]
         if draw(st.booleans()) and frame.n > 1 and n_pieces > 2:
             # two pieces with a 1e-170 mass: a product of 1e-340 is exactly 0
-            a, b = rng.choice(np.arange(1, 1 << frame.n), size=2, replace=False).tolist()
+            a, b = rng.choice(masks, size=2, replace=False).tolist()
             tiny = MassFunction(frame, {a: 1e-170, b: 1.0})
             ms[1] = ms[2] = tiny
         if clash and frame.n > 1 and n_pieces > 1:
             step = {"first": 1, "middle": n_pieces // 2, "last": n_pieces - 1}[clash]
             ms[0] = event_evidence(frame, 0)
-            ms[1:step] = [random_mass_function(rng, frame, omega_floor=0.3)
+            ms[1:step] = [random_bayesian_mass(rng, frame, 0.3) if bayesian else
+                          random_mass_function(rng, frame, omega_floor=0.3)
                           for _ in range(step - 1)]
-            ms[step] = MassFunction(frame, {frame.full_mask ^ 1: 1.0})
+            ms[step] = (event_evidence(frame, int(rng.integers(1, frame.n))) if bayesian else
+                        MassFunction(frame, {frame.full_mask ^ 1: 1.0}))
         sets.append(ms)
     eps = draw(st.sampled_from([core.CONFLICT_EPS, 0.05, 0.3]))
     chunk = draw(st.sampled_from([None, 1, 64, 256]))
