@@ -103,8 +103,9 @@ def load_dataset(
 
     ``label_column`` names the class column; all other columns are numeric
     features unless ``feature_columns`` narrows them.  Missing, non-numeric
-    or non-finite feature cells raise :class:`ParseError` with the 1-based
-    data row number and column name.
+    or non-finite feature cells, and missing labels or labels with a comma,
+    raise :class:`ParseError` with the 1-based data row number and column
+    name.
     """
     with open(path, newline="") as fh:
         reader = csv.reader(fh, delimiter=delimiter)
@@ -143,6 +144,8 @@ def load_dataset(
             label = row[label_pos].strip() if label_pos < len(row) else ""
             if not label:
                 raise ParseError(row_number, label_column, "missing label")
+            if "," in label:  # a class is a frame event, whose label cannot hold one
+                raise ParseError(row_number, label_column, f"a comma in the label {label!r}")
             rows.append(values)
             labels.append(label)
 
@@ -339,8 +342,18 @@ def _require_two_attributes(ds: Dataset) -> None:
             f"fusion needs at least two feature columns, got {ds.n_attributes}")
 
 
+def _check_fraction(fraction) -> None:
+    if not (_is_number(fraction, numbers.Real) and 0.0 < fraction <= 1.0):  # NaN fails both
+        raise InvalidConfigError(f"a training fraction must lie in (0, 1], got {fraction!r}")
+
+
 def stratified_head_indices(ds: Dataset, fraction: float) -> np.ndarray:
-    """First ``ceil(fraction * n_c)`` row indices of each class, in file order."""
+    """First ``ceil(fraction * n_c)`` row indices of each class, in file order.
+
+    Raises :class:`InvalidConfigError` unless ``fraction`` is a real number
+    (not a bool) in (0, 1].
+    """
+    _check_fraction(fraction)
     chosen: list[int] = []
     for label in ds.class_labels:
         idx = ds.class_indices(label)
@@ -362,11 +375,14 @@ def sweep_evaluate(
     class (deterministic, no randomness); the model is evaluated against all
     records.  Default fractions run 0.50 to 1.00 in steps of 0.01, i.e. 51
     evaluations per method.  Raises :class:`InvalidConfigError` for a
-    dataset of fewer than two feature columns.
+    dataset of fewer than two feature columns, or, before any evaluation,
+    for a fraction that :func:`stratified_head_indices` refuses.
     """
     _require_two_attributes(ds)
     if fractions is None:
         fractions = [round(0.50 + 0.01 * i, 2) for i in range(51)]
+    for fraction in fractions:
+        _check_fraction(fraction)
     reports = []
     for fraction in fractions:
         train = ds.subset(stratified_head_indices(ds, fraction))
@@ -412,7 +428,8 @@ def monte_carlo_evaluate(
     if not (_is_number(seed, numbers.Integral) and seed >= 0):
         raise InvalidConfigError(f"seed must be a non-negative integer, got {seed!r}")
     _require_two_attributes(ds)
-    if not 0.0 < train_fraction < 1.0:  # NaN fails both comparisons
+    if not (_is_number(train_fraction, numbers.Real)
+            and 0.0 < train_fraction < 1.0):  # NaN fails both comparisons
         raise InvalidConfigError(f"train_fraction must lie in (0, 1), got {train_fraction!r}")
     rng = np.random.default_rng(seed)
     sums = {m: {"total": 0.0, "per_class": {c: 0.0 for c in ds.class_labels},

@@ -73,7 +73,11 @@ class TotalConflictError(ArithmeticError):
 
 @dataclass(frozen=True)
 class Frame:
-    """Ordered set of mutually exclusive, exhaustive event labels."""
+    """Ordered set of mutually exclusive, exhaustive event labels.
+
+    A label may not contain a comma or start or end with whitespace, so
+    that every subset has a comma-joined label string that names it.
+    """
 
     events: tuple[str, ...]
 
@@ -85,6 +89,10 @@ class Frame:
             raise ValueError(f"frames are capped at {MAX_EVENTS} events, got {len(self.events)}")
         if len(set(self.events)) != len(self.events):
             raise ValueError("event labels must be unique")
+        for label in self.events:
+            if "," in label or label != label.strip():
+                raise ValueError(f"event label {label!r} has a comma or leading or trailing "
+                                 "whitespace, which a subset string cannot name")
 
     @property
     def n(self) -> int:
@@ -406,6 +414,11 @@ def dcr_pair(m1: MassFunction, m2: MassFunction) -> MassFunction:
     intersection is empty and renormalizing by ``1 - K`` where ``K`` is the
     conflict.  Raises :class:`TotalConflictError` when ``K >= 1 - CONFLICT_EPS``.
     """
+    return _dcr_pair(m1, m2)[0]
+
+
+def _dcr_pair(m1: MassFunction, m2: MassFunction) -> tuple[MassFunction, float]:
+    """:func:`dcr_pair` and the conflict K of the combination."""
     frame = _require_same_frame([m1, m2])
     combined: dict[int, float] = {}
     conflict = 0.0
@@ -423,7 +436,7 @@ def dcr_pair(m1: MassFunction, m2: MassFunction) -> MassFunction:
     total = sum(combined.values())
     if conflict >= 1.0 - CONFLICT_EPS or total <= CONFLICT_EPS:
         raise TotalConflictError(conflict)
-    return MassFunction(frame, {mask: v / total for mask, v in combined.items()})
+    return MassFunction(frame, {mask: v / total for mask, v in combined.items()}), conflict
 
 
 def dcr_n(ms: Iterable[MassFunction]) -> MassFunction:
@@ -699,11 +712,11 @@ def _merged(parts, rows: int) -> tuple[np.ndarray, np.ndarray]:
     return union, table
 
 
-def _dcr_fold(focal: np.ndarray, table: np.ndarray):
+def _dcr_fold(frame: Frame, focal: np.ndarray, table: np.ndarray):
     """:func:`dcr_n` of B evidence sets of N pieces each at once.
 
     ``table`` holds the (B, N, F) masses of the sets on the ascending masks
-    ``focal`` of one frame; a zero entry is not a focal set of that piece.
+    ``focal`` of ``frame``; a zero entry is not a focal set of that piece.
     Returns ``(support, fused, conflict, failed)`` as
     :func:`_self_combine_rows` does: the (B, len(support)) combined masses,
     zero outside a set's own focal sets; the conflict K of the set's last
@@ -711,85 +724,46 @@ def _dcr_fold(focal: np.ndarray, table: np.ndarray):
     case the set left the fold there and its ``fused`` row is zero.  One
     piece returns its row unchanged, with K = 0.
 
-    Each step is :func:`dcr_pair` of the running result with the next
-    piece, by :func:`_dcr_step` on the rows that share a pair of focal
-    patterns, so each set gets the bits ``dcr_n`` gives it.  When every
-    mask of ``focal`` is a singleton, each step is :func:`_bayesian_step`
-    on all rows, the state staying on ``focal``; the support is then the
-    masks that some row held on both sides of the last step, as the keys
-    ``_dcr_step`` finds.
+    When every mask of ``focal`` is a singleton, or the sets hold one piece
+    each, every step is :func:`_bayesian_step` on the sets still in the
+    fold, and the support is ``focal``.  Otherwise the pieces are built
+    once from the table and each set is folded by :func:`_dcr_pair`, so
+    each set gets the bits ``dcr_n`` gives it.
     """
-    rows, pieces, _ = table.shape
-    support, state = focal, table[:, 0]
+    rows, pieces, width = table.shape
     conflict = np.zeros(rows)
     failed = np.zeros(rows, dtype=bool)
-    live = np.arange(rows)
-    bayesian = pieces > 1 and _singletons_only(focal)
+    if pieces > 1 and not _singletons_only(focal):
+        ms = _mass_rows(frame, focal, table.reshape(-1, width))
+        results = []
+        for b in range(rows):
+            result = ms[b * pieces]
+            for m in ms[b * pieces + 1:(b + 1) * pieces]:
+                try:
+                    result, conflict[b] = _dcr_pair(result, m)
+                except TotalConflictError as error:
+                    conflict[b], failed[b] = error.conflict, True
+                    break
+            results.append(result)
+        support, fused = _mass_table(results)
+        fused[failed] = 0.0
+        return support, fused, conflict, failed
+    state, live = table[:, 0], np.arange(rows)
     for k in range(1, pieces):
-        operand = table[live, k]
-        if bayesian:
-            held = ((state != 0.0) & (operand != 0.0)).any(axis=0)
-            state, step_conflict, step_failed = _bayesian_step(state, operand)
-        else:
-            width = len(support)
-            parts = []
-            step_conflict, step_failed = np.empty(len(live)), np.empty(len(live), dtype=bool)
-            for _, which, pattern in _focal_patterns(
-                    np.concatenate([state != 0.0, operand != 0.0], axis=1)):
-                mine, theirs = pattern[:width], pattern[width:]
-                keys, values, step_conflict[which], step_failed[which] = _dcr_step(
-                    support[mine], state[which][:, mine], focal[theirs], operand[which][:, theirs])
-                parts.append((which, keys, values))
-            support, state = _merged(parts, len(live))
+        state, step_conflict, step_failed = _bayesian_step(state, table[live, k])
         conflict[live] = step_conflict
         failed[live] = step_failed
         if step_failed.any():
             live, state = live[~step_failed], state[~step_failed]
             if not len(live):
                 break
-    if bayesian:
-        support, state = focal[held], state[:, held]
-    fused = np.zeros((rows, len(support)))
+    fused = np.zeros((rows, len(focal)))
     fused[live] = state
-    return support, fused, conflict, failed
-
-
-def _dcr_step(b: np.ndarray, vb: np.ndarray, c: np.ndarray, vc: np.ndarray):
-    """:func:`dcr_pair` of row ``i`` of ``vb``, masses on the ascending masks
-    ``b``, with row ``i`` of ``vc`` on ``c``, for every row at once; every
-    entry is a focal set.  Returns ``(keys, masses, conflict, failed)``:
-    the ascending nonempty intersections, each row's normalized masses on
-    them, its conflict K, and whether K counts as total (the masses of such
-    a row are meaningless).
-
-    The products run in ``dcr_pair``'s pair order (``b`` outer, ``c``
-    inner).  Each intersection's products, and the conflict's, are summed
-    in that order (``np.add.accumulate`` adds in order; the zeros that pad
-    shorter lists come last and change nothing), and the surviving total is
-    Python's ``sum`` over the masses in ``dcr_pair``'s insertion order, the
-    order in which the pairs first reach each intersection.
-    """
-    inter = (b[:, None] & c).ravel()
-    products = (vb[:, :, None] * vc[:, None, :]).reshape(len(vb), -1)
-    keys, first, slot = np.unique(inter, return_index=True, return_inverse=True)
-    counts = np.bincount(slot, minlength=len(keys))
-    order = np.argsort(slot, kind="stable")
-    index = np.full((len(keys), counts.max()), len(inter))  # the last column is the pad
-    index[slot[order], np.arange(len(inter)) - np.repeat(np.cumsum(counts) - counts, counts)] = order
-    padded = np.concatenate([products, np.zeros((len(vb), 1))], axis=1)[:, index]
-    sums = np.add.accumulate(padded, axis=2)[:, :, -1]
-    if keys[0] == 0:
-        conflict, keys, first, sums = sums[:, 0], keys[1:], first[1:], sums[:, 1:]
-    else:
-        conflict = np.zeros(len(vb))
-    total = np.array([sum(row) for row in sums[:, np.argsort(first)].tolist()], dtype=float)
-    failed = (conflict >= 1.0 - CONFLICT_EPS) | (total <= CONFLICT_EPS)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return keys, sums / total[:, None], conflict, failed
+    return focal, fused, conflict, failed
 
 
 def _bayesian_step(vb: np.ndarray, vc: np.ndarray):
-    """:func:`_dcr_step` of the rows of ``vb`` and ``vc``, masses on the same
+    """:func:`dcr_pair` of the rows of ``vb`` and ``vc``, masses on the same
     ascending singleton masks (zero where a row holds none), for every row
     at once.  Returns ``(masses, conflict, failed)``, the masses on those
     masks.

@@ -83,9 +83,14 @@ def ag_divergence(p, q) -> float:
     Symmetric in its arguments; positions where the entries are equal
     (including both zero) contribute exactly 0, so the divergence of a
     vector with itself is exactly 0.0.  An entry that is zero on one side
-    only yields ``inf``.  Entries must be finite and nonnegative: a pair of
-    differing entries that makes the sum NaN or ``-inf`` (a NaN, an
-    infinite or a negative entry) raises ``ValueError``.
+    only yields ``inf``.  Entries must be finite and nonnegative: a NaN, an
+    infinite or a negative entry that differs from its partner raises
+    ``ValueError``.
+
+    A sum that is not finite is recomputed in a form that neither
+    overflows nor underflows at the ends of the float range: the mean as
+    ``p/2 + q/2``, the geometric mean as ``sqrt(p) * sqrt(q)``, and ``inf``
+    exactly where one entry is 0.  A finite sum is returned as computed.
     """
     p = np.asarray(p, dtype=float)
     q = np.asarray(q, dtype=float)
@@ -94,11 +99,23 @@ def ag_divergence(p, q) -> float:
     differs = p != q
     if not differs.any():
         return 0.0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        total = float(_ag_terms(p[differs], q[differs]).sum())
-    if not total > -math.inf:  # NaN, or -inf from a negative entry against a zero
+    p, q = p[differs], q[differs]
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        total = float(_ag_terms(p, q).sum())
+    if math.isfinite(total):
+        return total
+    if not (np.isfinite(p) & np.isfinite(q) & (p >= 0.0) & (q >= 0.0)).all():
         raise ValueError(f"entries must be finite and nonnegative; the sum is {total}")
-    return total
+    mean = p / 2.0 + q / 2.0
+    geo = np.sqrt(p) * np.sqrt(q)
+    with np.errstate(all="ignore"):
+        log_ratio = np.log2(mean / geo)
+        # a ratio beyond float range, of entries far apart in magnitude
+        wide = np.isinf(log_ratio)
+        log_ratio[wide] = np.log2(mean[wide]) - np.log2(geo[wide])
+        terms = mean * log_ratio
+        terms[(p == 0.0) | (q == 0.0)] = math.inf
+        return float(terms.sum())
 
 
 def _ag_terms(p, q):

@@ -420,7 +420,7 @@ def _fuse_tables(frame: Frame, focal: np.ndarray, table: np.ndarray, method: str
 def _fuse_chunk(frame: Frame, focal: np.ndarray, table: np.ndarray, method: str,
                 config: IcefConfig | None) -> _Fused:
     if method == "dcr":
-        support, fused, conflict, failed = core._dcr_fold(focal, table)
+        support, fused, conflict, failed = core._dcr_fold(frame, focal, table)
         return _Fused(support, fused, core._pignistic_rows(support, fused, frame.n),
                       conflict, failed)
     if method.startswith("icef-"):
@@ -458,13 +458,22 @@ def _icef_config(method: str, config: IcefConfig | None) -> IcefConfig:
 
 def _method_weights(method: str, sets, config: IcefConfig | None = None) -> np.ndarray:
     """Rows of 1/N, or of EDMM credibilities under ``config``'s measure, one
-    per set; for murphy, ``sets`` may be any (B, N, ...) array."""
+    per set; for murphy, ``sets`` may be any (B, N, ...) array.  An EDMM
+    with a NaN or infinite divergence raises :class:`InvalidMassValueError`."""
     if method == "murphy":
         return np.full((len(sets), len(sets[0])), 1.0 / len(sets[0]))
     if method not in ("cef-avg", "cef-eig"):
         raise ValueError(f"unknown fusion method {method!r}; known: {FUSION_METHODS}")
     credibility = average_support_credibility if method == "cef-avg" else eigenvalue_credibility
-    return np.array([credibility(build_edmm(ms, (config or IcefConfig()).measure)) for ms in sets])
+    measure = (config or IcefConfig()).measure
+    weights = []
+    for ms in sets:
+        edmm = build_edmm(ms, measure)
+        if not np.isfinite(edmm.values).all():
+            raise InvalidMassValueError(
+                f"measure {measure.name!r} gave a non-finite divergence between two pieces")
+        weights.append(credibility(edmm))
+    return np.array(weights)
 
 
 FUSION_METHODS = ("dcr", "murphy", "icef-pbagd", "cef-avg", "cef-eig")

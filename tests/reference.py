@@ -1,14 +1,21 @@
 """Dictionary-and-loop forms of the array kernels, kept as the tests' oracles.
 
-Each function is the library's earlier code for the same result, one mass
-or one divergence at a time; the kernels must give the same bits.
+Each function computes a kernel's result one mass or one divergence at a
+time, mostly as the library's earlier code did; the kernels must give the
+same bits.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from credfuse.core import LengthMismatchError, MassFunction, _require_same_frame, event_evidence
+from credfuse.core import (
+    LengthMismatchError,
+    MassFunction,
+    _require_same_frame,
+    dcr_n,
+    event_evidence,
+)
 
 
 def weighted_average(ms, weights) -> MassFunction:
@@ -29,3 +36,18 @@ def event_divergences(measure, ms, frame) -> np.ndarray:
     of each event (rows), one call of the measure per entry."""
     assertions = [event_evidence(frame, j) for j in range(frame.n)]
     return np.array([[measure(m, a) for m in ms] for a in assertions])
+
+
+def dcr_conflict(ms) -> float:
+    """The conflict K of the last combination in ``dcr_n(ms)``: the products
+    of the disjoint focal sets of ``dcr_n(ms[:-1])`` and ``ms[-1]``, added
+    in ``dcr_pair``'s pair order; 0 for one piece."""
+    if len(ms) == 1:
+        return 0.0
+    conflict = 0.0
+    last = list(ms[-1].items())
+    for b, vb in dcr_n(ms[:-1]).items():
+        for c, vc in last:
+            if b & c == 0:
+                conflict += vb * vc
+    return conflict

@@ -102,6 +102,14 @@ class TestLoadDataset:
             load_dataset(path, label_column="y")
         assert (excinfo.value.row, excinfo.value.column) == (2, "b")
 
+    def test_label_with_a_comma_reports_location(self, tmp_path):
+        # a class is a frame event, and a frame label cannot hold a comma
+        path = tmp_path / "comma.csv"
+        path.write_text('a,b,y\n1.0,2.0,x\n1.0,2.0,"x,z"\n')
+        with pytest.raises(ParseError, match="comma") as excinfo:
+            load_dataset(path, label_column="y")
+        assert (excinfo.value.row, excinfo.value.column) == (2, "y")
+
     def test_class_indices_read_one_label_array(self, iris, monkeypatch):
         labels = iris._label_array
         monkeypatch.setattr(np, "array", lambda *args, **kwargs: pytest.fail("built again"))
@@ -310,6 +318,16 @@ class TestSweep:
         assert report.n_train == separable.n_records
         assert report.total_accuracy == 1.0
 
+    @pytest.mark.parametrize("fraction", [-0.1, 0.0, 1.5, True, math.nan, math.inf, "0.5", None])
+    def test_rejects_a_fraction_outside_zero_to_one(self, separable, fraction, monkeypatch):
+        # -0.1 used to train on most rows and 1.5 or True on all of them;
+        # NaN and inf ended in a bare ValueError and OverflowError
+        with pytest.raises(InvalidConfigError, match="fraction"):
+            stratified_head_indices(separable, fraction)
+        monkeypatch.setattr(classify, "_evaluate_model", lambda *args: pytest.fail("evaluated"))
+        with pytest.raises(InvalidConfigError, match="fraction"):
+            sweep_evaluate(separable, ["dcr"], lam=2.0, fractions=[0.6, fraction])
+
     def test_total_is_record_weighted(self, sweep_reports):
         r = sweep_reports[0]
         class_sizes = {"low": 20, "high": 20}
@@ -351,6 +369,8 @@ class TestMonteCarlo:
         ({"train_fraction": 0.99}, "train_fraction"),  # rounds to every row of each class
         ({"train_fraction": math.nan}, "train_fraction"),  # used to fail inside round()
         ({"train_fraction": 0.0}, "train_fraction"),
+        ({"train_fraction": "0.5"}, "train_fraction"),  # used to raise a bare TypeError
+        ({"train_fraction": None}, "train_fraction"),
     ])
     def test_rejects_settings_that_leave_nothing_to_score(self, separable, settings, name):
         with pytest.raises(InvalidConfigError, match=name):

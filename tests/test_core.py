@@ -54,6 +54,13 @@ class TestFrame:
         with pytest.raises(ValueError):
             Frame(tuple(f"E{i}" for i in range(21)))
 
+    @pytest.mark.parametrize("labels", [("A,B", "C"), (" A", "B"), ("A", "B\t"), (",",),
+                                        ("A", "\u00a0")])
+    def test_rejects_labels_that_a_subset_string_cannot_name(self, labels):
+        # these used to build frames whose documents could not be read back
+        with pytest.raises(ValueError, match="subset string"):
+            Frame(labels)
+
     def test_unknown_label(self, frame3):
         with pytest.raises(KeyError):
             frame3.mask_of("A9")
@@ -604,8 +611,8 @@ def _with_zero_column(focal, masses, n):
 
 def _assert_same_kernel_result(got, want, extra):
     """``got`` from the singleton branch has the bits of ``want`` from the
-    transform path; an unchanged table (one operand or piece) returns the
-    zero column as well, which is dropped."""
+    transform path; an unchanged table (one operand) returns the zero
+    column as well, which is dropped."""
     support, fused = want[0], want[1]
     if extra in support.tolist():
         keep = support != extra
@@ -616,13 +623,28 @@ def _assert_same_kernel_result(got, want, extra):
     assert got[3].tolist() == want[3].tolist()
 
 
-_NO_TRANSFORM = dict.fromkeys(["superset_zeta", "superset_mobius", "_dcr_step"])
+def _assert_same_fold(got, want, focal):
+    """``got`` from the singleton branch, on the support ``focal``, gives
+    each set the nonzero (mask, mass) pairs, K and ``failed`` of ``want``
+    from the per-set fold, bit for bit."""
+    def pairs(support, fused):
+        return [[(m, v.hex()) for m, v in zip(support.tolist(), row) if v]
+                for row in fused.tolist()]
+
+    assert got[0].tolist() == focal.tolist() and got[1].shape == (len(want[1]), len(focal))
+    assert pairs(*got[:2]) == pairs(*want[:2])
+    assert got[2].tobytes() == want[2].tobytes()
+    assert got[3].tolist() == want[3].tolist() and not got[1][got[3]].any()
+
+
+_NO_TRANSFORM = dict.fromkeys(["superset_zeta", "superset_mobius", "_dcr_pair"])
 
 
 class TestBayesianKernels:
     """On singletons only, ``_self_combine_rows`` skips the power-set
     transforms and ``_dcr_fold`` multiplies elementwise; both give the bits
-    of the transform path, which a zero column on a compound mask forces."""
+    of the general path (the transforms, or the per-set fold), which a zero
+    column on a compound mask forces."""
 
     @settings(max_examples=120, deadline=None)
     @given(n=st.integers(min_value=1, max_value=MAX_EVENTS), seed=st.integers(0, 2**32 - 1),
@@ -662,12 +684,13 @@ class TestBayesianKernels:
                 table[b, :step] /= table[b, :step].sum(axis=-1, keepdims=True)
                 table[b, step] = 0.0
                 table[b, step, j] = 1.0
+        frame = _frame(n)
         with mock.patch.object(core, "CONFLICT_EPS", eps):
             with mock.patch.multiple(core, **_NO_TRANSFORM):
-                got = core._dcr_fold(focal, table)
-            wide_focal, wide, extra = _with_zero_column(focal, table, n)
-            want = core._dcr_fold(wide_focal, wide)
-        _assert_same_kernel_result(got, want, extra)
+                got = core._dcr_fold(frame, focal, table)
+            wide_focal, wide, _ = _with_zero_column(focal, table, n)
+            want = core._dcr_fold(frame, wide_focal, wide)
+        _assert_same_fold(got, want, focal)
 
     def test_failing_sets_leave_the_fold_at_their_step(self, monkeypatch):
         frame = _frame(3)
@@ -681,7 +704,7 @@ class TestBayesianKernels:
         step = core._bayesian_step
         monkeypatch.setattr(core, "_bayesian_step", lambda vb, vc: live.append(len(vb)) or
                             step(vb, vc))
-        got = core._dcr_fold(focal, table)
+        got = core._dcr_fold(frame, focal, table)
         monkeypatch.undo()
         assert live == [3, 2, 1]
         assert got[3].tolist() == [True] * 3 and not got[1].any()
@@ -689,8 +712,8 @@ class TestBayesianKernels:
             with pytest.raises(TotalConflictError) as error:
                 dcr_n(ms)
             assert conflict == error.value.conflict == 1.0
-        wide_focal, wide, extra = _with_zero_column(focal, table, 3)
-        _assert_same_kernel_result(got, core._dcr_fold(wide_focal, wide), extra)
+        wide_focal, wide, _ = _with_zero_column(focal, table, 3)
+        _assert_same_fold(got, core._dcr_fold(frame, wide_focal, wide), focal)
 
 
 def _dict_rows(frame, masks, table):

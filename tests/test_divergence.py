@@ -88,6 +88,23 @@ class TestAgDivergence:
             with pytest.raises(ValueError, match="finite and nonnegative"):
                 ag_divergence(q, p)
 
+    @pytest.mark.parametrize("p, q, want, rel", [
+        # half of the smallest subnormal rounds to a mean of 0
+        ([5e-324, 1 - 5e-324], [0.0, 1.0], math.inf, 0.0),
+        # the sum of the entries overflows
+        ([1.7e308], [1.6e308], 1e308 * 1.65 * math.log2(1.65 / math.sqrt(1.7 * 1.6)), 1e-12),
+        # the product of the entries underflows to 0; 1e-320 is subnormal
+        ([1e-320, 1.0], [3e-320, 1.0], 2e-320 * math.log2(2 / math.sqrt(3)), 1e-2),
+        # the ratio of the means overflows
+        ([1e300], [5e-324], 5e299 * (math.log2(5e299) - math.log2(1e300 * 5e-324) / 2), 1e-12),
+    ])
+    def test_entries_at_the_ends_of_the_float_range(self, p, q, want, rel):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = ag_divergence(p, q)
+            assert ag_divergence(q, p) == got
+        assert got == pytest.approx(want, rel=rel)
+
     def test_zero_iff_equal(self):
         rng = np.random.default_rng(11)
         for _ in range(50):

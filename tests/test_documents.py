@@ -1,15 +1,19 @@
 """Evidence-document parsing, serialization, and builtins."""
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from credfuse import (
     BUILTIN_DOCUMENTS,
+    Frame,
     MassFunction,
     builtin_document,
     dump_evidence_document,
     parse_evidence_document,
 )
-from credfuse.documents import DocumentError, format_table, matrix_table
+from credfuse.documents import DocumentError, EvidenceDocument, format_table, matrix_table
 
 DOC = """
 {
@@ -45,6 +49,25 @@ class TestParsing:
             doc = builtin_document(name)
             again = parse_evidence_document(dump_evidence_document(doc))
             assert [m for _, m in again.evidence] == [m for _, m in doc.evidence]
+
+    @settings(max_examples=200, deadline=None)
+    @given(labels=st.lists(st.text(st.one_of(st.sampled_from(" ,\t\n\u00a0"), st.characters()),
+                                   max_size=4), min_size=1, max_size=5, unique=True),
+           seed=st.integers(0, 2**32 - 1))
+    def test_round_trip_of_every_accepted_label_set(self, labels, seed):
+        try:
+            frame = Frame(tuple(labels))
+        except ValueError:
+            assert any("," in label or label != label.strip() for label in labels)
+            return
+        rng = np.random.default_rng(seed)
+        subsets = np.arange(1, 1 << frame.n)
+        masks = rng.choice(subsets, size=min(4, len(subsets)), replace=False).tolist()
+        weights = rng.random(len(masks)) + 0.1
+        m = MassFunction(frame, dict(zip(masks, (weights / weights.sum()).tolist())))
+        again = parse_evidence_document(
+            dump_evidence_document(EvidenceDocument(frame, (("m1", m),))))
+        assert again.frame == frame and again.mass_functions == [m]
 
     def test_unknown_label_rejected(self):
         bad = DOC.replace('"A1": 0.7, "A2": 0.1', '"A9": 0.7, "A2": 0.1')

@@ -501,6 +501,24 @@ class TestFuseDispatcher:
             with pytest.raises(ValueError, match="need at least two pieces of evidence"):
                 murphy_fuse(ms)
 
+    @pytest.mark.parametrize("method", ["cef-avg", "cef-eig"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_divergences_are_refused_before_the_weights(self, fault_case, method,
+                                                                   value):
+        class Broken(DivergenceMeasure):
+            name = "broken"
+
+            def evaluate(self, m1, m2):
+                return value
+
+        config = IcefConfig(measure=Broken())
+        # cef-eig used to end in numpy's LinAlgError, and a batch of cef-avg
+        # fusions to flag every set as a total conflict
+        with pytest.raises(InvalidMassValueError, match="'broken'"):
+            fuse(fault_case, method, config)
+        with pytest.raises(InvalidMassValueError, match="'broken'"):
+            _fuse_sets([fault_case, fault_case[::-1]], method, config)
+
     def test_icef_bjs_via_dispatcher(self, fault_case):
         result = fuse(fault_case, method="icef-bjs", config=IcefConfig(tau=5.0))
         assert result.method == "icef-bjs"
@@ -868,18 +886,43 @@ class TestDcrBatch:
         _assert_dcr_n(batch[0], pieces)
         _assert_dcr_n(batch[2], pieces[::-1])
 
-    def test_one_fold_per_group_and_no_pairwise_combination(self, fault_case, conflict_case,
-                                                            monkeypatch):
-        folds = []
-        fold = core._dcr_fold
-        monkeypatch.setattr(core, "_dcr_fold", lambda focal, table:
-                            folds.append(table.shape[:2]) or fold(focal, table))
+    @settings(max_examples=100, deadline=None)
+    @given(case=_dcr_batches())
+    def test_conflict_of_each_live_set_is_its_last_combination(self, case):
+        sets, eps, chunk = case
+        frame = sets[0][0].frame
+        focal, table = core._mass_table([m for ms in sets for m in ms])
+        with mock.patch.object(fusion, "_BLOCK_ENTRIES",
+                               fusion._BLOCK_ENTRIES if chunk is None else chunk), \
+                mock.patch.object(core, "CONFLICT_EPS", eps):
+            out = fusion._fuse_tables(frame, focal, table.reshape(len(sets), len(sets[0]), -1),
+                                      "dcr")
+            for ms, conflict, failed in zip(sets, out.conflict.tolist(), out.failed.tolist()):
+                if not failed:
+                    assert conflict.hex() == reference.dcr_conflict(ms).hex()
+
+    def test_one_fold_per_chunk_and_one_pair_per_step_only_on_compound_sets(
+            self, fault_case, conflict_case, monkeypatch):
+        folds, pairs = [], []
+        fold, pair = core._dcr_fold, core._dcr_pair
+        monkeypatch.setattr(core, "_dcr_fold", lambda frame, focal, table:
+                            folds.append(table.shape[:2]) or fold(frame, focal, table))
+        monkeypatch.setattr(core, "_dcr_pair", lambda m1, m2:
+                            pairs.append(m2) or pair(m1, m2))
         monkeypatch.setattr(core, "dcr_pair", None)
         sets = [fault_case, conflict_case, fault_case[::-1]]
         batch = _fuse_sets(sets, "dcr")
         assert folds == [(3, 5)]  # (sets, pieces)
+        assert pairs == [m for ms in sets for m in ms[1:]]  # no set fails
+        rng = np.random.default_rng(5)
+        bayesian = [[random_bayesian_mass(rng, fault_case[0].frame) for _ in range(4)]
+                    for _ in range(3)]
+        folds.clear()
+        pairs.clear()
+        singletons = _fuse_sets(bayesian, "dcr")
+        assert folds == [(3, 4)] and pairs == []
         monkeypatch.undo()
-        for got, ms in zip(batch, sets):
+        for got, ms in zip(batch + singletons, sets + bayesian):
             _assert_dcr_n(got, ms)
 
 
