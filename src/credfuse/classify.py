@@ -105,7 +105,8 @@ def load_dataset(
     features unless ``feature_columns`` narrows them.  Missing, non-numeric
     or non-finite feature cells, and missing labels or labels with a comma,
     raise :class:`ParseError` with the 1-based data row number and column
-    name.
+    name.  So do more classes than a frame holds (``core.MAX_EVENTS``),
+    at the row where the first class beyond them appears.
     """
     with open(path, newline="") as fh:
         reader = csv.reader(fh, delimiter=delimiter)
@@ -126,6 +127,7 @@ def load_dataset(
 
         rows: list[list[float]] = []
         labels: list[str] = []
+        first_rows: dict[str, int] = {}  # each class, in first-appearance order
         for row_number, row in enumerate(reader, start=1):
             if not row or all(not cell.strip() for cell in row):
                 continue
@@ -148,16 +150,21 @@ def load_dataset(
                 raise ParseError(row_number, label_column, f"a comma in the label {label!r}")
             rows.append(values)
             labels.append(label)
+            first_rows.setdefault(label, row_number)
 
     if not rows:
         raise EmptyDatasetError(f"{path}: no data rows")
-    class_labels = tuple(dict.fromkeys(labels))  # first-appearance order
+    if len(first_rows) > core.MAX_EVENTS:  # a class is a frame event
+        extra = list(first_rows)[core.MAX_EVENTS]
+        raise ParseError(first_rows[extra], label_column,
+                         f"{len(first_rows)} classes, but a frame holds at most "
+                         f"{core.MAX_EVENTS} events; {extra!r} is the first beyond them")
     return Dataset(
         name or str(path),
         tuple(feature_columns),
         np.array(rows, dtype=float),
         tuple(labels),
-        class_labels,
+        tuple(first_rows),
     )
 
 

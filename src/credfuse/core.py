@@ -275,8 +275,8 @@ class MassFunction:
         Returns a length-``n`` vector in frame order; sums to 1.  See
         :func:`_pignistic_rows`, which ``icef`` calls on its arrays.
         """
-        return _pignistic_rows(np.frombuffer(self._focal, dtype=np.int64),
-                               np.frombuffer(self._values), self.frame.n)
+        return _pignistic_rows(np.frombuffer(self._values), _pignistic_layout(
+            np.frombuffer(self._focal, dtype=np.int64), self.frame.n))
 
     def __eq__(self, other):
         if not isinstance(other, MassFunction):
@@ -294,18 +294,33 @@ class MassFunction:
         return f"MassFunction({body})"
 
 
-def _pignistic_rows(masks: np.ndarray, masses: np.ndarray, n: int) -> np.ndarray:
-    """Pignistic probabilities of each row of ``masses`` on the ascending
-    ``masks`` of an ``n``-event frame, along the last axis.
+def _pignistic_layout(masks: np.ndarray, n: int):
+    """What :func:`_pignistic_rows` reads of the ascending ``masks`` of an
+    ``n``-event frame: ``None`` when they are the frame's ``n`` singletons,
+    else the size of each mask and the (F, n) 0/1 matrix of its events."""
+    if len(masks) == n and _singletons_only(masks):
+        return None
+    return np.bitwise_count(masks), masks[:, None] >> _EVENT_INDEX[:n] & 1
+
+
+def _pignistic_rows(masses: np.ndarray, layout) -> np.ndarray:
+    """Pignistic probabilities of each row of ``masses`` along the last
+    axis, on the masks whose :func:`_pignistic_layout` is ``layout``.
 
     Each event adds up its shares in ascending mask order (a sum along an
     axis that is not the last of a C-ordered array runs row by row), so
     equal inputs give bit-equal outputs and ties stay exact.  A zero mass
     adds an exact zero, so masks outside a row's focal sets change nothing.
+    On the ``n`` singletons each event's one share is its singleton's mass
+    and the others add exact zeros, so the probabilities are a copy of the
+    masses, with the same bits; a row of NaN (a failed self-combination's
+    0/0) stays NaN.  Fewer singletons still take the sum, through which a
+    NaN row reaches the events it does not hold as well.
     """
-    shares = masses / np.bitwise_count(masks)
-    members = masks[:, None] >> _EVENT_INDEX[:n] & 1
-    return (members * shares[..., None]).sum(axis=-2)
+    if layout is None:
+        return masses.copy()
+    sizes, members = layout
+    return (members * (masses / sizes)[..., None]).sum(axis=-2)
 
 
 def _mass_table(ms) -> tuple[np.ndarray, np.ndarray]:
@@ -587,39 +602,85 @@ def self_fuse(m: MassFunction, times: int) -> MassFunction:
     if times == 1:
         return m
     support, fused, conflict, failed = _self_combine_rows(
-        np.frombuffer(m._focal, dtype=np.int64), np.frombuffer(m._values)[None],
-        times, m.frame.n, {})
+        np.frombuffer(m._values)[None],
+        _SelfCombination(np.frombuffer(m._focal, dtype=np.int64), times, m.frame.n))
     if failed[0]:
         raise TotalConflictError(float(conflict[0]))
     return MassFunction(m.frame, dict(zip(support.tolist(), fused[0].tolist())))
 
 
-def _self_combine_rows(focal: np.ndarray, masses: np.ndarray, times: int, n: int,
-                       supports: dict):
+class _SelfCombination:
+    """What every ``times``-fold self-combination of mass rows on the
+    ascending masks ``focal`` of an ``n``-event frame shares, found once:
+    whether every mask is a singleton, the support of each pattern of focal
+    sets, and the pignistic layout of the support last read.  The ``icef``
+    loop makes one per call and combines every iteration's rows under it,
+    so each support is the same array from one iteration to the next.
+    """
+
+    __slots__ = ("focal", "times", "n", "bayesian", "supports", "_layout")
+
+    def __init__(self, focal: np.ndarray, times: int, n: int):
+        self.focal, self.times, self.n = focal, times, n
+        self.bayesian = _singletons_only(focal)
+        #: pattern bytes -> (support, the columns that the support reads)
+        self.supports: dict[bytes, tuple[np.ndarray, np.ndarray]] = {}
+        self._layout = None, None
+
+    def support(self, key: bytes, pattern: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The support of rows whose focal sets are ``focal[pattern]``, and
+        the columns of the combined table that hold it: the nonempty
+        intersections of at most ``times`` of those sets, found once per
+        pattern, among the ``2**n`` subsets.  Two distinct singletons never
+        meet, so on singletons the support is the held masks themselves,
+        read in their own columns."""
+        found = self.supports.get(key)
+        if found is None:
+            if self.bayesian:
+                found = self.focal[pattern], pattern.nonzero()[0]
+            else:
+                support = _intersections(self.focal[pattern], self.times, 1 << self.n)
+                found = support, support
+            self.supports[key] = found
+        return found
+
+    def layout(self, support: np.ndarray):
+        """:func:`_pignistic_layout` of ``support``, kept while the same
+        array comes back."""
+        masks, layout = self._layout
+        if masks is not support:
+            layout = _pignistic_layout(support, self.n)
+            self._layout = support, layout
+        return layout
+
+
+def _self_combine_rows(masses: np.ndarray, combination: _SelfCombination):
     """The ``times``-fold Dempster self-combination of each row of ``masses``.
 
     Row ``b`` of the ``(rows, F)`` array ``masses`` is one mass assignment on
-    the ascending masks ``focal`` of an ``n``-event frame; a zero entry is
-    not a focal set of that row.  Returns ``(support, fused, conflict,
-    failed)``: the ascending masks ``support``, the ``(rows, len(support))``
-    combined masses on them (zero outside a row's own support), the conflict
-    K of each row, and whether K counts as total.  One operand returns the
-    rows unchanged, with K = 0.
+    the ascending masks ``focal`` of an ``n``-event frame, the three held by
+    ``combination``; a zero entry is not a focal set of that row.  Returns
+    ``(support, fused, conflict, failed)``: the ascending masks ``support``,
+    the ``(rows, len(support))`` combined masses on them (zero outside a
+    row's own support), the conflict K of each row, and whether K counts as
+    total.  One operand returns the rows unchanged, with K = 0.
 
     Dempster's rule multiplies commonalities, so the unnormalized k-fold
     combination is the Moebius transform of ``q**k``, with ``q`` the
     commonality of the row: one transform pair over the ``2**n`` subsets
     instead of ``k - 1`` pairwise combinations.  When every mask of ``focal``
     is a singleton (Bayesian masses) the commonality is the mass and the
-    pair is the identity, so it is skipped.  Each row is read only on its
-    exact support, the nonempty intersections of at most ``times`` of its
-    focal sets, so rounding left on the other subsets never becomes mass;
-    there it is clipped at 0 and normalized.  The support is found once per
-    pattern of focal sets and kept in ``supports``, which the caller owns
-    and must not share between different ``focal`` or ``times``.  A row
-    fails when at most ``CONFLICT_EPS ** (times - 1)`` of its mass survives,
-    i.e. when on average no more than ``CONFLICT_EPS`` survives each
-    combination; its ``fused`` entries are then meaningless.
+    pair is the identity, so the power is taken on ``masses`` themselves.
+    Each row is read only on its exact support, the nonempty intersections
+    of at most ``times`` of its focal sets (see
+    :meth:`_SelfCombination.support`), so rounding left on the other subsets
+    never becomes mass; there it is clipped at 0 and normalized.  A
+    Bayesian table whose entries are all nonzero has one pattern, every
+    mask, whose support is ``focal`` itself.  With several patterns each
+    row's total is summed over its own support alone, as for a lone row.  A
+    row fails when at most ``CONFLICT_EPS ** (times - 1)`` of its mass
+    survives, i.e. when on average no more than ``CONFLICT_EPS`` survives
+    each combination; its ``fused`` entries are then meaningless.
 
     When a row's largest power would fall below ``_POWER_FLOOR``, the power
     of its nonempty commonalities is taken by :func:`_scaled_power`, which
@@ -630,16 +691,18 @@ def _self_combine_rows(focal: np.ndarray, masses: np.ndarray, times: int, n: int
     still applied to the unscaled survivor total, compared in logarithms.
     Only many operands can need this; fewer skip the check.
     """
+    focal, times, n = combination.focal, combination.times, combination.n
     rows = len(masses)
     if times == 1:
         return focal, masses, np.zeros(rows), np.zeros(rows, dtype=bool)
     # on singletons alone both transforms only add or subtract exact zeros:
     # the commonality of a singleton is its mass, of a larger set 0, and the
     # Moebius transform of q**times is q**times on every singleton
-    bayesian = _singletons_only(focal)
-    q = np.zeros((rows, 1 << n))
-    q[:, focal] = masses
-    if not bayesian:
+    if combination.bayesian:
+        q, nonempty = masses, slice(None)
+    else:
+        q, nonempty = np.zeros((rows, 1 << n)), slice(1, None)
+        q[:, focal] = masses
         q = superset_zeta(q)
     # a row's largest nonempty commonality, a singleton's plausibility, is at
     # least 1/n (half of it leaves room for rounding), so only many operands
@@ -647,28 +710,36 @@ def _self_combine_rows(focal: np.ndarray, masses: np.ndarray, times: int, n: int
     # the empty set's entry, which is never read
     scaled = {}
     if (0.5 / n) ** times < _POWER_FLOOR:
-        low = q[:, 1:].max(axis=1) ** times < _POWER_FLOOR
-        scaled = {b: _scaled_power(q[b, 1:], times) for b in low.nonzero()[0]}
-    q **= times
+        low = q[:, nonempty].max(axis=1) ** times < _POWER_FLOOR
+        scaled = {b: _scaled_power(q[b, nonempty], times) for b in low.nonzero()[0]}
+    if combination.bayesian:  # ``q`` is the caller's array
+        q = q ** times
+    else:
+        q **= times
     shift = np.zeros(rows, dtype=np.int64)
     for b, (power, row_shift) in scaled.items():
-        q[b, 1:] = power
+        q[b, nonempty] = power
         shift[b] = row_shift
-    unnormalized = q if bayesian else superset_mobius(q)
+    unnormalized = q if combination.bayesian else superset_mobius(q)
 
-    parts = []
-    for key, which, pattern in _focal_patterns(masses != 0.0):
-        support = supports.get(key)
-        if support is None:
-            support = supports[key] = _intersections(focal[pattern], times, 1 << n)
-        parts.append((which, support, np.maximum(unnormalized[which][:, support], 0.0)))
-    support, fused = _merged(parts, rows)
-    if len(parts) == 1:
-        totals = fused.sum(axis=1)
-    else:  # each row's total on its own support, as for a lone row
-        totals = np.empty(rows)
-        for which, _, values in parts:
-            totals[which] = values.sum(axis=1)
+    if combination.bayesian and np.count_nonzero(masses) == masses.size:
+        support, fused = focal, np.maximum(unnormalized, 0.0)
+        # the totals of the gathered tables below: a gather of several rows
+        # is column-major, so ``sum`` adds each row in mask order; a lone
+        # row is contiguous, and ``sum`` pairs its terms
+        totals = np.add.accumulate(fused, axis=1)[:, -1] if rows > 1 else fused.sum(axis=1)
+    else:
+        parts = []
+        for key, which, pattern in _focal_patterns(masses != 0.0):
+            support, columns = combination.support(key, pattern)
+            parts.append((which, support, np.maximum(unnormalized[which][:, columns], 0.0)))
+        support, fused = _merged(parts, rows)
+        if len(parts) == 1:
+            totals = fused.sum(axis=1)
+        else:  # each row's total on its own support, as for a lone row
+            totals = np.empty(rows)
+            for which, _, values in parts:
+                totals[which] = values.sum(axis=1)
     # the unscaled survivor total is totals * 2**-shift; a failed row's
     # masses may come out infinite or NaN
     with np.errstate(divide="ignore", invalid="ignore"):

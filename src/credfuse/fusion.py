@@ -201,8 +201,9 @@ def cef_fuse(ms: Sequence[MassFunction], weights, method: str = "cef") -> Fusion
     frame = _check_set(ms)
     focal, table = core._mass_table(ms)
     weights, _, _ = _checked_average(frame, focal, table, weights)
-    (result,) = _results(frame, method, _Fused(*_cef_rows(focal, table[None], weights[None],
-                                                          frame.n, {}), weights[None]))
+    combination = core._SelfCombination(focal, len(ms), frame.n)
+    (result,) = _results(frame, method, _Fused(*_cef_rows(table[None], weights[None], combination),
+                                               weights[None]))
     if isinstance(result, TotalConflictError):
         raise result
     return result
@@ -321,8 +322,10 @@ def _icef_loop(frame: Frame, focal: np.ndarray, table: np.ndarray, cfg: IcefConf
     The EEM of all B·N pieces is built in one call; each column depends on
     its own piece only.  Per iteration, each set's credibilities are its
     conditional credibilities weighted by its probabilities, and
-    :func:`_cef_rows` fuses the sets under them; the self-combination
-    supports are found once per call.  A set leaves the arrays once its
+    :func:`_cef_rows` fuses the sets under one
+    :class:`core._SelfCombination`, so whether the masks are singletons,
+    each pattern's support and the pignistic layout are found once per
+    call.  A set leaves the arrays once its
     probabilities move by at most ``cfg.delta``, or its self-combination
     hits total conflict.
     """
@@ -331,7 +334,9 @@ def _icef_loop(frame: Frame, focal: np.ndarray, table: np.ndarray, cfg: IcefConf
     eem = EventEvaluationMatrix(
         cfg.measure._table_event_divergences(frame, focal, table.reshape(-1, width)),
         cfg.measure.name, frame)
-    cond = conditional_credibility(support_matrix(eem, cfg.tau).reshape(n, n_sets, n_pieces))
+    with np.errstate(invalid="ignore"):  # an event that no piece supports gives 0/0
+        cond = conditional_credibility(
+            support_matrix(eem, cfg.tau).reshape(n, n_sets, n_pieces))
     if not np.isfinite(cond).all():
         raise InvalidMassValueError(
             f"no evidence supports some event at tau = {cfg.tau!r}, so credibilities are NaN")
@@ -346,10 +351,10 @@ def _icef_loop(frame: Frame, focal: np.ndarray, table: np.ndarray, cfg: IcefConf
         ])
     ids = np.arange(n_sets)
     ends: list = []  # (sets, their last iteration) per iteration at which some stopped
-    supports: dict = {}
+    combination = core._SelfCombination(focal, n_pieces, n)
     for k in range(1, cfg.max_iter + 1):
         cred = (cond * probs[:, :, None]).sum(axis=1)
-        support, fused, new_probs, conflict, failed = _cef_rows(focal, table, cred, n, supports)
+        support, fused, new_probs, conflict, failed = _cef_rows(table, cred, combination)
         delta = np.abs(new_probs - probs).sum(axis=1)
         if history is not None:
             history.append((cred, support, fused, new_probs, delta))
@@ -371,16 +376,17 @@ def _icef_loop(frame: Frame, focal: np.ndarray, table: np.ndarray, cfg: IcefConf
     return _joined(ends, n_sets)
 
 
-def _cef_rows(focal: np.ndarray, table: np.ndarray, cred: np.ndarray, n: int, supports: dict):
+def _cef_rows(table: np.ndarray, cred: np.ndarray, combination: core._SelfCombination):
     """:func:`cef_fuse` of B evidence sets of N pieces each at once.
 
     ``table`` holds the (B, N, F) masses of the sets on the ascending masks
-    ``focal`` of an ``n``-event frame, and ``cred`` their (B, N) weights.
-    Returns the first five fields of a :class:`_Fused`, ``(support, fused,
-    probabilities, conflict, failed)``: the self-combination of
-    :func:`core._self_combine_rows` (which keeps the supports it finds in
-    ``supports``) and the (B, n) pignistic probabilities from the one array
-    helper that :meth:`MassFunction.pignistic` calls.
+    ``combination.focal``, and ``cred`` their (B, N) weights; ``combination``
+    combines N operands.  Returns the first five fields of a
+    :class:`_Fused`, ``(support, fused, probabilities, conflict, failed)``:
+    the self-combination of :func:`core._self_combine_rows` and the (B, n)
+    pignistic probabilities from the one array helper that
+    :meth:`MassFunction.pignistic` calls, on the layout that
+    ``combination`` keeps for the support.
 
     Each weighted average is one sum along the evidence axis, which runs
     piece by piece as :func:`weighted_average` adds them (a zero weight adds
@@ -391,9 +397,9 @@ def _cef_rows(focal: np.ndarray, table: np.ndarray, cred: np.ndarray, n: int, su
     as from :func:`cef_fuse` on its own.
     """
     averaged = (cred[:, :, None] * table).sum(axis=1)
-    support, fused, conflict, failed = core._self_combine_rows(
-        focal, averaged, table.shape[1], n, supports)
-    return support, fused, core._pignistic_rows(support, fused, n), conflict, failed
+    support, fused, conflict, failed = core._self_combine_rows(averaged, combination)
+    return (support, fused, core._pignistic_rows(fused, combination.layout(support)), conflict,
+            failed)
 
 
 def _fuse_tables(frame: Frame, focal: np.ndarray, table: np.ndarray, method: str,
@@ -421,7 +427,8 @@ def _fuse_chunk(frame: Frame, focal: np.ndarray, table: np.ndarray, method: str,
                 config: IcefConfig | None) -> _Fused:
     if method == "dcr":
         support, fused, conflict, failed = core._dcr_fold(frame, focal, table)
-        return _Fused(support, fused, core._pignistic_rows(support, fused, frame.n),
+        return _Fused(support, fused,
+                      core._pignistic_rows(fused, core._pignistic_layout(support, frame.n)),
                       conflict, failed)
     if method.startswith("icef-"):
         return _icef_loop(frame, focal, table, _icef_config(method, config))
@@ -432,7 +439,8 @@ def _fuse_chunk(frame: Frame, focal: np.ndarray, table: np.ndarray, method: str,
     else:  # murphy's weights read the number and size of the sets only
         sets = table
     weights = _method_weights(method, sets, config)
-    return _Fused(*_cef_rows(focal, table, weights, frame.n, {}), weights)
+    combination = core._SelfCombination(focal, table.shape[1], frame.n)
+    return _Fused(*_cef_rows(table, weights, combination), weights)
 
 
 def _results(frame: Frame, method: str, out: _Fused) -> list:

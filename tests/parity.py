@@ -1,0 +1,141 @@
+"""One sha256 over the library's results on a fixed set of inputs.
+
+Two checkouts that print the same digest give every result below the same
+bits, so a change that must not move any number compares its digest with
+its parent's.  Usage, from the root of a checkout::
+
+    python tests/parity.py
+
+It prints the number of records and the digest.  The records are:
+
+* every builtin document under the six methods, and its traced ``icef``
+  steps (pbagd with uniform start, bjs with the EEM start);
+* the first 60 ``wide-frame`` inputs and the first 80 ``many-sources``
+  documents of the benchmark (seed 5), read through
+  ``perfbench/workloads.py``, under the six methods;
+* the iris Monte-Carlo report (20 trials, seed 3) and the 51-point sweep
+  reports, for the six methods;
+* the raw ``fusion._fuse_tables`` arrays of 20 seeded 70/30 iris splits,
+  for the six methods.
+
+Floats are recorded by their bits, so a NaN or a signed zero counts.  The
+file has no ``test_`` prefix, so pytest does not collect it.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import hashlib
+import sys
+from pathlib import Path
+
+import numpy as np
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+
+from credfuse import (  # noqa: E402
+    BJS,
+    BUILTIN_DOCUMENTS,
+    IcefConfig,
+    MassFunction,
+    builtin_document,
+    classify,
+    fusion,
+    load_dataset,
+    monte_carlo_evaluate,
+    sweep_evaluate,
+)
+
+import workloads  # noqa: E402
+
+METHODS = ("dcr", "murphy", "cef-avg", "cef-eig", "icef-pbagd", "icef-bjs")
+SEED = 5
+
+
+def canon(value) -> str:
+    """A text that differs whenever two values differ in any bit."""
+    if isinstance(value, np.ndarray):
+        return f"array({value.dtype.str},{value.shape},{value.tobytes().hex()})"
+    if isinstance(value, (float, np.floating)):
+        return np.float64(value).tobytes().hex()
+    if isinstance(value, MassFunction):
+        return canon([(mask, mass) for mask, mass in value.items()])
+    if isinstance(value, BaseException):
+        return f"{type(value).__name__}{canon(list(value.args))}"
+    if dataclasses.is_dataclass(value):
+        return canon({f.name: getattr(value, f.name) for f in dataclasses.fields(value)})
+    if isinstance(value, dict):
+        return "{" + ",".join(f"{canon(k)}:{canon(v)}" for k, v in value.items()) + "}"
+    if isinstance(value, (list, tuple)):
+        return "[" + ",".join(map(canon, value)) + "]"
+    return repr(value)
+
+
+def fused(ms, method: str, config: IcefConfig | None = None):
+    try:
+        return fusion.fuse(ms, method=method, config=config)
+    except Exception as error:  # the error is part of the result
+        return error
+
+
+def traced(ms, config: IcefConfig):
+    try:
+        result, trace = fusion.icef(ms, config)
+    except Exception as error:  # the error is part of the result
+        return error
+    steps = [(s.index, s.credibilities, s.probabilities, s.delta, s.fused) for s in trace.steps]
+    return result, steps, trace.converged
+
+
+def records():
+    for name in BUILTIN_DOCUMENTS:
+        doc = builtin_document(name)
+        ms, config = doc.mass_functions, IcefConfig(**doc.overrides)
+        for method in METHODS:
+            yield ("builtin", name, method), fused(ms, method, config)
+        yield ("trace", name, "pbagd"), traced(ms, config)
+        yield ("trace", name, "bjs-eem"), traced(ms, dataclasses.replace(
+            config, init="eem", measure=BJS))
+
+    wide = workloads.WideFrame(SEED, ROOT)
+    for i, (evidence, _) in enumerate(wide.inputs[:60]):
+        for method in METHODS:
+            yield ("wide-frame", i, method), fused(evidence, method)
+    many = workloads.ManySources(SEED, ROOT)
+    for i, doc in enumerate(many.docs[:80]):
+        for method in METHODS:
+            yield ("many-sources", i, method), fused(doc.mass_functions, method)
+
+    iris = load_dataset(ROOT / "data" / "iris.csv", label_column="species", name="iris")
+    config = IcefConfig(tau=200.0)
+    yield ("monte-carlo",), monte_carlo_evaluate(iris, METHODS, lam=5.0, config=config,
+                                                 trials=20, seed=3)
+    yield ("sweep",), sweep_evaluate(iris, METHODS, lam=5.0, config=config)
+    for seed in range(20):
+        rng = np.random.default_rng(seed)
+        train, test = [], []
+        for label in iris.class_labels:
+            idx = rng.permutation(iris.class_indices(label))
+            k = round(0.7 * len(idx))
+            train.extend(idx[:k])
+            test.extend(idx[k:])
+        model = classify.fit_interval_model(iris.subset(sorted(train)), 5.0)
+        focal, masses = classify._split_masses(model, iris.features[sorted(test)])
+        for method in METHODS:
+            yield ("iris-split", seed, method), fusion._fuse_tables(
+                model.frame, focal, masses, method, config)
+
+
+def main() -> None:
+    digest = hashlib.sha256()
+    count = 0
+    for key, value in records():
+        digest.update(f"{canon(key)}={canon(value)}\n".encode())
+        count += 1
+    print(f"{count} records")
+    print(digest.hexdigest())
+
+
+if __name__ == "__main__":
+    main()

@@ -51,3 +51,13 @@ def dcr_conflict(ms) -> float:
             if b & c == 0:
                 conflict += vb * vc
     return conflict
+
+
+def pignistic_rows(masks, masses, n) -> np.ndarray:
+    """Pignistic probabilities of each row of ``masses`` on the ascending
+    ``masks`` of an ``n``-event frame, along the last axis: each mask's mass
+    split evenly over its events through the (F, n) 0/1 membership matrix,
+    each event adding its shares in ascending mask order."""
+    shares = masses / np.bitwise_count(masks)
+    members = masks[:, None] >> np.arange(n) & 1
+    return (members * shares[..., None]).sum(axis=-2)

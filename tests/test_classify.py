@@ -58,6 +58,11 @@ def separable():
     return make_dataset(features, labels)
 
 
+def _many_classes_csv(classes: int = 22, rows: int = 44) -> str:
+    """A two-feature CSV whose row ``r`` (1-based) holds class ``c<(r - 1) % classes + 1>``."""
+    return "a,b,y\n" + "".join(f"{r}.0,{r % 5}.5,c{r % classes + 1}\n" for r in range(rows))
+
+
 class TestLoadDataset:
     def test_iris_shape(self, iris):
         assert iris.n_records == 150
@@ -109,6 +114,17 @@ class TestLoadDataset:
         with pytest.raises(ParseError, match="comma") as excinfo:
             load_dataset(path, label_column="y")
         assert (excinfo.value.row, excinfo.value.column) == (2, "y")
+
+    def test_more_classes_than_a_frame_holds_report_location(self, tmp_path):
+        # used to load, then end in Frame's ValueError inside the first trial
+        path = tmp_path / "many.csv"
+        path.write_text(_many_classes_csv())
+        with pytest.raises(ParseError, match="22 classes.* at most 20 events") as excinfo:
+            load_dataset(path, label_column="y")
+        assert (excinfo.value.row, excinfo.value.column) == (21, "y")
+        assert "'c21'" in str(excinfo.value)
+        path.write_text(_many_classes_csv(classes=core.MAX_EVENTS))
+        assert len(load_dataset(path, label_column="y").class_labels) == core.MAX_EVENTS
 
     def test_class_indices_read_one_label_array(self, iris, monkeypatch):
         labels = iris._label_array

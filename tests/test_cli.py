@@ -383,6 +383,18 @@ class TestBench:
         assert err == "error: row 3, column 'b': not finite\n"
         assert out == ""
 
+    def test_more_classes_than_a_frame_holds_exits_2(self, tmp_path, capsys):
+        # used to end in a traceback, Frame's ValueError inside the first trial
+        path = tmp_path / "many.csv"
+        path.write_text("a,b,y\n" + "".join(f"{r}.0,{r % 5}.5,c{r % 22 + 1}\n"
+                                             for r in range(44)))
+        code, out, err = run(capsys, "bench", str(path), "--label-column", "y",
+                             "--trials", "1", "--methods", "dcr")
+        assert code == EXIT_PARSE
+        assert err == ("error: row 21, column 'y': 22 classes, but a frame holds at most "
+                       "20 events; 'c21' is the first beyond them\n")
+        assert out == ""
+
     @pytest.mark.parametrize("mode", ["montecarlo", "sweep"])
     def test_overflowing_lambda_exits_2(self, tmp_path, capsys, mode):
         # used to end in a traceback: lam * distance overflows for the far
@@ -405,3 +417,18 @@ def test_python_dash_m_runs_the_cli():
                           cwd=root, env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == EXIT_OK, proc.stderr
     assert "decision: A1" in proc.stdout
+
+
+def test_unsupported_event_prints_the_error_line_alone():
+    # numpy's RuntimeWarning for the 0/0 credibilities, and the source line
+    # it quotes, used to come before the error; pytest would capture the
+    # warning, so the CLI runs in a process of its own
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    proc = subprocess.run([sys.executable, "-m", "credfuse", "fuse", "--builtin", "fault-sensors",
+                           "--tau", "1e6"],
+                          cwd=root, env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == EXIT_PARSE
+    assert proc.stderr == ("error: invalid evidence: no evidence supports some event at "
+                           "tau = 1000000.0, so credibilities are NaN\n")
+    assert proc.stdout == ""

@@ -28,9 +28,10 @@ from credfuse import (
     vacuous,
     validate_masses,
 )
-from credfuse import core, decide
+from credfuse import core, decide, fusion
 from credfuse.core import MAX_EVENTS, _intersections
 
+from . import reference
 from .conftest import random_bayesian_mass, random_mass_function
 
 
@@ -530,10 +531,10 @@ class TestSelfFuseAgainstFold:
         b = MassFunction(_frame(4), {0b0011: 0.1, 0b0110: 0.6, 0b1111: 0.3})
         c = MassFunction(_frame(4), {0b0011: 0.7, 0b1111: 0.3})
         focal, table = core._mass_table([a, b, c, a])
-        supports = {}
+        combination = core._SelfCombination(focal, 6, 4)
         for _ in range(2):
-            support, fused, conflict, failed = core._self_combine_rows(focal, table, 6, 4, supports)
-        assert len(supports) == 2
+            support, fused, conflict, failed = core._self_combine_rows(table, combination)
+        assert len(combination.supports) == 2
         assert len(calls) == 2  # two focal patterns, found in the first call only
         assert not failed.any()
         for row, m in zip(fused, (a, b, c, a)):
@@ -548,7 +549,8 @@ class TestSelfFuseAgainstFold:
         m = MassFunction(_frame(3), masses)
         assert self_fuse(m, 1) is m
         focal, table = core._mass_table([m, m])
-        support, fused, conflict, failed = core._self_combine_rows(focal, table, 1, 3, {})
+        support, fused, conflict, failed = core._self_combine_rows(
+            table, core._SelfCombination(focal, 1, 3))
         assert support.tolist() == list(m.focal_elements())
         assert fused.tolist() == [[v for _, v in m.items()]] * 2
         assert conflict.tolist() == [0.0, 0.0] and not failed.any()
@@ -587,17 +589,22 @@ class TestSelfFuseAgainstFold:
         _assert_agree(fused, _fold(m, 2))
 
 
-def _singleton_table(rng, n, rows):
+def _singleton_table(rng, n, rows, zeros=0.3):
     """Ascending singleton masks of an n-event frame and a random table of
-    masses on them, of shape ``(*rows, len(masks))``: zeros in several
-    patterns, and in some tables masses that span hundreds of decades, so
-    that products and powers underflow."""
+    masses on them, of shape ``(*rows, len(masks))``: about a fraction
+    ``zeros`` of the entries zero, in several patterns, and in some tables
+    masses that span hundreds of decades, so that products and powers
+    underflow.  With ``zeros=0`` every entry is nonzero (the smallest
+    subnormal where a power underflowed), so the table has one pattern."""
     events = np.sort(rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False))
     masses = rng.random((*rows, len(events))) ** rng.choice([1, 4, 40, 300])
-    masses[rng.random(masses.shape) < 0.3] = 0.0
+    masses[rng.random(masses.shape) < zeros] = 0.0
     empty = ~masses.any(axis=-1)
     masses[empty, rng.integers(len(events))] = 1.0
-    return 1 << events, masses / masses.sum(axis=-1, keepdims=True)
+    masses /= masses.sum(axis=-1, keepdims=True)
+    if not zeros:
+        masses[masses == 0.0] = 5e-324
+    return 1 << events, masses
 
 
 def _with_zero_column(focal, masses, n):
@@ -646,21 +653,95 @@ class TestBayesianKernels:
     of the general path (the transforms, or the per-set fold), which a zero
     column on a compound mask forces."""
 
-    @settings(max_examples=120, deadline=None)
+    @settings(max_examples=200, deadline=None)
     @given(n=st.integers(min_value=1, max_value=MAX_EVENTS), seed=st.integers(0, 2**32 - 1),
-           times=st.sampled_from([1, 2, 3, 7, 30, 500, 1080, 2000]))
-    @example(n=20, seed=1, times=2)
-    @example(n=20, seed=2, times=2000)
-    @example(n=12, seed=3, times=500)
-    @example(n=9, seed=4, times=1080)
-    def test_self_combination_equals_the_transform_path(self, n, seed, times):
+           times=st.sampled_from([1, 2, 3, 7, 30, 500, 1080, 2000]), one_pattern=st.booleans(),
+           eps=st.sampled_from([core.CONFLICT_EPS, 0.3, 0.9]))
+    @example(n=20, seed=1, times=2, one_pattern=False, eps=core.CONFLICT_EPS)
+    @example(n=20, seed=2, times=2000, one_pattern=False, eps=core.CONFLICT_EPS)
+    @example(n=12, seed=3, times=500, one_pattern=False, eps=core.CONFLICT_EPS)
+    @example(n=9, seed=4, times=1080, one_pattern=False, eps=core.CONFLICT_EPS)
+    @example(n=8, seed=4, times=2, one_pattern=False, eps=core.CONFLICT_EPS)
+    @example(n=8, seed=4, times=2, one_pattern=True, eps=core.CONFLICT_EPS)
+    @example(n=8, seed=4, times=1080, one_pattern=False, eps=0.3)
+    @example(n=20, seed=9, times=2000, one_pattern=True, eps=0.3)
+    @example(n=20, seed=10, times=2, one_pattern=False, eps=0.9)
+    @example(n=1, seed=11, times=3, one_pattern=True, eps=0.9)
+    def test_self_combination_equals_the_transform_path(self, n, seed, times, one_pattern, eps):
+        # with one pattern every entry is nonzero; at eps 0.3 and 0.9 most
+        # rows of two or more masks fail; from 1080 operands on every such
+        # row takes the scaled power.  Each call runs twice under one
+        # combination, as the icef loop's iterations do
         rng = np.random.default_rng(seed)
-        focal, masses = _singleton_table(rng, n, (int(rng.integers(1, 3 if n > 12 else 7)),))
-        with mock.patch.multiple(core, **_NO_TRANSFORM):
-            got = core._self_combine_rows(focal, masses, times, n, {})
-        wide_focal, wide, extra = _with_zero_column(focal, masses, n)
-        want = core._self_combine_rows(wide_focal, wide, times, n, {})
+        rows = int(rng.integers(1, 3 if n > 12 else 7))
+        focal, masses = _singleton_table(rng, n, (rows,), zeros=0.0 if one_pattern else 0.3)
+        combination = core._SelfCombination(focal, times, n)
+        # no singleton table finds its supports by intersection, and one of
+        # nonzero entries searches no pattern
+        skipped = dict(_NO_TRANSFORM, _intersections=None,
+                       **({"_focal_patterns": None} if one_pattern else {}))
+        with mock.patch.object(core, "_LOG2_CONFLICT_EPS", math.log2(eps)):
+            with mock.patch.multiple(core, **skipped):
+                got = core._self_combine_rows(masses, combination)
+                again = core._self_combine_rows(masses, combination)
+            wide_focal, wide, extra = _with_zero_column(focal, masses, n)
+            want = core._self_combine_rows(wide, core._SelfCombination(wide_focal, times, n))
         _assert_same_kernel_result(got, want, extra)
+        _assert_same_kernel_result(again, want, extra)
+        patterns = {row.tobytes() for row in masses != 0.0}
+        if masses.all() or times == 1:  # every entry held, drawn so or not
+            assert got[0] is focal and again[0] is focal
+            assert not combination.supports
+        else:
+            assert len(combination.supports) == len(patterns)
+            if len(patterns) == 1:  # the same array each time
+                assert again[0] is got[0]
+
+    @settings(max_examples=200, deadline=None)
+    @given(n=st.integers(min_value=1, max_value=MAX_EVENTS), seed=st.integers(0, 2**32 - 1),
+           every_event=st.booleans(), rows=st.sampled_from([(), (1,), (5,), (2, 3)]))
+    @example(n=1, seed=0, every_event=True, rows=(5,))
+    @example(n=20, seed=1, every_event=True, rows=(2, 3))
+    @example(n=3, seed=2, every_event=False, rows=(5,))
+    def test_singleton_pignistic_equals_the_membership_sum(self, n, seed, every_event, rows):
+        # on the frame's n singletons the masses are placed at their events;
+        # rows of NaN, as a failed self-combination's 0/0 leaves them, too
+        rng = np.random.default_rng(seed)
+        focal, masses = _singleton_table(rng, n, rows or (1,))
+        if every_event:  # the same masses, at their events among all n singletons
+            spread = np.zeros((*masses.shape[:-1], n))
+            spread[..., np.bitwise_count(focal - 1)] = masses
+            focal, masses = 1 << np.arange(n), spread
+        masses[rng.random(masses.shape[:-1]) < 0.3] = np.nan
+        if not rows:
+            masses = masses[0]
+        layout = core._pignistic_layout(focal, n)
+        assert (layout is None) == (len(focal) == n)
+        got = core._pignistic_rows(masses, layout)
+        want = reference.pignistic_rows(focal, masses, n)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        assert not np.shares_memory(got, masses)  # MassFunction.pignistic hands it out
+
+    def test_icef_finds_the_per_call_facts_once(self, monkeypatch):
+        # a Bayesian set of nonzero masses: one singleton test for the masks
+        # and one for the pignistic layout, no pattern search, however many
+        # iterations the loop runs
+        frame = _frame(3)
+        ms = [MassFunction(frame, dict(zip((1, 2, 4), masses)))
+              for masses in ((0.5, 0.3, 0.2), (0.2, 0.6, 0.2), (0.1, 0.1, 0.8))]
+        calls = []
+
+        def counted(name):
+            original = getattr(core, name)
+            return lambda *args: calls.append(name) or original(*args)
+
+        focal, table = core._mass_table(ms)
+        for name in ("_singletons_only", "_pignistic_layout"):
+            monkeypatch.setattr(core, name, counted(name))
+        monkeypatch.setattr(core, "_focal_patterns", None)
+        end = fusion._icef_loop(frame, focal, table[None], fusion.IcefConfig())
+        assert end.n_iter[0] >= 3 and end.converged[0]
+        assert sorted(calls) == ["_pignistic_layout", "_singletons_only", "_singletons_only"]
 
     @settings(max_examples=200, deadline=None)
     @given(n=st.integers(min_value=1, max_value=MAX_EVENTS), seed=st.integers(0, 2**32 - 1),
