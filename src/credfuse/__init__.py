@@ -39,6 +39,7 @@ from .core import (
     MassFunctionError,
     NegativeMassError,
     NotNormalizedError,
+    TooFewPiecesError,
     TotalConflictError,
     dcr_n,
     dcr_pair,

@@ -27,7 +27,7 @@ from .classify import (
     monte_carlo_evaluate,
     sweep_evaluate,
 )
-from .core import MassFunctionError, TotalConflictError
+from .core import MassFunctionError, TooFewPiecesError, TotalConflictError
 from .credibility import build_edmm, build_eem
 from .divergence import get_measure, span_imbalance_grid, span_overlap_series
 from .documents import (
@@ -344,7 +344,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (DocumentError, InvalidConfigError, ParseError, EmptyDatasetError, OSError,
-            KeyError) as exc:
+            KeyError, TooFewPiecesError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except MassFunctionError as exc:

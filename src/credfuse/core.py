@@ -63,6 +63,13 @@ class LengthMismatchError(ValueError):
     """Two sequences that must align have different lengths."""
 
 
+class TooFewPiecesError(ValueError):
+    """An operation that compares or weighs pieces of evidence got fewer than two."""
+
+    def __init__(self):
+        super().__init__("need at least two pieces of evidence")
+
+
 class TotalConflictError(ArithmeticError):
     """Conjunctive combination left (almost) no surviving mass."""
 
@@ -447,8 +454,11 @@ def _dcr_pair(m1: MassFunction, m2: MassFunction) -> tuple[MassFunction, float]:
             else:
                 combined[inter] = combined.get(inter, 0.0) + product
     # normalize by the surviving total (identical to 1 - K, but it keeps the
-    # output unit-sum to the last bit across long combination chains)
-    total = sum(combined.values())
+    # output unit-sum to the last bit across long combination chains), added
+    # in insertion order: ``sum`` compensates its float terms from Python 3.12
+    total = 0.0
+    for value in combined.values():
+        total += value
     if conflict >= 1.0 - CONFLICT_EPS or total <= CONFLICT_EPS:
         raise TotalConflictError(conflict)
     return MassFunction(frame, {mask: v / total for mask, v in combined.items()}), conflict
@@ -623,26 +633,19 @@ class _SelfCombination:
     def __init__(self, focal: np.ndarray, times: int, n: int):
         self.focal, self.times, self.n = focal, times, n
         self.bayesian = _singletons_only(focal)
-        #: pattern bytes -> (support, the columns that the support reads)
-        self.supports: dict[bytes, tuple[np.ndarray, np.ndarray]] = {}
+        self.supports: dict[bytes, np.ndarray] = {}  # pattern bytes -> support
         self._layout = None, None
 
-    def support(self, key: bytes, pattern: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The support of rows whose focal sets are ``focal[pattern]``, and
-        the columns of the combined table that hold it: the nonempty
-        intersections of at most ``times`` of those sets, found once per
-        pattern, among the ``2**n`` subsets.  Two distinct singletons never
-        meet, so on singletons the support is the held masks themselves,
-        read in their own columns."""
-        found = self.supports.get(key)
-        if found is None:
-            if self.bayesian:
-                found = self.focal[pattern], pattern.nonzero()[0]
-            else:
-                support = _intersections(self.focal[pattern], self.times, 1 << self.n)
-                found = support, support
-            self.supports[key] = found
-        return found
+    def support(self, key: bytes, pattern: np.ndarray) -> np.ndarray:
+        """The support of rows whose focal sets are ``focal[pattern]``: the
+        nonempty intersections of at most ``times`` of those sets, found once
+        per pattern, among the ``2**n`` subsets.  Its masks also index the
+        columns of the combined table, which is indexed by mask."""
+        support = self.supports.get(key)
+        if support is None:
+            support = self.supports[key] = _intersections(self.focal[pattern], self.times,
+                                                          1 << self.n)
+        return support
 
     def layout(self, support: np.ndarray):
         """:func:`_pignistic_layout` of ``support``, kept while the same
@@ -670,17 +673,17 @@ def _self_combine_rows(masses: np.ndarray, combination: _SelfCombination):
     commonality of the row: one transform pair over the ``2**n`` subsets
     instead of ``k - 1`` pairwise combinations.  When every mask of ``focal``
     is a singleton (Bayesian masses) the commonality is the mass and the
-    pair is the identity, so the power is taken on ``masses`` themselves.
-    Each row is read only on its exact support, the nonempty intersections
-    of at most ``times`` of its focal sets (see
+    pair is the identity, so the power is taken on ``masses`` themselves
+    and read on ``focal``: ``0.0**times`` stays 0 on the masks a row does
+    not hold.  Otherwise each row is read only on its exact support, the
+    nonempty intersections of at most ``times`` of its focal sets (see
     :meth:`_SelfCombination.support`), so rounding left on the other subsets
-    never becomes mass; there it is clipped at 0 and normalized.  A
-    Bayesian table whose entries are all nonzero has one pattern, every
-    mask, whose support is ``focal`` itself.  With several patterns each
-    row's total is summed over its own support alone, as for a lone row.  A
-    row fails when at most ``CONFLICT_EPS ** (times - 1)`` of its mass
-    survives, i.e. when on average no more than ``CONFLICT_EPS`` survives
-    each combination; its ``fused`` entries are then meaningless.
+    never becomes mass.  The values are clipped at 0 and normalized by each
+    row's total, added in mask order: the zeros outside a row's support add
+    nothing, so a row has the same bits alone and in any table.  A row
+    fails when at most ``CONFLICT_EPS ** (times - 1)`` of its mass survives,
+    i.e. when on average no more than ``CONFLICT_EPS`` survives each
+    combination; its ``fused`` entries are then meaningless.
 
     When a row's largest power would fall below ``_POWER_FLOOR``, the power
     of its nonempty commonalities is taken by :func:`_scaled_power`, which
@@ -712,34 +715,20 @@ def _self_combine_rows(masses: np.ndarray, combination: _SelfCombination):
     if (0.5 / n) ** times < _POWER_FLOOR:
         low = q[:, nonempty].max(axis=1) ** times < _POWER_FLOOR
         scaled = {b: _scaled_power(q[b, nonempty], times) for b in low.nonzero()[0]}
-    if combination.bayesian:  # ``q`` is the caller's array
-        q = q ** times
-    else:
-        q **= times
+    q = q ** times  # a new array: on singletons ``q`` is the caller's
     shift = np.zeros(rows, dtype=np.int64)
     for b, (power, row_shift) in scaled.items():
         q[b, nonempty] = power
         shift[b] = row_shift
-    unnormalized = q if combination.bayesian else superset_mobius(q)
-
-    if combination.bayesian and np.count_nonzero(masses) == masses.size:
-        support, fused = focal, np.maximum(unnormalized, 0.0)
-        # the totals of the gathered tables below: a gather of several rows
-        # is column-major, so ``sum`` adds each row in mask order; a lone
-        # row is contiguous, and ``sum`` pairs its terms
-        totals = np.add.accumulate(fused, axis=1)[:, -1] if rows > 1 else fused.sum(axis=1)
+    if combination.bayesian:
+        support, fused = focal, np.maximum(q, 0.0)
     else:
-        parts = []
+        unnormalized, parts = superset_mobius(q), []
         for key, which, pattern in _focal_patterns(masses != 0.0):
-            support, columns = combination.support(key, pattern)
-            parts.append((which, support, np.maximum(unnormalized[which][:, columns], 0.0)))
+            support = combination.support(key, pattern)
+            parts.append((which, support, np.maximum(unnormalized[which][:, support], 0.0)))
         support, fused = _merged(parts, rows)
-        if len(parts) == 1:
-            totals = fused.sum(axis=1)
-        else:  # each row's total on its own support, as for a lone row
-            totals = np.empty(rows)
-            for which, _, values in parts:
-                totals[which] = values.sum(axis=1)
+    totals = np.add.accumulate(fused, axis=1)[:, -1]
     # the unscaled survivor total is totals * 2**-shift; a failed row's
     # masses may come out infinite or NaN
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -843,14 +832,14 @@ def _bayesian_step(vb: np.ndarray, vc: np.ndarray):
     elementwise product, and K adds every other product in ``dcr_pair``'s
     pair order (``b`` outer, ``c`` inner), where the zeros on the diagonal
     and of masks a row does not hold add exactly nothing.  The surviving
-    total is Python's ``sum`` over the products in ascending mask order,
-    ``dcr_pair``'s insertion order.
+    total adds the kept products in ascending mask order, ``dcr_pair``'s
+    insertion order.
     """
     kept = vb * vc
     products = (vb[:, :, None] * vc[:, None, :]).reshape(len(vb), -1)
     products[:, ::vb.shape[1] + 1] = 0.0
     conflict = np.add.accumulate(products, axis=1)[:, -1]
-    total = np.array([sum(row) for row in kept.tolist()], dtype=float)
+    total = np.add.accumulate(kept, axis=1)[:, -1]
     failed = (conflict >= 1.0 - CONFLICT_EPS) | (total <= CONFLICT_EPS)
     with np.errstate(divide="ignore", invalid="ignore"):
         return kept / total[:, None], conflict, failed

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Frame, MassFunction
+from .core import Frame, MassFunction, TooFewPiecesError
 from .divergence import DivergenceMeasure
 
 
@@ -54,7 +54,7 @@ def build_edmm(ms: Sequence[MassFunction], measure: DivergenceMeasure) -> Pairwi
     symmetric by construction; the measure itself must be symmetric.
     """
     if len(ms) < 2:
-        raise ValueError("need at least two pieces of evidence")
+        raise TooFewPiecesError()
     if not measure.symmetric:
         raise ValueError(f"measure {measure.name!r} is not symmetric")
     n = len(ms)

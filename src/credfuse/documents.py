@@ -53,10 +53,15 @@ def parse_evidence_document(text: str) -> EvidenceDocument:
         raise DocumentError(f"not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise DocumentError("document root must be an object")
+    if "frame" not in raw:
+        raise DocumentError("missing 'frame'")
+    if not isinstance(raw["frame"], list):
+        raise DocumentError("'frame' must be a list of event labels")
+    for label in raw["frame"]:
+        if label is None or isinstance(label, (bool, list, dict)):
+            raise DocumentError(f"event label {json.dumps(label)} is not a string or a number")
     try:
         frame = Frame(tuple(raw["frame"]))
-    except KeyError:
-        raise DocumentError("missing 'frame'") from None
     except ValueError as exc:
         raise DocumentError(str(exc)) from exc
     entries = raw.get("evidence")
@@ -67,6 +72,8 @@ def parse_evidence_document(text: str) -> EvidenceDocument:
         if not isinstance(entry, dict) or "masses" not in entry:
             raise DocumentError(f"evidence[{i}] must be an object with 'masses'")
         name = str(entry.get("name", f"m{i + 1}"))
+        if not isinstance(entry["masses"], dict):
+            raise DocumentError(f"evidence[{i}] ({name}): 'masses' must be an object")
         try:
             mass = MassFunction(frame, entry["masses"])
         except (KeyError, ValueError) as exc:

@@ -24,6 +24,7 @@ from .core import (
     InvalidMassValueError,
     LengthMismatchError,
     MassFunction,
+    TooFewPiecesError,
     TotalConflictError,
     _require_same_frame,
     dcr_n,
@@ -224,7 +225,7 @@ def dcr_fuse(ms: Sequence[MassFunction]) -> FusionResult:
 def _check_set(ms) -> Frame:
     """The one frame of an evidence set of at least two pieces."""
     if len(ms) < 2:
-        raise ValueError("need at least two pieces of evidence")
+        raise TooFewPiecesError()
     return _require_same_frame(ms)
 
 
@@ -388,15 +389,13 @@ def _cef_rows(table: np.ndarray, cred: np.ndarray, combination: core._SelfCombin
     :meth:`MassFunction.pignistic` calls, on the layout that
     ``combination`` keeps for the support.
 
-    Each weighted average is one sum along the evidence axis, which runs
-    piece by piece as :func:`weighted_average` adds them (a zero weight adds
-    exact zeros, so that set's focal sets drop out as they do there; with a
-    single focal set in the whole table numpy may group the sum otherwise,
-    but the fused mass is then 1 on that set either way).  Every operation
+    Each weighted average adds the pieces in order along the evidence axis,
+    as :func:`weighted_average` adds them (a zero weight adds exact zeros,
+    so that set's focal sets drop out as they do there).  Every operation
     acts on each set's rows alone, so a set gets the same bits in any batch
     as from :func:`cef_fuse` on its own.
     """
-    averaged = (cred[:, :, None] * table).sum(axis=1)
+    averaged = np.add.accumulate(cred[:, :, None] * table, axis=1)[:, -1]
     support, fused, conflict, failed = core._self_combine_rows(averaged, combination)
     return (support, fused, core._pignistic_rows(fused, combination.layout(support)), conflict,
             failed)

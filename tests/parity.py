@@ -6,17 +6,21 @@ its parent's.  Usage, from the root of a checkout::
 
     python tests/parity.py
 
-It prints the number of records and the digest.  The records are:
+It prints the number of records and the digest over all of them, then one
+line per record group: its name, its number of records and a digest over
+them alone, so a change that must move some numbers can show which groups
+kept their bits.  The groups are:
 
-* every builtin document under the six methods, and its traced ``icef``
-  steps (pbagd with uniform start, bjs with the EEM start);
-* the first 60 ``wide-frame`` inputs and the first 80 ``many-sources``
-  documents of the benchmark (seed 5), read through
-  ``perfbench/workloads.py``, under the six methods;
-* the iris Monte-Carlo report (20 trials, seed 3) and the 51-point sweep
-  reports, for the six methods;
-* the raw ``fusion._fuse_tables`` arrays of 20 seeded 70/30 iris splits,
-  for the six methods.
+* ``builtin``: every builtin document under the six methods;
+* ``trace``: its traced ``icef`` steps (pbagd with uniform start, bjs with
+  the EEM start);
+* ``wide-frame`` and ``many-sources``: the first 60 ``wide-frame`` inputs
+  and the first 80 ``many-sources`` documents of the benchmark (seed 5),
+  read through ``perfbench/workloads.py``, under the six methods;
+* ``iris-reports``: the iris Monte-Carlo report (20 trials, seed 3) and
+  the 51-point sweep reports, for the six methods;
+* ``iris-split``: the raw ``fusion._fuse_tables`` arrays of 20 seeded
+  70/30 iris splits, for the six methods.
 
 Floats are recorded by their bits, so a NaN or a signed zero counts.  The
 file has no ``test_`` prefix, so pytest does not collect it.
@@ -51,6 +55,9 @@ import workloads  # noqa: E402
 
 METHODS = ("dcr", "murphy", "cef-avg", "cef-eig", "icef-pbagd", "icef-bjs")
 SEED = 5
+
+#: The group of a record whose key starts with a name other than its group's.
+GROUPS = {"monte-carlo": "iris-reports", "sweep": "iris-reports"}
 
 
 def canon(value) -> str:
@@ -129,12 +136,19 @@ def records():
 
 def main() -> None:
     digest = hashlib.sha256()
+    groups: dict[str, list] = {}  # name -> [digest, records]
     count = 0
     for key, value in records():
-        digest.update(f"{canon(key)}={canon(value)}\n".encode())
+        line = f"{canon(key)}={canon(value)}\n".encode()
+        digest.update(line)
+        group = groups.setdefault(GROUPS.get(key[0], key[0]), [hashlib.sha256(), 0])
+        group[0].update(line)
+        group[1] += 1
         count += 1
     print(f"{count} records")
     print(digest.hexdigest())
+    for name, (group, records_in_group) in groups.items():
+        print(f"{name}: {records_in_group} records {group.hexdigest()}")
 
 
 if __name__ == "__main__":

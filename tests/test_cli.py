@@ -126,6 +126,54 @@ class TestFuse:
         assert len(full) > len(four)
 
 
+    @pytest.mark.parametrize("doc", [
+        '{"frame": "AB", "evidence": [{"masses": {"A": 1.0}}]}',
+        '{"frame": null, "evidence": [{"masses": {"A": 1.0}}]}',
+        '{"frame": ["A", ["B"]], "evidence": [{"masses": {"A": 1.0}}]}',
+        '{"frame": ["A", "B"], "evidence": [{"masses": [1, 2]}]}',
+    ], ids=["string-frame", "null-frame", "array-label", "array-masses"])
+    def test_malformed_frame_or_masses_exits_2(self, tmp_path, capsys, doc):
+        path = tmp_path / "malformed.json"
+        path.write_text(doc)
+        code, out, err = run(capsys, "fuse", str(path), "--method", "dcr")
+        assert code == EXIT_PARSE and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+
+_ONE_PIECE = {"frame": ["A", "B"], "evidence": [{"masses": {"A": 0.6, "B": 0.4}}]}
+
+
+class TestOnePiece:
+    """Methods that compare or weigh the pieces refuse a one-piece document
+    with exit 2; plain Dempster fusion and the EEM accept it."""
+
+    @pytest.fixture
+    def path(self, tmp_path):
+        path = tmp_path / "one.json"
+        path.write_text(json.dumps(_ONE_PIECE))
+        return str(path)
+
+    @pytest.mark.parametrize("argv", [
+        ["fuse", "--method", "murphy"], ["fuse", "--method", "cef-avg"],
+        ["fuse", "--method", "cef-eig"], ["fuse", "--method", "icef-pbagd"],
+        ["fuse", "--method", "icef-bjs"], ["trace"], ["divergence"],
+        ["divergence", "--matrix", "edmm"],
+    ], ids=lambda argv: "-".join(arg.strip("-") for arg in argv))
+    def test_exits_2_with_one_error_line(self, capsys, path, argv):
+        code, out, err = run(capsys, *argv, path)
+        assert code == EXIT_PARSE and out == ""
+        assert err == "error: need at least two pieces of evidence\n"
+
+    def test_dcr_keeps_the_piece(self, capsys, path):
+        code, out, _ = run(capsys, "fuse", path, "--method", "dcr")
+        assert code == EXIT_OK and "decision: A" in out
+
+    def test_eem_has_one_column(self, capsys, path):
+        code, out, _ = run(capsys, "divergence", path, "--matrix", "eem")
+        assert code == EXIT_OK
+        assert [len(line.split("\t")) for line in out.strip().split("\n")] == [2, 2, 2]
+
+
 class TestMeasureFlag:
     """``--measure`` picks the measure of ``cef-*`` and ``trace``; an ``icef-*``
     method names its own, and a ``--measure`` naming another is refused."""

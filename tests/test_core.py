@@ -610,30 +610,16 @@ def _singleton_table(rng, n, rows, zeros=0.3):
 def _with_zero_column(focal, masses, n):
     """The same masses with a zero column on a mask that is not a singleton
     (the full frame, or the empty set when n = 1), which sends a call down
-    the transform path and changes no row's result."""
+    the general path and changes no row's result."""
     extra = (1 << n) - 1 if n > 1 else 0
     at = int(np.searchsorted(focal, extra))
-    return np.insert(focal, at, extra), np.insert(masses, at, 0.0, axis=-1), extra
+    return np.insert(focal, at, extra), np.insert(masses, at, 0.0, axis=-1)
 
 
-def _assert_same_kernel_result(got, want, extra):
-    """``got`` from the singleton branch has the bits of ``want`` from the
-    transform path; an unchanged table (one operand) returns the zero
-    column as well, which is dropped."""
-    support, fused = want[0], want[1]
-    if extra in support.tolist():
-        keep = support != extra
-        support, fused = support[keep], fused[:, keep]
-    assert got[0].dtype == support.dtype and got[0].tolist() == support.tolist()
-    assert got[1].shape == fused.shape and got[1].tobytes() == fused.tobytes()
-    assert got[2].tobytes() == want[2].tobytes()
-    assert got[3].tolist() == want[3].tolist()
-
-
-def _assert_same_fold(got, want, focal):
+def _assert_same_rows(got, want, focal):
     """``got`` from the singleton branch, on the support ``focal``, gives
-    each set the nonzero (mask, mass) pairs, K and ``failed`` of ``want``
-    from the per-set fold, bit for bit."""
+    each row the nonzero (mask, mass) pairs, K and ``failed`` of ``want``
+    from the general path, bit for bit."""
     def pairs(support, fused):
         return [[(m, v.hex()) for m, v in zip(support.tolist(), row) if v]
                 for row in fused.tolist()]
@@ -641,7 +627,13 @@ def _assert_same_fold(got, want, focal):
     assert got[0].tolist() == focal.tolist() and got[1].shape == (len(want[1]), len(focal))
     assert pairs(*got[:2]) == pairs(*want[:2])
     assert got[2].tobytes() == want[2].tobytes()
-    assert got[3].tolist() == want[3].tolist() and not got[1][got[3]].any()
+    assert got[3].tolist() == want[3].tolist()
+
+
+def _assert_same_fold(got, want, focal):
+    """:func:`_assert_same_rows` for folds, whose failed sets are zero."""
+    _assert_same_rows(got, want, focal)
+    assert not got[1][got[3]].any()
 
 
 _NO_TRANSFORM = dict.fromkeys(["superset_zeta", "superset_mobius", "_dcr_pair"])
@@ -676,26 +668,19 @@ class TestBayesianKernels:
         rows = int(rng.integers(1, 3 if n > 12 else 7))
         focal, masses = _singleton_table(rng, n, (rows,), zeros=0.0 if one_pattern else 0.3)
         combination = core._SelfCombination(focal, times, n)
-        # no singleton table finds its supports by intersection, and one of
-        # nonzero entries searches no pattern
-        skipped = dict(_NO_TRANSFORM, _intersections=None,
-                       **({"_focal_patterns": None} if one_pattern else {}))
+        # every singleton table is read on ``focal`` itself: it searches no
+        # pattern and finds no support by intersection
+        skipped = dict(_NO_TRANSFORM, _intersections=None, _focal_patterns=None)
         with mock.patch.object(core, "_LOG2_CONFLICT_EPS", math.log2(eps)):
             with mock.patch.multiple(core, **skipped):
                 got = core._self_combine_rows(masses, combination)
                 again = core._self_combine_rows(masses, combination)
-            wide_focal, wide, extra = _with_zero_column(focal, masses, n)
+            wide_focal, wide = _with_zero_column(focal, masses, n)
             want = core._self_combine_rows(wide, core._SelfCombination(wide_focal, times, n))
-        _assert_same_kernel_result(got, want, extra)
-        _assert_same_kernel_result(again, want, extra)
-        patterns = {row.tobytes() for row in masses != 0.0}
-        if masses.all() or times == 1:  # every entry held, drawn so or not
-            assert got[0] is focal and again[0] is focal
-            assert not combination.supports
-        else:
-            assert len(combination.supports) == len(patterns)
-            if len(patterns) == 1:  # the same array each time
-                assert again[0] is got[0]
+        for result in (got, again):
+            assert result[0] is focal
+            _assert_same_rows(result, want, focal)
+        assert not combination.supports
 
     @settings(max_examples=200, deadline=None)
     @given(n=st.integers(min_value=1, max_value=MAX_EVENTS), seed=st.integers(0, 2**32 - 1),
@@ -769,7 +754,7 @@ class TestBayesianKernels:
         with mock.patch.object(core, "CONFLICT_EPS", eps):
             with mock.patch.multiple(core, **_NO_TRANSFORM):
                 got = core._dcr_fold(frame, focal, table)
-            wide_focal, wide, _ = _with_zero_column(focal, table, n)
+            wide_focal, wide = _with_zero_column(focal, table, n)
             want = core._dcr_fold(frame, wide_focal, wide)
         _assert_same_fold(got, want, focal)
 
@@ -793,7 +778,7 @@ class TestBayesianKernels:
             with pytest.raises(TotalConflictError) as error:
                 dcr_n(ms)
             assert conflict == error.value.conflict == 1.0
-        wide_focal, wide, _ = _with_zero_column(focal, table, 3)
+        wide_focal, wide = _with_zero_column(focal, table, 3)
         _assert_same_fold(got, core._dcr_fold(frame, wide_focal, wide), focal)
 
 

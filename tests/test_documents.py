@@ -118,6 +118,28 @@ class TestParsing:
         with pytest.raises(DocumentError):
             parse_evidence_document('{"evidence": []}')
 
+    @pytest.mark.parametrize("frame", ['"AB"', "5", "null", '{"A": 1}'])
+    def test_frame_that_is_not_a_list_rejected(self, frame):
+        # a string was read as its characters; a number or null ended in a TypeError
+        with pytest.raises(DocumentError, match="'frame' must be a list"):
+            parse_evidence_document(DOC.replace('["A1", "A2", "A3"]', frame))
+
+    @pytest.mark.parametrize("label", ['["A1"]', '{"A1": 1}', "null", "true", "false"])
+    def test_label_that_is_not_a_string_or_a_number_rejected(self, label):
+        with pytest.raises(DocumentError, match="is not a string or a number"):
+            parse_evidence_document(DOC.replace('"A2", "A3"]', f'{label}, "A3"]'))
+
+    def test_number_labels_accepted(self):
+        doc = parse_evidence_document('{"frame": [1, 2.5], "evidence": [{"masses": {"1": 1}}]}')
+        assert doc.frame.events == ("1", "2.5")
+
+    @pytest.mark.parametrize("masses", ["[1, 2]", '"A1"', "1.0", "null"])
+    def test_masses_that_are_not_an_object_rejected(self, masses):
+        # a list ended in an AttributeError
+        bad = DOC.replace('{"A1": 0.7, "A1,A2,A3": 0.3}', masses)
+        with pytest.raises(DocumentError, match=r"evidence\[1\] \(m2\): 'masses' must be"):
+            parse_evidence_document(bad)
+
     def test_empty_evidence(self):
         with pytest.raises(DocumentError):
             parse_evidence_document('{"frame": ["A"], "evidence": []}')

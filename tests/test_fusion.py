@@ -22,6 +22,7 @@ from credfuse import (
     MassFunction,
     NegativeMassError,
     NotNormalizedError,
+    TooFewPiecesError,
     TotalConflictError,
     average_support_credibility,
     build_edmm,
@@ -502,6 +503,17 @@ class TestFuseDispatcher:
             with pytest.raises(ValueError, match="need at least two pieces of evidence"):
                 murphy_fuse(ms)
 
+    def test_too_few_pieces_raise_one_typed_error(self, fault_case):
+        # the CLI maps it to exit 2; it stays a ValueError for older callers
+        calls = [lambda ms, method=method: fuse(ms, method) for method in
+                 ("murphy", "cef-avg", "cef-eig", "icef-pbagd", "icef-bjs")]
+        calls += [icef, lambda ms: cef_fuse(ms, [1.0]), lambda ms: build_edmm(ms, PBAGD)]
+        for call in calls:
+            with pytest.raises(TooFewPiecesError) as error:
+                call(fault_case[:1])
+            assert isinstance(error.value, ValueError)
+        assert fuse(fault_case[:1], "dcr").mass == fault_case[0]
+
     @pytest.mark.parametrize("method", ["cef-avg", "cef-eig"])
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     def test_non_finite_divergences_are_refused_before_the_weights(self, fault_case, method,
@@ -963,9 +975,23 @@ class TestMurphyBatch:
             _assert_same_outcome(got, _reference(ms, _weights(ms, "murphy"), "murphy"))
 
     def test_one_focal_set_in_the_whole_table(self, frame3):
-        sets = [[event_evidence(frame3, 1)] * n_pieces for n_pieces in (3, 3)]
-        for ms, got in zip(sets, _fuse_sets(sets, "murphy")):
-            _assert_same_result(got, _reference(ms, _weights(ms, "murphy"), "murphy"))
+        # the weights add in piece order, as the dictionary average adds
+        # them, also from 8 pieces on, where numpy's ``sum`` pairs them: nine
+        # ninths make 1 + 2**-52 and a conflict K of about -2e-15
+        for n_pieces in (3, 9):
+            sets = [[event_evidence(frame3, 1)] * n_pieces] * 2
+            for ms, got in zip(sets, _fuse_sets(sets, "murphy")):
+                _assert_same_result(got, _reference(ms, _weights(ms, "murphy"), "murphy"))
+            focal, table = core._mass_table([m for ms in sets for m in ms])
+            batch = fusion._fuse_tables(frame3, focal, table.reshape(2, n_pieces, -1),
+                                        "murphy")
+            focal, table = core._mass_table(sets[0])
+            single = fusion._fuse_tables(frame3, focal, table[None], "murphy")
+            average = reference.weighted_average(sets[0], _weights(sets[0], "murphy"))
+            _, _, conflict, _ = core._self_combine_rows(
+                np.array([[average.mass(0b010)]]), core._SelfCombination(focal, n_pieces, 3))
+            assert batch.conflict.tobytes() == np.repeat(single.conflict, 2).tobytes()
+            assert single.conflict.tobytes() == conflict.tobytes()
 
     def test_one_array_step_per_chunk(self, monkeypatch):
         sizes = []
@@ -1002,6 +1028,62 @@ def _tables(draw):
     return sets, method, config, draw(st.sampled_from([None, 1, 2, 3])), draw(st.booleans())
 
 
+@st.composite
+def _wide_support_sets(draw):
+    """Two to four sets whose supports hold 8 or more masks: Bayesian sets
+    on n = 8..12, each holding 8 or more singletons of its own, so that the
+    table has several focal patterns; or compound sets on n = 4..6 whose
+    pieces all hold the same 8 to 12 focal sets, so that it has one."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n_sets, n_pieces = draw(st.integers(2, 4)), draw(st.integers(2, 4))
+    if draw(st.booleans()):
+        n = draw(st.integers(8, 12))
+        held = [1 << rng.choice(n, size=int(rng.integers(8, n + 1)), replace=False)
+                for _ in range(n_sets)]
+    else:
+        n = draw(st.integers(4, 6))
+        size = int(rng.integers(8, min(12, (1 << n) - 1) + 1))
+        held = [rng.choice(np.arange(1, 1 << n), size=size, replace=False)] * n_sets
+    frame = _frame(n)
+    return [[MassFunction(frame, dict(zip(masks.tolist(), rng.dirichlet(np.ones(len(masks))))))
+             for _ in range(n_pieces)] for masks in held]
+
+
+def _assert_rows_equal_fuse(sets, method, config):
+    """Each set's row of ``_fuse_tables`` on one table of all ``sets``, and
+    its result, has the bits of its own ``fuse(ms, method, config)``."""
+    frame = sets[0][0].frame
+    focal, table = core._mass_table([m for ms in sets for m in ms])
+    out = fusion._fuse_tables(frame, focal, table.reshape(len(sets), len(sets[0]), -1),
+                              method, config)
+    batch = _fuse_sets(sets, method, config)
+    for b, (ms, got) in enumerate(zip(sets, batch)):
+        try:
+            want = fuse(ms, method, config)
+        except TotalConflictError as error:
+            assert isinstance(got, TotalConflictError)
+            assert out.failed[b]
+            assert out.conflict[b].hex() == got.conflict.hex() == error.conflict.hex()
+            continue
+        assert not isinstance(got, TotalConflictError)
+        assert (got.mass, got.mass._values.tobytes(), got.pignistic.tobytes()) == (
+            want.mass, want.mass._values.tobytes(), want.pignistic.tobytes())
+        assert (got.decision, got.method, got.converged, got.n_iter) == (
+            want.decision, want.method, want.converged, want.n_iter)
+        assert not out.failed[b]
+        row = out.fused[b]
+        assert out.support[row != 0.0].tolist() == list(want.mass.focal_elements())
+        assert row[row != 0.0].tobytes() == want.mass._values.tobytes()
+        assert out.probs[b].tobytes() == want.pignistic.tobytes()
+        assert frame.events[out.probs[b].argmax()] == want.decision
+        if want.credibilities is None:
+            assert out.credibilities is got.credibilities is None
+        else:
+            assert out.credibilities[b].tobytes() == got.credibilities.tobytes() == (
+                want.credibilities.tobytes())
+        assert (bool(out.converged[b]), int(out.n_iter[b])) == (want.converged, want.n_iter)
+
+
 class TestFuseTables:
     """The array core's rows and results against ``fuse``, set by set, bit for bit."""
 
@@ -1015,36 +1097,16 @@ class TestFuseTables:
                 mock.patch.object(core, "_LOG2_CONFLICT_EPS",
                                   -1.0 if conflict else core._LOG2_CONFLICT_EPS), \
                 mock.patch.object(core, "CONFLICT_EPS", 0.3 if conflict else core.CONFLICT_EPS):
-            focal, table = core._mass_table([m for ms in sets for m in ms])
-            out = fusion._fuse_tables(frame, focal, table.reshape(len(sets), len(sets[0]), -1),
-                                      method, config)
-            batch = _fuse_sets(sets, method, config)
-            for b, (ms, got) in enumerate(zip(sets, batch)):
-                try:
-                    want = fuse(ms, method, config)
-                except TotalConflictError as error:
-                    assert isinstance(got, TotalConflictError)
-                    assert out.failed[b]
-                    assert out.conflict[b].hex() == got.conflict.hex() == error.conflict.hex()
-                    continue
-                assert not isinstance(got, TotalConflictError)
-                assert (got.mass, got.mass._values.tobytes(), got.pignistic.tobytes()) == (
-                    want.mass, want.mass._values.tobytes(), want.pignistic.tobytes())
-                assert (got.decision, got.method, got.converged, got.n_iter) == (
-                    want.decision, want.method, want.converged, want.n_iter)
-                assert not out.failed[b]
-                row = out.fused[b]
-                assert out.support[row != 0.0].tolist() == list(want.mass.focal_elements())
-                assert row[row != 0.0].tobytes() == want.mass._values.tobytes()
-                assert out.probs[b].tobytes() == want.pignistic.tobytes()
-                assert frame.events[out.probs[b].argmax()] == want.decision
-                if want.credibilities is None:
-                    assert out.credibilities is got.credibilities is None
-                else:
-                    assert out.credibilities[b].tobytes() == got.credibilities.tobytes() == (
-                        want.credibilities.tobytes())
-                assert (bool(out.converged[b]), int(out.n_iter[b])) == (
-                    want.converged, want.n_iter)
+            _assert_rows_equal_fuse(sets, method, config)
+
+    @pytest.mark.parametrize("method", ["dcr", "murphy", "cef-avg", "cef-eig", "icef-pbagd",
+                                        "icef-bjs"])
+    @settings(max_examples=50, deadline=None)
+    @given(sets=_wide_support_sets())
+    def test_rows_on_supports_of_eight_or_more_masks(self, sets, method):
+        # a row's totals add in one order whether it is fused alone or in a
+        # table, and whatever its focal pattern shares with the others
+        _assert_rows_equal_fuse(sets, method, IcefConfig(tau=5.0))
 
 
 def _relabelled(m, perm):
