@@ -20,15 +20,8 @@ from functools import cached_property
 import numpy as np
 
 from . import core
-from .core import Frame, MassFunction
-from .fusion import (
-    IcefConfig,
-    InvalidConfigError,
-    _fuse_tables,
-    _is_number,
-    _is_positive_finite,
-    fuse,
-)
+from .core import Frame, MassFunction, _is_number, _is_positive_finite
+from .fusion import IcefConfig, InvalidConfigError, _fuse_tables, fuse
 
 
 class DatasetError(ValueError):
@@ -106,8 +99,11 @@ def load_dataset(
     or non-finite feature cells, and missing labels or labels with a comma,
     raise :class:`ParseError` with the 1-based data row number and column
     name.  So do more classes than a frame holds (``core.MAX_EVENTS``),
-    at the row where the first class beyond them appears.
+    at the row where the first class beyond them appears.  A ``delimiter``
+    that is not a 1-character string raises :class:`InvalidConfigError`.
     """
+    if not (isinstance(delimiter, str) and len(delimiter) == 1):
+        raise InvalidConfigError(f"a delimiter must be one character, got {delimiter!r}")
     with open(path, newline="") as fh:
         reader = csv.reader(fh, delimiter=delimiter)
         try:
@@ -334,12 +330,58 @@ def _evaluate_model(model, test: Dataset, methods, config) -> dict[str, _Score]:
     return scores
 
 
-def _accuracies(score: _Score, test: Dataset) -> tuple[dict[str, float], float]:
-    per_class = {}
-    for label in test.class_labels:
-        count = test.labels.count(label)
-        per_class[label] = score.correct[label] / count if count else 0.0
-    return per_class, sum(score.correct.values()) / test.n_records
+def _run_splits(splits, methods, lam, config) -> list[EvaluationReport]:
+    """One report per method per split, split by split.
+
+    ``splits`` yields ``(params, train, test)``: each split's interval model
+    is fit on ``train`` and scored on ``test`` by :func:`_evaluate_model`,
+    whose scores are keyed by method, so a method named twice gives one
+    report per split.  A class with no test rows scores 0.
+    """
+    reports = []
+    for params, train, test in splits:
+        model = fit_interval_model(train, lam)
+        counts = {label: test.labels.count(label) for label in test.class_labels}
+        for method, score in _evaluate_model(model, test, methods, config).items():
+            reports.append(EvaluationReport(
+                method=method,
+                dataset=test.name,
+                params=dict(params),
+                per_class_accuracy={label: score.correct[label] / count if count else 0.0
+                                    for label, count in counts.items()},
+                total_accuracy=sum(score.correct.values()) / test.n_records,
+                n_train=train.n_records,
+                conflict_samples=score.conflicts,
+                unconverged_samples=score.unconverged,
+            ))
+    return reports
+
+
+def _mean_report(reports: Sequence[EvaluationReport], params: dict) -> EvaluationReport:
+    """One method's reports over its splits, as one report.
+
+    Each accuracy is the correctly rounded sum of the splits' values
+    (:func:`math.fsum`) over their number, so it does not depend on the
+    order of the splits; the tallies are summed,
+    ``trial_accuracies`` holds each split's total and ``n_train`` is the
+    last split's.
+    """
+    def mean(values) -> float:
+        return math.fsum(values) / len(reports)
+
+    first = reports[0]
+    return EvaluationReport(
+        method=first.method,
+        dataset=first.dataset,
+        params=dict(params),
+        per_class_accuracy={label: mean(r.per_class_accuracy[label] for r in reports)
+                            for label in first.per_class_accuracy},
+        total_accuracy=mean(r.total_accuracy for r in reports),
+        n_train=reports[-1].n_train,
+        trial_accuracies=tuple(r.total_accuracy for r in reports),
+        conflict_samples=sum(r.conflict_samples for r in reports),
+        unconverged_samples=sum(r.unconverged_samples for r in reports),
+    )
 
 
 def _require_two_attributes(ds: Dataset) -> None:
@@ -390,25 +432,9 @@ def sweep_evaluate(
         fractions = [round(0.50 + 0.01 * i, 2) for i in range(51)]
     for fraction in fractions:
         _check_fraction(fraction)
-    reports = []
-    for fraction in fractions:
-        train = ds.subset(stratified_head_indices(ds, fraction))
-        model = fit_interval_model(train, lam)
-        for method, score in _evaluate_model(model, ds, methods, config).items():
-            per_class, total = _accuracies(score, ds)
-            reports.append(
-                EvaluationReport(
-                    method=method,
-                    dataset=ds.name,
-                    params={"lam": lam, "fraction": fraction},
-                    per_class_accuracy=per_class,
-                    total_accuracy=total,
-                    n_train=train.n_records,
-                    conflict_samples=score.conflicts,
-                    unconverged_samples=score.unconverged,
-                )
-            )
-    return reports
+    splits = (({"lam": lam, "fraction": fraction},
+               ds.subset(stratified_head_indices(ds, fraction)), ds) for fraction in fractions)
+    return _run_splits(splits, methods, lam, config)
 
 
 def monte_carlo_evaluate(
@@ -423,8 +449,9 @@ def monte_carlo_evaluate(
     """Repeated random stratified splits; deterministic for a given seed.
 
     Each trial draws ``train_fraction`` of every class (without replacement)
-    for training and scores on the remaining rows.  Reports per-method mean
-    accuracies over all trials plus the per-trial series.  Raises
+    for training and scores on the remaining rows.  Reports each method's
+    splits as one report of :func:`_mean_report`: the mean accuracies over
+    all trials, the summed tallies and the per-trial series.  Raises
     :class:`InvalidConfigError` unless ``trials`` is an integer >= 1,
     ``train_fraction`` lies in (0, 1) and leaves some row to score, ``seed``
     is a non-negative integer, and the dataset has at least two feature
@@ -439,51 +466,23 @@ def monte_carlo_evaluate(
             and 0.0 < train_fraction < 1.0):  # NaN fails both comparisons
         raise InvalidConfigError(f"train_fraction must lie in (0, 1), got {train_fraction!r}")
     rng = np.random.default_rng(seed)
-    sums = {m: {"total": 0.0, "per_class": {c: 0.0 for c in ds.class_labels},
-                "conflicts": 0, "unconverged": 0} for m in methods}
-    series = {m: [] for m in methods}
-    n_train_last = 0
-    for _ in range(trials):
-        train_idx: list[int] = []
-        test_idx: list[int] = []
-        for label in ds.class_labels:
-            idx = ds.class_indices(label)
-            k = round(train_fraction * len(idx))
-            picked = rng.permutation(len(idx))
-            train_idx.extend(idx[picked[:k]])
-            test_idx.extend(idx[picked[k:]])
-        if not test_idx:
-            raise InvalidConfigError(f"train_fraction {train_fraction!r} leaves no rows to score")
-        train = ds.subset(sorted(train_idx))
-        test = ds.subset(sorted(test_idx))
-        n_train_last = train.n_records
-        model = fit_interval_model(train, lam)
-        for method, score in _evaluate_model(model, test, methods, config).items():
-            per_class, total = _accuracies(score, test)
-            sums[method]["total"] += total
-            for c in ds.class_labels:
-                sums[method]["per_class"][c] += per_class[c]
-            sums[method]["conflicts"] += score.conflicts
-            sums[method]["unconverged"] += score.unconverged
-            series[method].append(total)
-    return {
-        method: EvaluationReport(
-            method=method,
-            dataset=ds.name,
-            params={
-                "lam": lam,
-                "trials": trials,
-                "train_fraction": train_fraction,
-                "seed": seed,
-            },
-            per_class_accuracy={
-                c: sums[method]["per_class"][c] / trials for c in ds.class_labels
-            },
-            total_accuracy=sums[method]["total"] / trials,
-            n_train=n_train_last,
-            trial_accuracies=tuple(series[method]),
-            conflict_samples=sums[method]["conflicts"],
-            unconverged_samples=sums[method]["unconverged"],
-        )
-        for method in methods
-    }
+    params = {"lam": lam, "trials": trials, "train_fraction": train_fraction, "seed": seed}
+
+    def splits():
+        for _ in range(trials):
+            train_idx: list[int] = []
+            test_idx: list[int] = []
+            for label in ds.class_labels:
+                idx = ds.class_indices(label)
+                k = round(train_fraction * len(idx))
+                picked = rng.permutation(len(idx))
+                train_idx.extend(idx[picked[:k]])
+                test_idx.extend(idx[picked[k:]])
+            if not test_idx:
+                raise InvalidConfigError(
+                    f"train_fraction {train_fraction!r} leaves no rows to score")
+            yield params, ds.subset(sorted(train_idx)), ds.subset(sorted(test_idx))
+
+    reports = _run_splits(splits(), methods, lam, config)
+    return {method: _mean_report([r for r in reports if r.method == method], params)
+            for method in methods}

@@ -17,12 +17,12 @@ from __future__ import annotations
 import argparse
 import sys
 
-import numpy as np
-
 from .classify import (
     EmptyDatasetError,
+    EvaluationReport,
     ParseError,
     SchemaError,
+    _mean_report,
     load_dataset,
     monte_carlo_evaluate,
     sweep_evaluate,
@@ -188,13 +188,11 @@ def _matrices_text(doc: EvidenceDocument, args, precision) -> str:
     return matrix_table(edmm.values, names, names, corner="evidence", precision=precision)
 
 
-def _summary_table(per_method: dict, class_labels, precision) -> str:
-    header = ["class", *per_method.keys()]
-    rows = []
-    for label in class_labels:
-        rows.append([label, *(per_method[m]["per_class"][label] for m in per_method)])
-    rows.append(["Total", *(per_method[m]["total"] for m in per_method)])
-    return format_table(header, rows, precision=precision)
+def _summary_table(reports: dict[str, EvaluationReport], class_labels, precision) -> str:
+    rows = [[label, *(r.per_class_accuracy[label] for r in reports.values())]
+            for label in class_labels]
+    rows.append(["Total", *(r.total_accuracy for r in reports.values())])
+    return format_table(["class", *reports], rows, precision=precision)
 
 
 def _bench_methods(spec: str) -> list[str]:
@@ -223,52 +221,30 @@ def cmd_bench(args) -> int:
 
     if args.mode == "sweep":
         reports = sweep_evaluate(ds, methods, lam=args.lam, config=cfg)
-        per_method = {}
-        series_rows = []
-        for method in methods:
-            mine = [r for r in reports if r.method == method]
-            per_method[method] = {
-                "total": float(np.mean([r.total_accuracy for r in mine])),
-                "per_class": {
-                    c: float(np.mean([r.per_class_accuracy[c] for r in mine]))
-                    for c in ds.class_labels
-                },
-                "conflicts": sum(r.conflict_samples for r in mine),
-                "unconverged": sum(r.unconverged_samples for r in mine),
-            }
-            series_rows.extend(
-                [method, r.params["fraction"], r.total_accuracy] for r in mine
-            )
-        series_header = ["method", "fraction", "accuracy"]
+        per_method = {m: _mean_report([r for r in reports if r.method == m], {"lam": args.lam})
+                      for m in methods}
+        axis, points = "fraction", [r.params["fraction"] for r in reports
+                                    if r.method == methods[0]]
     else:
-        results = monte_carlo_evaluate(
-            ds, methods, lam=args.lam, config=cfg,
-            trials=args.trials, seed=args.seed,
-        )
-        per_method = {
-            m: {"total": rep.total_accuracy, "per_class": rep.per_class_accuracy,
-                "conflicts": rep.conflict_samples, "unconverged": rep.unconverged_samples}
-            for m, rep in results.items()
-        }
-        series_rows = [
-            [m, t + 1, acc]
-            for m, rep in results.items()
-            for t, acc in enumerate(rep.trial_accuracies)
-        ]
-        series_header = ["method", "trial", "accuracy"]
+        per_method = monte_carlo_evaluate(ds, methods, lam=args.lam, config=cfg,
+                                          trials=args.trials, seed=args.seed)
+        axis, points = "trial", range(1, args.trials + 1)
+    # each report's series holds one total per split, in split order
+    series_rows = [[m, point, acc] for m, report in per_method.items()
+                   for point, acc in zip(points, report.trial_accuracies)]
 
     summary = _summary_table(per_method, ds.class_labels, precision)
     if args.out:
         _write_out(summary, f"{args.out}_summary.tsv")
-        _write_out(format_table(series_header, series_rows, precision=precision),
+        _write_out(format_table(["method", axis, "accuracy"], series_rows, precision=precision),
                    f"{args.out}_series.tsv")
         print(f"reports written to {args.out}_summary.tsv and {args.out}_series.tsv")
     print(summary, end="")
     for method in methods:
-        tally = per_method[method]
-        print(f"Total[{method}] = {tally['total']:.4f}")
-        print(f"Conflicts[{method}] = {tally['conflicts']}")
-        print(f"Unconverged[{method}] = {tally['unconverged']}")
+        report = per_method[method]
+        print(f"Total[{method}] = {report.total_accuracy:.4f}")
+        print(f"Conflicts[{method}] = {report.conflict_samples}")
+        print(f"Unconverged[{method}] = {report.unconverged_samples}")
     return EXIT_OK
 
 

@@ -9,6 +9,7 @@ particular) enumerate all ``2**n - 1`` nonempty subsets.
 from __future__ import annotations
 
 import math
+import numbers
 from array import array
 from bisect import bisect_left
 from collections.abc import Iterable, Mapping
@@ -31,6 +32,19 @@ _LOG2_CONFLICT_EPS = math.log2(CONFLICT_EPS)
 #: A power of the largest commonality below this leaves the entries within
 #: 2**-53 of it, which all count at double precision, subnormal or zero.
 _POWER_FLOOR = 2.0 ** -969
+
+
+def _is_number(value, kind) -> bool:
+    """Whether ``value`` is a number of ``kind``; a bool is not a number here."""
+    return isinstance(value, kind) and not isinstance(value, bool)
+
+
+def _is_positive_finite(value) -> bool:
+    """Whether ``value`` is a positive real number within float range."""
+    try:
+        return _is_number(value, numbers.Real) and math.isfinite(value) and value > 0
+    except OverflowError:  # an integer beyond float range
+        return False
 
 
 class MassFunctionError(ValueError):
@@ -407,11 +421,14 @@ def vacuous(frame: Frame) -> MassFunction:
 def event_evidence(frame: Frame, event) -> MassFunction:
     """Categorical evidence asserting a single event: mass 1 on that singleton.
 
-    ``event`` is a frame label or a 0-based event index.
+    ``event`` is a frame label or a 0-based event index; an index that is
+    not an integer, a bool among them, raises ``TypeError``.
     """
     if isinstance(event, str):
         j = frame.index(event)
     else:
+        if not _is_number(event, numbers.Integral):
+            raise TypeError(f"an event is a frame label or an integer index, got {event!r}")
         j = int(event)
         if not 0 <= j < frame.n:
             raise IndexError(f"event index {j} out of range for a {frame.n}-event frame")
@@ -730,10 +747,11 @@ def _self_combine_rows(masses: np.ndarray, combination: _SelfCombination):
         support, fused = _merged(parts, rows)
     totals = np.add.accumulate(fused, axis=1)[:, -1]
     # the unscaled survivor total is totals * 2**-shift; a failed row's
-    # masses may come out infinite or NaN
+    # masses may come out infinite or NaN.  A total that rounds above 1
+    # would make K negative, so K is clamped at 0
     with np.errstate(divide="ignore", invalid="ignore"):
         failed = ~(np.log2(totals) - shift > (times - 1) * _LOG2_CONFLICT_EPS)
-        conflict = 1.0 - np.ldexp(totals, -shift)
+        conflict = np.maximum(1.0 - np.ldexp(totals, -shift), 0.0)
         return support, fused / totals[:, None], conflict, failed
 
 

@@ -12,13 +12,12 @@ Two matrix shapes drive everything here:
 
 from __future__ import annotations
 
-import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Frame, MassFunction, TooFewPiecesError
+from .core import Frame, MassFunction, TooFewPiecesError, _is_positive_finite
 from .divergence import DivergenceMeasure
 
 
@@ -83,9 +82,11 @@ def support_matrix(eem: EventEvaluationMatrix, tau: float) -> np.ndarray:
     """Exponential support kernel ``exp(-tau * d)``, elementwise on the EEM.
 
     Values lie in (0, 1], hitting 1 exactly where the divergence is 0.
-    ``tau`` scales how sharply support decays with divergence.
+    ``tau`` scales how sharply support decays with divergence; one that is
+    not a positive finite number, a bool or a string among them, raises
+    :class:`NonpositiveTauError`.
     """
-    if not (tau > 0 and math.isfinite(tau)):
+    if not _is_positive_finite(tau):
         raise NonpositiveTauError(f"tau must be a positive finite number, got {tau!r}")
     return np.exp(-tau * eem.values)
 

@@ -10,7 +10,6 @@ round, until the probabilities stop moving.
 
 from __future__ import annotations
 
-import math
 import numbers
 from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
@@ -26,6 +25,8 @@ from .core import (
     MassFunction,
     TooFewPiecesError,
     TotalConflictError,
+    _is_number,
+    _is_positive_finite,
     _require_same_frame,
     dcr_n,
     self_fuse,  # unused here; kept for callers of credfuse.fusion.self_fuse
@@ -45,19 +46,6 @@ from .divergence import _BLOCK_ENTRIES, PBAGD, DivergenceMeasure, get_measure
 
 class InvalidConfigError(ValueError):
     """A fusion setting is out of range or not a finite number."""
-
-
-def _is_number(value, kind) -> bool:
-    """Whether ``value`` is a number of ``kind``; a bool is not a number here."""
-    return isinstance(value, kind) and not isinstance(value, bool)
-
-
-def _is_positive_finite(value) -> bool:
-    """Whether ``value`` is a positive real number within float range."""
-    try:
-        return _is_number(value, numbers.Real) and math.isfinite(value) and value > 0
-    except OverflowError:  # an integer beyond float range
-        return False
 
 
 @dataclass(frozen=True)

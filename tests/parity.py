@@ -9,7 +9,13 @@ its parent's.  Usage, from the root of a checkout::
 It prints the number of records and the digest over all of them, then one
 line per record group: its name, its number of records and a digest over
 them alone, so a change that must move some numbers can show which groups
-kept their bits.  The groups are:
+kept their bits.  ``--records GROUP`` then prints one line per record of
+that group, its key and a digest over it alone, so such a change can show
+which records moved::
+
+    python tests/parity.py --records iris-reports
+
+The groups are:
 
 * ``builtin``: every builtin document under the six methods;
 * ``trace``: its traced ``icef`` steps (pbagd with uniform start, bjs with
@@ -28,6 +34,7 @@ file has no ``test_`` prefix, so pytest does not collect it.
 
 from __future__ import annotations
 
+import argparse
 import dataclasses
 import hashlib
 import sys
@@ -135,20 +142,32 @@ def records():
 
 
 def main() -> None:
+    parser = argparse.ArgumentParser(description="Digest the library's results.")
+    parser.add_argument("--records", metavar="GROUP",
+                        help="also print the key and digest of each record of GROUP")
+    args = parser.parse_args()
     digest = hashlib.sha256()
     groups: dict[str, list] = {}  # name -> [digest, records]
+    picked = []  # (key, digest) of each record of the --records group
     count = 0
     for key, value in records():
         line = f"{canon(key)}={canon(value)}\n".encode()
         digest.update(line)
-        group = groups.setdefault(GROUPS.get(key[0], key[0]), [hashlib.sha256(), 0])
+        name = GROUPS.get(key[0], key[0])
+        group = groups.setdefault(name, [hashlib.sha256(), 0])
         group[0].update(line)
         group[1] += 1
         count += 1
+        if name == args.records:
+            picked.append((canon(key), hashlib.sha256(line).hexdigest()))
+    if args.records is not None and args.records not in groups:
+        parser.error(f"no group {args.records!r}; the groups are {', '.join(groups)}")
     print(f"{count} records")
     print(digest.hexdigest())
     for name, (group, records_in_group) in groups.items():
         print(f"{name}: {records_in_group} records {group.hexdigest()}")
+    for key, record_digest in picked:
+        print(f"{key} {record_digest}")
 
 
 if __name__ == "__main__":

@@ -1,7 +1,9 @@
 """Dataset ingestion, the interval base classifier, and evaluation harnesses."""
 
 import math
+import operator
 from dataclasses import asdict
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -125,6 +127,18 @@ class TestLoadDataset:
         assert "'c21'" in str(excinfo.value)
         path.write_text(_many_classes_csv(classes=core.MAX_EVENTS))
         assert len(load_dataset(path, label_column="y").class_labels) == core.MAX_EVENTS
+
+    @pytest.mark.parametrize("delimiter", ["", ";;", None, 1, b","])
+    def test_delimiter_that_is_not_one_character_rejected(self, iris_path, delimiter):
+        # used to end in csv's TypeError
+        with pytest.raises(InvalidConfigError, match="delimiter"):
+            load_dataset(iris_path, label_column="species", delimiter=delimiter)
+
+    def test_one_character_delimiter_read(self, tmp_path):
+        path = tmp_path / "semicolon.csv"
+        path.write_text("a;b;y\n1.0;2.0;x\n")
+        ds = load_dataset(path, label_column="y", delimiter=";")
+        assert ds.feature_names == ("a", "b") and ds.labels == ("x",)
 
     def test_class_indices_read_one_label_array(self, iris, monkeypatch):
         labels = iris._label_array
@@ -371,6 +385,18 @@ class TestMonteCarlo:
         report = monte_carlo_evaluate(separable, ["dcr"], lam=2.0, trials=1, seed=0)["dcr"]
         assert len(report.trial_accuracies) == 1
         assert report.total_accuracy == report.trial_accuracies[0]
+
+    @pytest.mark.parametrize("seed", [0, 2, 3])
+    def test_mean_is_the_fsum_of_the_trials(self, iris, seed):
+        # adding the trials in order, as the harness once did, rounds
+        # differently on these seeds
+        reports = monte_carlo_evaluate(iris, ["dcr", "murphy"], lam=5.0, trials=10, seed=seed)
+        in_order = []
+        for report in reports.values():
+            series = report.trial_accuracies
+            assert report.total_accuracy == math.fsum(series) / 10
+            in_order.append(reduce(operator.add, series) / 10 != report.total_accuracy)
+        assert any(in_order)
 
     def test_split_sizes_stratified(self, separable):
         report = monte_carlo_evaluate(separable, ["dcr"], lam=2.0, trials=1, seed=0)["dcr"]

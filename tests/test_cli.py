@@ -1,11 +1,14 @@
 """Command-line surface: output formats and exit codes."""
 
 import json
+import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from credfuse import EvaluationReport, cli
@@ -356,6 +359,24 @@ class TestBench:
             "Total[dcr] = 1.0000", "Conflicts[dcr] = 3", "Unconverged[dcr] = 7",
         ]
 
+    def test_sweep_full_precision_prints_the_fsum_mean(self, iris_path, capsys, monkeypatch):
+        # numpy's mean adds in order: 0.5666666666666668 here, where the exact
+        # mean of the three doubles rounds to 0.5666666666666667
+        totals = (0.9, 0.7, 0.1)
+
+        def fake_sweep(ds, methods, lam, config):
+            return [EvaluationReport("dcr", "iris", {"fraction": f},
+                                     dict.fromkeys(ds.class_labels, t), t, 10)
+                    for f, t in zip((0.5, 0.6, 0.7), totals)]
+
+        monkeypatch.setattr(cli, "sweep_evaluate", fake_sweep)
+        code, out, _ = run(capsys, "bench", str(iris_path), "--label-column", "species",
+                           "--mode", "sweep", "--methods", "dcr", "--full-precision")
+        mean = math.fsum(totals) / len(totals)
+        assert mean == float(sum(map(Fraction, totals)) / len(totals)) != float(np.mean(totals))
+        assert out.splitlines()[1:5] == [
+            f"{label}\t{mean!r}" for label in ("setosa", "versicolor", "virginica", "Total")]
+
     def test_missing_label_column_exits_6(self, iris_path, capsys):
         code, _, err = run(capsys, "bench", str(iris_path),
                            "--label-column", "nope")
@@ -419,6 +440,15 @@ class TestBench:
         code, _, _ = run(capsys, "bench", "/nonexistent.csv",
                          "--label-column", "y")
         assert code == EXIT_PARSE
+
+    @pytest.mark.parametrize("delimiter", ["", ";;"])
+    def test_delimiter_that_is_not_one_character_exits_2(self, iris_path, capsys, delimiter):
+        # used to end in a traceback, csv's TypeError
+        code, out, err = run(capsys, "bench", str(iris_path), "--label-column", "species",
+                             "--delimiter", delimiter)
+        assert code == EXIT_PARSE
+        assert err == f"error: a delimiter must be one character, got {delimiter!r}\n"
+        assert out == ""
 
     @pytest.mark.parametrize("cell", ["nan", "inf"])
     def test_non_finite_cell_exits_2(self, tmp_path, capsys, cell):

@@ -907,6 +907,15 @@ class TestEventEvidence:
         with pytest.raises(IndexError):
             event_evidence(frame3, 3)
 
+    @pytest.mark.parametrize("event", [True, False, 1.5, 1.0, None, np.float64(2.0)])
+    def test_index_that_is_not_an_integer_rejected(self, frame3, event):
+        # True and 1.5 used to assert event 1
+        with pytest.raises(TypeError, match="integer index"):
+            event_evidence(frame3, event)
+
+    def test_numpy_integer_index(self, frame3):
+        assert event_evidence(frame3, np.int64(2)) == event_evidence(frame3, 2)
+
     def test_pignistic_one_hot(self, frame3):
         probs = event_evidence(frame3, 1).pignistic()
         np.testing.assert_allclose(probs, [0.0, 1.0, 0.0])

@@ -242,6 +242,17 @@ class TestSupportMatrix:
             support_matrix(eem, tau)
 
 
+    @pytest.mark.parametrize("tau", [True, "3", None, pytest.param(10 ** 400, id="10**400")])
+    def test_rejects_tau_that_is_not_a_number(self, eem, tau):
+        # True ran with tau = 1, and "3" ended in a bare TypeError
+        with pytest.raises(NonpositiveTauError, match="tau must be a positive finite number"):
+            support_matrix(eem, tau)
+
+    def test_numpy_tau(self, eem):
+        assert support_matrix(eem, np.float64(200.0)).tobytes() == (
+            support_matrix(eem, 200.0).tobytes())
+
+
 class TestConditionalCredibility:
     def test_single_evidence(self):
         cond = conditional_credibility(np.full((3, 1), 0.7))

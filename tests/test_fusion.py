@@ -977,7 +977,8 @@ class TestMurphyBatch:
     def test_one_focal_set_in_the_whole_table(self, frame3):
         # the weights add in piece order, as the dictionary average adds
         # them, also from 8 pieces on, where numpy's ``sum`` pairs them: nine
-        # ninths make 1 + 2**-52 and a conflict K of about -2e-15
+        # ninths make 1 + 2**-52, whose 1 - total of about -2e-15 is
+        # clamped to a conflict K of 0
         for n_pieces in (3, 9):
             sets = [[event_evidence(frame3, 1)] * n_pieces] * 2
             for ms, got in zip(sets, _fuse_sets(sets, "murphy")):
@@ -992,6 +993,7 @@ class TestMurphyBatch:
                 np.array([[average.mass(0b010)]]), core._SelfCombination(focal, n_pieces, 3))
             assert batch.conflict.tobytes() == np.repeat(single.conflict, 2).tobytes()
             assert single.conflict.tobytes() == conflict.tobytes()
+            assert (batch.conflict >= 0.0).all()
 
     def test_one_array_step_per_chunk(self, monkeypatch):
         sizes = []
