@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import math
 import numbers
+from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
@@ -98,9 +99,11 @@ def load_dataset(
     features unless ``feature_columns`` narrows them.  Missing, non-numeric
     or non-finite feature cells, and missing labels or labels with a comma,
     raise :class:`ParseError` with the 1-based data row number and column
-    name.  So do more classes than a frame holds (``core.MAX_EVENTS``),
-    at the row where the first class beyond them appears.  A ``delimiter``
-    that is not a 1-character string raises :class:`InvalidConfigError`.
+    name.  So do more classes than a frame holds (``core.MAX_EVENTS``), at
+    the row where the first class beyond them appears.  A name repeated in
+    the header or in ``feature_columns``, or a named column the header
+    lacks, raises :class:`SchemaError`.  A ``delimiter`` that is not a
+    1-character string raises :class:`InvalidConfigError`.
     """
     if not (isinstance(delimiter, str) and len(delimiter) == 1):
         raise InvalidConfigError(f"a delimiter must be one character, got {delimiter!r}")
@@ -111,10 +114,16 @@ def load_dataset(
         except StopIteration:
             raise EmptyDatasetError(f"{path}: file is empty") from None
         header = [h.strip() for h in header]
+        repeated = _repeated(header)
+        if repeated:
+            raise SchemaError(f"column names {repeated} repeated in header {header}")
         if label_column not in header:
             raise SchemaError(f"label column {label_column!r} not in header {header}")
         if feature_columns is None:
             feature_columns = [h for h in header if h != label_column]
+        repeated = _repeated(feature_columns)
+        if repeated:
+            raise SchemaError(f"feature columns {repeated} repeated in {list(feature_columns)}")
         missing = [c for c in feature_columns if c not in header]
         if missing:
             raise SchemaError(f"feature columns {missing} not in header {header}")
@@ -162,6 +171,12 @@ def load_dataset(
         tuple(labels),
         tuple(first_rows),
     )
+
+
+def _repeated(names) -> list[str]:
+    """The names that occur more than once in ``names``, in first-occurrence order."""
+    counts = Counter(names)
+    return [name for name, count in counts.items() if count > 1]
 
 
 @dataclass(frozen=True, eq=False)

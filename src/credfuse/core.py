@@ -624,7 +624,7 @@ def self_fuse(m: MassFunction, times: int) -> MassFunction:
     built through the validating constructor.  ``times`` must be an
     integer (not a bool or a float) of at least 1.
     """
-    if isinstance(times, bool) or not isinstance(times, (int, np.integer)) or times < 1:
+    if not _is_number(times, numbers.Integral) or times < 1:
         raise ValueError(f"times must be an integer >= 1, got {times!r}")
     if times == 1:
         return m
@@ -702,14 +702,18 @@ def _self_combine_rows(masses: np.ndarray, combination: _SelfCombination):
     i.e. when on average no more than ``CONFLICT_EPS`` survives each
     combination; its ``fused`` entries are then meaningless.
 
-    When a row's largest power would fall below ``_POWER_FLOOR``, the power
-    of its nonempty commonalities is taken by :func:`_scaled_power`, which
-    keeps the largest entry in [0.5, 1) by powers of two.  Scaling by a
-    power of two is exact and the normalization divides it out, so any
-    number of operands leaves the largest power representable and no
-    underflow turns into a spurious total conflict; the threshold above is
-    still applied to the unscaled survivor total, compared in logarithms.
-    Only many operands can need this; fewer skip the check.
+    When a row's largest power would fall below ``_POWER_FLOOR``, its
+    nonempty commonalities are first divided by the largest of them,
+    ``top``, and ``times * log2(top)`` is carried as the row's ``shift``.
+    The largest entry is then exactly 1, so any number of operands leaves
+    the largest power representable and no underflow turns into a spurious
+    total conflict; entries below ``2**-1074`` of it vanish.  The division
+    rounds once, so each power stays within about ``times / 2`` units in
+    the last place of its exact value, and the normalization divides
+    ``top**times`` out.  The threshold above is still applied to the
+    unscaled survivor total, ``totals * 2**shift``, compared in logarithms.
+    Only many operands can need this; fewer skip the check, and a row that
+    is not scaled keeps ``shift = 0``, which adds and multiplies exactly.
     """
     focal, times, n = combination.focal, combination.times, combination.n
     rows = len(masses)
@@ -728,15 +732,15 @@ def _self_combine_rows(masses: np.ndarray, combination: _SelfCombination):
     # least 1/n (half of it leaves room for rounding), so only many operands
     # take its power below the floor; q[:, 0], the empty set's, only reaches
     # the empty set's entry, which is never read
-    scaled = {}
+    shift = np.zeros(rows)
     if (0.5 / n) ** times < _POWER_FLOOR:
-        low = q[:, nonempty].max(axis=1) ** times < _POWER_FLOOR
-        scaled = {b: _scaled_power(q[b, nonempty], times) for b in low.nonzero()[0]}
-    q = q ** times  # a new array: on singletons ``q`` is the caller's
-    shift = np.zeros(rows, dtype=np.int64)
-    for b, (power, row_shift) in scaled.items():
-        q[b, nonempty] = power
-        shift[b] = row_shift
+        top = q[:, nonempty].max(axis=1)
+        low = top ** times < _POWER_FLOOR
+        if low.any():
+            q = q.copy()  # on singletons ``q`` is the caller's
+            q[low, nonempty] /= top[low, None]
+            shift[low] = times * np.log2(top[low])
+    q = q ** times
     if combination.bayesian:
         support, fused = focal, np.maximum(q, 0.0)
     else:
@@ -746,12 +750,12 @@ def _self_combine_rows(masses: np.ndarray, combination: _SelfCombination):
             parts.append((which, support, np.maximum(unnormalized[which][:, support], 0.0)))
         support, fused = _merged(parts, rows)
     totals = np.add.accumulate(fused, axis=1)[:, -1]
-    # the unscaled survivor total is totals * 2**-shift; a failed row's
+    # the unscaled survivor total is totals * 2**shift; a failed row's
     # masses may come out infinite or NaN.  A total that rounds above 1
     # would make K negative, so K is clamped at 0
     with np.errstate(divide="ignore", invalid="ignore"):
-        failed = ~(np.log2(totals) - shift > (times - 1) * _LOG2_CONFLICT_EPS)
-        conflict = np.maximum(1.0 - np.ldexp(totals, -shift), 0.0)
+        failed = ~(np.log2(totals) + shift > (times - 1) * _LOG2_CONFLICT_EPS)
+        conflict = np.maximum(1.0 - totals * np.exp2(shift), 0.0)
         return support, fused / totals[:, None], conflict, failed
 
 
@@ -866,35 +870,3 @@ def _bayesian_step(vb: np.ndarray, vc: np.ndarray):
 def _singletons_only(focal: np.ndarray) -> bool:
     """Whether every mask of ``focal`` is a singleton."""
     return np.count_nonzero(np.bitwise_count(focal) != 1) == 0
-
-
-def _scaled_power(v: np.ndarray, times: int) -> tuple[np.ndarray, int]:
-    """``v**times * 2**shift`` and ``shift``; the largest entry of ``v`` is positive.
-
-    Binary exponentiation that rescales each product by the power of two
-    which brings its largest entry into [0.5, 1), so the largest power never
-    underflows; entries below ``2**-1074`` of it become subnormal or zero.
-    Each product rounds once, so the relative error stays within about
-    ``times`` units in the last place.
-    """
-    power, shift = None, 0
-    base, base_shift = _rescaled(v)
-    while True:
-        if times & 1:
-            if power is None:
-                power, shift = base, base_shift
-            else:
-                power, step = _rescaled(power * base)
-                shift += base_shift + step
-        times >>= 1
-        if not times:
-            return power, shift
-        base, step = _rescaled(base * base)
-        base_shift = 2 * base_shift + step
-
-
-def _rescaled(v: np.ndarray) -> tuple[np.ndarray, int]:
-    """``v`` times the power of two ``2**shift`` that brings its largest entry
-    into [0.5, 1), and ``shift``."""
-    shift = -math.frexp(float(v.max()))[1]
-    return np.ldexp(v, shift), shift

@@ -26,7 +26,10 @@ The groups are:
 * ``iris-reports``: the iris Monte-Carlo report (20 trials, seed 3) and
   the 51-point sweep reports, for the six methods;
 * ``iris-split``: the raw ``fusion._fuse_tables`` arrays of 20 seeded
-  70/30 iris splits, for the six methods.
+  70/30 iris splits, for the six methods;
+* ``many-operands``: ``self_fuse`` of three masses on five events at 500,
+  1080 and 5000 operands, which take the scaled powers of the many-operand
+  self-combination in its Bayesian and its compound form.
 
 Floats are recorded by their bits, so a NaN or a signed zero counts.  The
 file has no ``test_`` prefix, so pytest does not collect it.
@@ -48,6 +51,7 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 from credfuse import (  # noqa: E402
     BJS,
     BUILTIN_DOCUMENTS,
+    Frame,
     IcefConfig,
     MassFunction,
     builtin_document,
@@ -55,6 +59,7 @@ from credfuse import (  # noqa: E402
     fusion,
     load_dataset,
     monte_carlo_evaluate,
+    self_fuse,
     sweep_evaluate,
 )
 
@@ -62,6 +67,14 @@ import workloads  # noqa: E402
 
 METHODS = ("dcr", "murphy", "cef-avg", "cef-eig", "icef-pbagd", "icef-bjs")
 SEED = 5
+
+#: Masses on five events, as ``TestSelfFuseAgainstFold`` combines them
+#: hundreds and thousands of times.
+MANY_OPERANDS = (
+    {0b00001: 0.5, 0b00010: 0.5},
+    {1 << j: 0.2 for j in range(5)},
+    {0b00001: 0.3, 0b00011: 0.2, 0b00100: 0.2, 0b01100: 0.15, 0b10000: 0.1, 0b11111: 0.05},
+)
 
 #: The group of a record whose key starts with a name other than its group's.
 GROUPS = {"monte-carlo": "iris-reports", "sweep": "iris-reports"}
@@ -139,6 +152,11 @@ def records():
         for method in METHODS:
             yield ("iris-split", seed, method), fusion._fuse_tables(
                 model.frame, focal, masses, method, config)
+
+    frame = Frame(tuple(f"E{i + 1}" for i in range(5)))
+    for i, masses in enumerate(MANY_OPERANDS):
+        for times in (500, 1080, 5000):
+            yield ("many-operands", i, times), self_fuse(MassFunction(frame, masses), times)
 
 
 def main() -> None:

@@ -2,10 +2,13 @@
 
 Each function computes a kernel's result one mass or one divergence at a
 time, mostly as the library's earlier code did; the kernels must give the
-same bits.
+same bits.  :func:`bayesian_self_fuse` is exact instead, in rationals, and
+bounds a kernel's error rather than fixing its bits.
 """
 
 from __future__ import annotations
+
+from fractions import Fraction
 
 import numpy as np
 
@@ -61,3 +64,16 @@ def pignistic_rows(masks, masses, n) -> np.ndarray:
     shares = masses / np.bitwise_count(masks)
     members = masks[:, None] >> np.arange(n) & 1
     return (members * shares[..., None]).sum(axis=-2)
+
+
+def bayesian_self_fuse(masses, times) -> list[Fraction]:
+    """The exact ``times``-fold Dempster self-combination of a mass on
+    singletons only, given its masses: ``m_i**times / sum(m_j**times)``,
+    in rationals from the floats' exact values.  Each float is an integer
+    over a power of two, so the powers are taken on the integers over the
+    largest of those denominators, which cancels."""
+    numerators, denominators = zip(*(m.as_integer_ratio() for m in map(float, masses)))
+    scale = max(denominators)
+    powers = [(a * (scale // d)) ** times for a, d in zip(numerators, denominators)]
+    total = sum(powers)
+    return [Fraction(p, total) for p in powers]

@@ -2,6 +2,7 @@
 
 import math
 import operator
+import re
 from dataclasses import asdict
 from functools import reduce
 
@@ -116,6 +117,21 @@ class TestLoadDataset:
         with pytest.raises(ParseError, match="comma") as excinfo:
             load_dataset(path, label_column="y")
         assert (excinfo.value.row, excinfo.value.column) == (2, "y")
+
+    @pytest.mark.parametrize("header, feature_columns, repeated", [
+        ("a,a,y", None, "['a']"),
+        ("y,a,y", None, "['y']"),
+        ("a,b,b,a,y", ["a"], "['a', 'b']"),
+        ("a,b,y", ["b", "a", "b"], "['b']"),
+    ])
+    def test_repeated_column_names_are_refused(self, tmp_path, header, feature_columns,
+                                               repeated):
+        # a repeated name used to read its first namesake twice and drop
+        # the second column without a word
+        path = tmp_path / "repeated.csv"
+        path.write_text(f"{header}\n" + ",".join(["1.0"] * header.count(",") + ["x"]) + "\n")
+        with pytest.raises(SchemaError, match=re.escape(f"{repeated} repeated")):
+            load_dataset(path, label_column="y", feature_columns=feature_columns)
 
     def test_more_classes_than_a_frame_holds_report_location(self, tmp_path):
         # used to load, then end in Frame's ValueError inside the first trial

@@ -382,6 +382,24 @@ class TestBench:
                            "--label-column", "nope")
         assert code == EXIT_SCHEMA
 
+    def test_repeated_feature_columns_exit_6(self, iris_path, capsys):
+        # used to score the first namesake twice, with exit 0
+        code, out, err = run(capsys, "bench", str(iris_path), "--label-column", "species",
+                             "--methods", "dcr", "--trials", "1",
+                             "--features", "petal_length,petal_length")
+        assert code == EXIT_SCHEMA
+        assert err.startswith("error: feature columns ['petal_length'] repeated")
+        assert out == ""
+
+    def test_repeated_header_names_exit_6(self, tmp_path, capsys):
+        path = tmp_path / "repeated.csv"
+        path.write_text("a,a,species\n1.0,2.0,x\n3.0,4.0,z\n")
+        code, out, err = run(capsys, "bench", str(path), "--label-column", "species",
+                             "--methods", "dcr", "--trials", "1")
+        assert code == EXIT_SCHEMA
+        assert err == "error: column names ['a'] repeated in header ['a', 'a', 'species']\n"
+        assert out == ""
+
     @pytest.mark.parametrize("flags, name", [
         (["--trials", "0"], "trials"),
         (["--lambda", "0"], "lam"),

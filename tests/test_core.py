@@ -3,6 +3,7 @@
 import functools
 import math
 import re
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -514,10 +515,43 @@ class TestSelfFuseAgainstFold:
         {0b00001: 0.3, 0b00011: 0.2, 0b00100: 0.2, 0b01100: 0.15, 0b10000: 0.1, 0b11111: 0.05},
     ])
     def test_renormalised_power_agrees_with_fold(self, masses, times):
-        # the largest commonality scaled into [0.5, 1) still underflows
-        # as 0.5**times, so the power is rescaled after every product
+        # 0.5**times underflows too, so only a largest commonality scaled
+        # to exactly 1 keeps the largest power representable
         m = MassFunction(_frame(5), masses)
         _assert_agree(self_fuse(m, times), _fold(m, times))
+
+    @settings(max_examples=100, deadline=None)
+    @given(n=st.integers(min_value=1, max_value=8),
+           times=st.sampled_from([2, 30, 200, 500, 1080, 2000, 5000]),
+           spread=st.sampled_from([1e-4, 1e-2, 1.0, 1e3]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_bayesian_entries_within_times_ulps_of_exact(self, n, times, spread, seed):
+        # every entry whose exact value is at least 2**-50 is within
+        # ``times`` ulps of it, relative; ``spread`` sets how far apart the
+        # masses lie, so that several survive even thousands of operands
+        rng = np.random.default_rng(seed)
+        events = rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False)
+        weights = 1.0 + spread * rng.random(len(events))
+        m = MassFunction(_frame(n), dict(zip((1 << events).tolist(),
+                                             (weights / weights.sum()).tolist())))
+        masks, masses = zip(*m.items())
+        fused = self_fuse(m, times)
+        ulps = times * Fraction(2) ** -52
+        for mask, exact in zip(masks, reference.bayesian_self_fuse(masses, times)):
+            if exact >= Fraction(2) ** -50:
+                assert exact * (1 - ulps) <= Fraction(fused.mass(mask)) <= exact * (1 + ulps)
+
+    def test_scaled_rows_keep_their_conflict(self):
+        # the first row's powers are scaled: its survivor total, 5 * 0.2**500,
+        # lies far below 2**-969, so K rounds to 1; the second row's largest
+        # power 0.996**500 needs no scaling, and it keeps its own K
+        table = np.array([[0.2] * 5, [0.996] + [0.001] * 4])
+        support, fused, conflict, failed = core._self_combine_rows(
+            table, core._SelfCombination(1 << np.arange(5), 500, 5))
+        assert conflict[0] == 1.0
+        assert conflict[1] == pytest.approx(1.0 - 0.996**500, rel=1e-12)
+        assert not failed.any()
+        assert fused[0].tolist() == [0.2] * 5
 
     def test_two_equal_singletons_return_the_input(self):
         m = MassFunction(_frame(5), {1: 0.5, 2: 0.5})
