@@ -22,7 +22,7 @@ import numpy as np
 
 from . import core
 from .core import Frame, MassFunction, _is_number, _is_positive_finite
-from .fusion import IcefConfig, InvalidConfigError, _fuse_tables, fuse
+from .fusion import IcefConfig, InvalidConfigError, _checked_method, _fuse_tables, fuse
 
 
 class DatasetError(ValueError):
@@ -101,9 +101,9 @@ def load_dataset(
     raise :class:`ParseError` with the 1-based data row number and column
     name.  So do more classes than a frame holds (``core.MAX_EVENTS``), at
     the row where the first class beyond them appears.  A name repeated in
-    the header or in ``feature_columns``, or a named column the header
-    lacks, raises :class:`SchemaError`.  A ``delimiter`` that is not a
-    1-character string raises :class:`InvalidConfigError`.
+    the header or in ``feature_columns``, the label among them, or a named
+    column the header lacks, raises :class:`SchemaError`.  A ``delimiter``
+    that is not a 1-character string raises :class:`InvalidConfigError`.
     """
     if not (isinstance(delimiter, str) and len(delimiter) == 1):
         raise InvalidConfigError(f"a delimiter must be one character, got {delimiter!r}")
@@ -124,6 +124,8 @@ def load_dataset(
         repeated = _repeated(feature_columns)
         if repeated:
             raise SchemaError(f"feature columns {repeated} repeated in {list(feature_columns)}")
+        if label_column in feature_columns:
+            raise SchemaError(f"label column {label_column!r} named as a feature column")
         missing = [c for c in feature_columns if c not in header]
         if missing:
             raise SchemaError(f"feature columns {missing} not in header {header}")
@@ -346,13 +348,15 @@ def _evaluate_model(model, test: Dataset, methods, config) -> dict[str, _Score]:
 
 
 def _run_splits(splits, methods, lam, config) -> list[EvaluationReport]:
-    """One report per method per split, split by split.
+    """One report per method per split, split by split, the names checked first.
 
     ``splits`` yields ``(params, train, test)``: each split's interval model
     is fit on ``train`` and scored on ``test`` by :func:`_evaluate_model`,
     whose scores are keyed by method, so a method named twice gives one
     report per split.  A class with no test rows scores 0.
     """
+    for method in methods:
+        _checked_method(method)
     reports = []
     for params, train, test in splits:
         model = fit_interval_model(train, lam)

@@ -39,7 +39,7 @@ from .documents import (
     load_evidence_document,
     matrix_table,
 )
-from .fusion import FUSION_METHODS, IcefConfig, InvalidConfigError, fuse, icef
+from .fusion import FUSION_METHODS, IcefConfig, InvalidConfigError, _checked_method, fuse, icef
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -202,12 +202,7 @@ def _bench_methods(spec: str) -> list[str]:
     if not methods:
         raise InvalidConfigError("--methods names no fusion method")
     for method in methods:
-        if method.lower().startswith("icef-"):
-            get_measure(method[len("icef-"):])  # a KeyError names the registered measures
-        elif method.lower() not in FUSION_METHODS:
-            raise InvalidConfigError(
-                f"unknown fusion method {method!r}; known: {', '.join(FUSION_METHODS)}, "
-                "or icef-<measure>")
+        _checked_method(method)
     return methods
 
 

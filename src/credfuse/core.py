@@ -775,10 +775,10 @@ def _focal_patterns(nonzero: np.ndarray):
 
 def _merged(parts, rows: int) -> tuple[np.ndarray, np.ndarray]:
     """One table of ``rows`` rows from ``(which, masks, values)`` parts, each
-    holding the rows ``which`` (one part per focal pattern as
-    :func:`_focal_patterns` gives them, or per chunk of sets): the ascending
-    union of the parts' masks, and each part's values on it in its rows,
-    zero elsewhere.  Parts that share one array of masks keep it."""
+    holding the rows ``which`` (one part per focal pattern of
+    :func:`_focal_patterns`, or per iteration at which ``icef`` sets stop):
+    the ascending union of the parts' masks, and each part's values on it in
+    its rows, zero elsewhere.  Parts that share one array of masks keep it."""
     if len(parts) == 1:  # one pattern: every row, in order
         return parts[0][1], parts[0][2]
     first = parts[0][1]

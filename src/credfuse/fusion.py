@@ -41,7 +41,7 @@ from .credibility import (
     initial_prob_uniform,
     support_matrix,
 )
-from .divergence import _BLOCK_ENTRIES, PBAGD, DivergenceMeasure, get_measure
+from .divergence import PBAGD, DivergenceMeasure, get_measure
 
 
 class InvalidConfigError(ValueError):
@@ -284,8 +284,6 @@ def _joined(parts, rows: int) -> _Fused:
 
     def gathered(name):
         first = getattr(parts[0][1], name)
-        if first is None:
-            return None
         out = np.empty((rows, *first.shape[1:]), dtype=first.dtype)
         for which, part in parts:
             out[which] = getattr(part, name)
@@ -391,27 +389,18 @@ def _cef_rows(table: np.ndarray, cred: np.ndarray, combination: core._SelfCombin
 
 def _fuse_tables(frame: Frame, focal: np.ndarray, table: np.ndarray, method: str,
                  config: IcefConfig | None = None) -> _Fused:
-    """:func:`fuse` of B evidence sets of N pieces each, on arrays.
+    """:func:`fuse` of B evidence sets of N pieces each, on arrays, in one pass.
 
     ``table`` holds the (B, N, F) masses of the sets on the ascending masks
     ``focal`` of ``frame``; a zero entry is not a focal set of that piece.
-    ``method`` is a lower-case method name.  The sets are fused in chunks
-    of ``max(1, 2**13 // 2**n)``, so each array over the ``2**n`` subsets
-    holds about ``2**13`` entries: ``dcr`` through :func:`core._dcr_fold`,
-    ``icef-*`` through :func:`_icef_loop`, and the open-loop methods through
-    :func:`_cef_rows`.  A set gets the bits of its own ``fuse`` call.  No
-    mass is checked here; a caller checks the rows it reads.
+    ``method`` is a lower-case method name: ``dcr`` runs through
+    :func:`core._dcr_fold`, ``icef-*`` through :func:`_icef_loop`, and the
+    open-loop methods through :func:`_cef_rows`.  A set gets the bits of its
+    own ``fuse`` call.  No mass is checked here; a caller checks the rows it
+    reads.  The EEM blocks its own rows; a compound table's self-combination
+    holds one (B, 2**n) commonality array, and only the tests pass one here
+    (the classifier's tables hold singletons only).
     """
-    rows = max(1, _BLOCK_ENTRIES // (1 << frame.n))
-    return _joined([
-        (np.arange(start, min(start + rows, len(table))),
-         _fuse_chunk(frame, focal, table[start:start + rows], method, config))
-        for start in range(0, len(table), rows)
-    ], len(table))
-
-
-def _fuse_chunk(frame: Frame, focal: np.ndarray, table: np.ndarray, method: str,
-                config: IcefConfig | None) -> _Fused:
     if method == "dcr":
         support, fused, conflict, failed = core._dcr_fold(frame, focal, table)
         return _Fused(support, fused,
@@ -452,13 +441,11 @@ def _icef_config(method: str, config: IcefConfig | None) -> IcefConfig:
 
 
 def _method_weights(method: str, sets, config: IcefConfig | None = None) -> np.ndarray:
-    """Rows of 1/N, or of EDMM credibilities under ``config``'s measure, one
-    per set; for murphy, ``sets`` may be any (B, N, ...) array.  An EDMM
-    with a NaN or infinite divergence raises :class:`InvalidMassValueError`."""
+    """Rows of 1/N for murphy, else of EDMM credibilities under ``config``'s
+    measure, one per set; for murphy, ``sets`` may be any (B, N, ...) array.
+    An EDMM with a NaN or infinite divergence raises :class:`InvalidMassValueError`."""
     if method == "murphy":
         return np.full((len(sets), len(sets[0])), 1.0 / len(sets[0]))
-    if method not in ("cef-avg", "cef-eig"):
-        raise ValueError(f"unknown fusion method {method!r}; known: {FUSION_METHODS}")
     credibility = average_support_credibility if method == "cef-avg" else eigenvalue_credibility
     measure = (config or IcefConfig()).measure
     weights = []
@@ -474,6 +461,19 @@ def _method_weights(method: str, sets, config: IcefConfig | None = None) -> np.n
 FUSION_METHODS = ("dcr", "murphy", "icef-pbagd", "cef-avg", "cef-eig")
 
 
+def _checked_method(method: str) -> str:
+    """``method`` in lower case, if it is in :data:`FUSION_METHODS` or is
+    ``icef-`` and a registered measure (else :func:`get_measure`'s
+    ``KeyError``); any other name raises :class:`InvalidConfigError`."""
+    name = method.lower()
+    if name.startswith("icef-"):
+        get_measure(method[len("icef-"):])
+    elif name not in FUSION_METHODS:
+        raise InvalidConfigError(f"unknown fusion method {method!r}; known: "
+                                 f"{', '.join(FUSION_METHODS)}, or icef-<measure>")
+    return name
+
+
 def fuse(
     ms: Sequence[MassFunction], method: str = "icef-pbagd", config: IcefConfig | None = None
 ) -> FusionResult:
@@ -482,7 +482,7 @@ def fuse(
     The ``icef-*`` variants drop the per-step trace but keep whether the loop
     converged and its iteration count on the result.
     """
-    method = method.lower()
+    method = _checked_method(method)
     if method == "dcr":
         return dcr_fuse(ms)
     if method.startswith("icef-"):

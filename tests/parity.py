@@ -29,7 +29,11 @@ The groups are:
   70/30 iris splits, for the six methods;
 * ``many-operands``: ``self_fuse`` of three masses on five events at 500,
   1080 and 5000 operands, which take the scaled powers of the many-operand
-  self-combination in its Bayesian and its compound form.
+  self-combination in its Bayesian and its compound form;
+* ``wide-classes``: the raw ``fusion._fuse_tables`` arrays of seeded wide
+  batches: splits of 45 samples of 4 singleton pieces at 8 and 13
+  classes, and 5 sets of 3 compound pieces at n = 12, under dcr, murphy,
+  cef-avg and icef-pbagd.
 
 Floats are recorded by their bits, so a NaN or a signed zero counts.  The
 file has no ``test_`` prefix, so pytest does not collect it.
@@ -56,6 +60,7 @@ from credfuse import (  # noqa: E402
     MassFunction,
     builtin_document,
     classify,
+    core,
     fusion,
     load_dataset,
     monte_carlo_evaluate,
@@ -75,6 +80,9 @@ MANY_OPERANDS = (
     {1 << j: 0.2 for j in range(5)},
     {0b00001: 0.3, 0b00011: 0.2, 0b00100: 0.2, 0b01100: 0.15, 0b10000: 0.1, 0b11111: 0.05},
 )
+
+#: The methods of the ``wide-classes`` group.
+WIDE_METHODS = ("dcr", "murphy", "cef-avg", "icef-pbagd")
 
 #: The group of a record whose key starts with a name other than its group's.
 GROUPS = {"monte-carlo": "iris-reports", "sweep": "iris-reports"}
@@ -157,6 +165,26 @@ def records():
     for i, masses in enumerate(MANY_OPERANDS):
         for times in (500, 1080, 5000):
             yield ("many-operands", i, times), self_fuse(MassFunction(frame, masses), times)
+
+    rng = np.random.default_rng(SEED)
+    for n_classes in (8, 13):
+        lows = rng.normal(0.0, 3.0, (n_classes, 4))
+        model = classify.IntervalModel(tuple(f"C{i + 1}" for i in range(n_classes)), lows,
+                                       lows + rng.uniform(0.5, 2.0, lows.shape), 5.0)
+        focal, masses = classify._split_masses(model, rng.normal(0.0, 3.0, (45, 4)))
+        for method in WIDE_METHODS:
+            yield ("wide-classes", n_classes, method), fusion._fuse_tables(
+                model.frame, focal, masses, method, config)
+    frame = Frame(tuple(f"E{i + 1}" for i in range(12)))
+    pieces = []
+    for _ in range(5 * 3):  # compound sets that each hold event 1, so none clashes
+        masks = sorted({int(rng.integers(1 << 12)) | 1 for _ in range(3)} | {frame.full_mask})
+        weights = rng.uniform(0.1, 1.0, len(masks))
+        pieces.append(MassFunction(frame, dict(zip(masks, weights / weights.sum()))))
+    focal, table = core._mass_table(pieces)
+    for method in WIDE_METHODS:
+        yield ("wide-classes", "compound", method), fusion._fuse_tables(
+            frame, focal, table.reshape(5, 3, -1), method, config)
 
 
 def main() -> None:

@@ -133,6 +133,13 @@ class TestLoadDataset:
         with pytest.raises(SchemaError, match=re.escape(f"{repeated} repeated")):
             load_dataset(path, label_column="y", feature_columns=feature_columns)
 
+    def test_label_column_among_the_features_is_refused(self, tmp_path):
+        # used to load the labels as a feature, so a model scored on them
+        path = tmp_path / "label.csv"
+        path.write_text("a,y\n1.0,0\n2.0,1\n3.0,0\n4.0,1\n")
+        with pytest.raises(SchemaError, match="label column 'y' named as a feature column"):
+            load_dataset(path, label_column="y", feature_columns=["a", "y"])
+
     def test_more_classes_than_a_frame_holds_report_location(self, tmp_path):
         # used to load, then end in Frame's ValueError inside the first trial
         path = tmp_path / "many.csv"
@@ -459,6 +466,25 @@ class TestOneFeatureColumn:
             monte_carlo_evaluate(one, [method], lam=2.0, trials=1)
         with pytest.raises(InvalidConfigError, match="two feature columns"):
             sweep_evaluate(one, [method], lam=2.0, fractions=[0.5])
+
+
+class TestUnknownMethod:
+    @pytest.mark.parametrize("methods, error, message", [
+        (["magic"], InvalidConfigError, "unknown fusion method 'magic'"),
+        (["dcr", "icef-nope"], KeyError, "unknown divergence measure 'nope'"),
+    ])
+    def test_harnesses_refuse_before_any_fit(self, separable, monkeypatch, methods, error,
+                                             message):
+        # both used to fit the first split, then raise ValueError or KeyError
+        fits = []
+        fit = classify.fit_interval_model
+        monkeypatch.setattr(classify, "fit_interval_model",
+                            lambda *args: fits.append(args) or fit(*args))
+        with pytest.raises(error, match=re.escape(message)):
+            monte_carlo_evaluate(separable, methods, lam=2.0, trials=2)
+        with pytest.raises(error, match=re.escape(message)):
+            sweep_evaluate(separable, methods, lam=2.0, fractions=[0.5, 1.0])
+        assert fits == []
 
 
 class TestEvaluationTallies:

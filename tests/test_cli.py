@@ -400,6 +400,16 @@ class TestBench:
         assert err == "error: column names ['a'] repeated in header ['a', 'a', 'species']\n"
         assert out == ""
 
+    def test_label_column_as_a_feature_exits_6(self, tmp_path, capsys):
+        # used to score the classifier on its own labels, with exit 0
+        path = tmp_path / "label.csv"
+        path.write_text("a,y\n1.0,0\n2.0,1\n3.0,0\n4.0,1\n")
+        code, out, err = run(capsys, "bench", str(path), "--label-column", "y",
+                             "--methods", "dcr", "--trials", "1", "--features", "a,y")
+        assert code == EXIT_SCHEMA
+        assert err == "error: label column 'y' named as a feature column\n"
+        assert out == ""
+
     @pytest.mark.parametrize("flags, name", [
         (["--trials", "0"], "trials"),
         (["--lambda", "0"], "lam"),

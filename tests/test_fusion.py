@@ -489,8 +489,10 @@ class TestFuseDispatcher:
             assert fuse(fault_case, method=method).decision == "A1"
 
     def test_unknown_method(self, fault_case):
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidConfigError, match="unknown fusion method 'magic'"):
             fuse(fault_case, method="magic")
+        with pytest.raises(KeyError, match="unknown divergence measure 'nope'"):
+            fuse(fault_case, method="icef-nope")
 
     @pytest.mark.parametrize("method", ["murphy", "cef-avg", "cef-eig", "icef-pbagd"])
     @pytest.mark.parametrize("pieces", [0, 1])
@@ -572,6 +574,14 @@ def _random_set(rng, frame, n_pieces):
             for _ in range(n_pieces)]
 
 
+def _singleton_sets(rng, n, n_sets, n_pieces):
+    """Sets of pieces on the singletons of n events, each holding every
+    event, as the classifier's evidence does."""
+    frame, masks = _frame(n), (1 << np.arange(n)).tolist()
+    return [[MassFunction(frame, dict(zip(masks, rng.dirichlet(np.ones(n)))))
+             for _ in range(n_pieces)] for _ in range(n_sets)]
+
+
 class TestIcefSteps:
     def test_fused_masses_built_when_read(self, fault_case, monkeypatch):
         # counts the masses built by the row constructor, which the steps use,
@@ -607,7 +617,7 @@ class TestIcefSteps:
 def _batches(draw):
     """Evidence sets of equal size on one frame, with loop settings that make
     sets stop at different steps, reach zero credibilities or total conflict,
-    start from the EEM, use the bjs measure, or span several chunks."""
+    start from the EEM, or use the bjs measure."""
     n = draw(st.integers(min_value=1, max_value=5))
     n_pieces = draw(st.integers(min_value=2, max_value=6))
     n_sets = draw(st.integers(min_value=1, max_value=7))
@@ -626,9 +636,8 @@ def _batches(draw):
     tau = 1e5 if zero_credibility else (5.0 if method == "icef-bjs" else 200.0)
     config = IcefConfig(tau=tau, max_iter=draw(st.sampled_from([1, 2, 3, 200])),
                         init=draw(st.sampled_from(["uniform", "eem"])))
-    chunk = draw(st.sampled_from([None, 1, 2, 3]))
     conflict = draw(st.booleans())
-    return sets, method, config, chunk, conflict
+    return sets, method, config, conflict
 
 
 def _fuse_sets(sets, method="icef-pbagd", config=None):
@@ -658,13 +667,10 @@ class TestFuseBatch:
     @settings(max_examples=80, deadline=None)
     @given(case=_batches())
     def test_batch_equals_single_calls(self, case):
-        sets, method, config, chunk, conflict = case
+        sets, method, config, conflict = case
         single_config = replace(config, measure=fusion.get_measure(method[len("icef-"):]))
-        with mock.patch.object(fusion, "_BLOCK_ENTRIES",
-                               fusion._BLOCK_ENTRIES if chunk is None
-                               else chunk << sets[0][0].frame.n), \
-                mock.patch.object(core, "_LOG2_CONFLICT_EPS",
-                                  -1.0 if conflict else core._LOG2_CONFLICT_EPS):
+        with mock.patch.object(core, "_LOG2_CONFLICT_EPS",
+                               -1.0 if conflict else core._LOG2_CONFLICT_EPS):
             batch = _fuse_sets(sets, method, config)
             assert len(batch) == len(sets)
             for ms, got in zip(sets, batch):
@@ -725,16 +731,16 @@ class TestFuseBatch:
             else:
                 _assert_same_result(got, icef(ms)[0])
 
-    def test_chunks_bound_the_sets_per_loop(self, monkeypatch):
+    def test_one_loop_per_table(self, monkeypatch):
         sizes = []
         loop = fusion._icef_loop
         monkeypatch.setattr(fusion, "_icef_loop",
                             lambda frame, focal, table, *args: sizes.append(len(table))
                             or loop(frame, focal, table, *args))
-        monkeypatch.setattr(fusion, "_BLOCK_ENTRIES", 4 << 3)  # 4 sets of n = 3 per chunk
-        sets = self._mixed_sets()
+        sets = _singleton_sets(np.random.default_rng(29), 8, 45, 4)
         batch = _fuse_sets(sets, "icef-pbagd")
-        assert sizes == [4, 4, 1]
+        assert sizes == [45]
+        assert len({result.n_iter for result in batch}) > 1
         for ms, got in zip(sets, batch):
             _assert_same_result(got, icef(ms)[0])
 
@@ -784,9 +790,9 @@ class TestFuseBatch:
 @st.composite
 def _open_loop_batches(draw):
     """Evidence sets of equal size on one frame with mixed focal patterns,
-    some made of clashing categorical reports, plus an open-loop method, a
-    chunk size and whether to raise the conflict threshold so that some
-    self-combinations fail."""
+    some made of clashing categorical reports, plus an open-loop method and
+    whether to raise the conflict threshold so that some self-combinations
+    fail."""
     n = draw(st.integers(min_value=1, max_value=6))
     n_pieces = draw(st.integers(min_value=2, max_value=8))
     n_sets = draw(st.integers(min_value=1, max_value=9))
@@ -796,7 +802,7 @@ def _open_loop_batches(draw):
     for b in draw(st.lists(st.integers(0, n_sets - 1), max_size=3)):
         sets[b] = [event_evidence(frame, int(rng.integers(n))) for _ in range(n_pieces)]
     method = draw(st.sampled_from(["murphy", "cef-avg", "cef-eig"]))
-    return sets, method, draw(st.sampled_from([None, 1, 2, 3])), draw(st.booleans())
+    return sets, method, draw(st.booleans())
 
 
 def _assert_same_outcome(got, want):
@@ -812,8 +818,8 @@ def _dcr_batches(draw):
     """Sets for one dcr table: compound focal sets on n = 1..6, or in about
     half of the tables singletons only (Bayesian), one frame and one size
     of 1..6 pieces, a clash that ends the fold at its first, a middle or its
-    last step, masses whose products underflow to zero, a conflict
-    threshold at which random steps fail, and chunks of few sets."""
+    last step, masses whose products underflow to zero, and a conflict
+    threshold at which random steps fail."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     frame = _frame(draw(st.integers(1, 6)))
     n_pieces = draw(st.integers(1, 6))
@@ -840,9 +846,7 @@ def _dcr_batches(draw):
             ms[step] = (event_evidence(frame, int(rng.integers(1, frame.n))) if bayesian else
                         MassFunction(frame, {frame.full_mask ^ 1: 1.0}))
         sets.append(ms)
-    eps = draw(st.sampled_from([core.CONFLICT_EPS, 0.05, 0.3]))
-    chunk = draw(st.sampled_from([None, 1, 64, 256]))
-    return sets, eps, chunk
+    return sets, draw(st.sampled_from([core.CONFLICT_EPS, 0.05, 0.3]))
 
 
 def _assert_dcr_n(got, ms):
@@ -875,10 +879,8 @@ class TestDcrBatch:
     @settings(max_examples=150, deadline=None)
     @given(case=_dcr_batches())
     def test_batch_equals_dcr_n(self, case):
-        sets, eps, chunk = case
-        with mock.patch.object(fusion, "_BLOCK_ENTRIES",
-                               fusion._BLOCK_ENTRIES if chunk is None else chunk), \
-                mock.patch.object(core, "CONFLICT_EPS", eps):
+        sets, eps = case
+        with mock.patch.object(core, "CONFLICT_EPS", eps):
             batch = _fuse_sets(sets, "dcr")
             assert len(batch) == len(sets)
             for got, ms in zip(batch, sets):
@@ -904,20 +906,17 @@ class TestDcrBatch:
     @settings(max_examples=100, deadline=None)
     @given(case=_dcr_batches())
     def test_conflict_of_each_live_set_is_its_last_combination(self, case):
-        sets, eps, chunk = case
+        sets, eps = case
         frame = sets[0][0].frame
         focal, table = core._mass_table([m for ms in sets for m in ms])
-        with mock.patch.object(fusion, "_BLOCK_ENTRIES",
-                               fusion._BLOCK_ENTRIES if chunk is None else chunk), \
-                mock.patch.object(core, "CONFLICT_EPS", eps):
+        with mock.patch.object(core, "CONFLICT_EPS", eps):
             out = fusion._fuse_tables(frame, focal, table.reshape(len(sets), len(sets[0]), -1),
                                       "dcr")
             for ms, conflict, failed in zip(sets, out.conflict.tolist(), out.failed.tolist()):
                 if not failed:
                     assert conflict.hex() == reference.dcr_conflict(ms).hex()
 
-    def test_one_fold_per_chunk_and_one_pair_per_step_only_on_compound_sets(
-            self, fault_case, conflict_case, monkeypatch):
+    def test_one_fold_per_table_and_one_pair_per_step_only_on_compound_sets(self, monkeypatch):
         folds, pairs = [], []
         fold, pair = core._dcr_fold, core._dcr_pair
         monkeypatch.setattr(core, "_dcr_fold", lambda frame, focal, table:
@@ -925,17 +924,16 @@ class TestDcrBatch:
         monkeypatch.setattr(core, "_dcr_pair", lambda m1, m2:
                             pairs.append(m2) or pair(m1, m2))
         monkeypatch.setattr(core, "dcr_pair", None)
-        sets = [fault_case, conflict_case, fault_case[::-1]]
-        batch = _fuse_sets(sets, "dcr")
-        assert folds == [(3, 5)]  # (sets, pieces)
-        assert pairs == [m for ms in sets for m in ms[1:]]  # no set fails
         rng = np.random.default_rng(5)
-        bayesian = [[random_bayesian_mass(rng, fault_case[0].frame) for _ in range(4)]
-                    for _ in range(3)]
+        sets = [_wide_set(rng, _frame(12), 4, 3) for _ in range(3)]
+        batch = _fuse_sets(sets, "dcr")
+        assert folds == [(3, 4)]  # (sets, pieces)
+        assert pairs == [m for ms in sets for m in ms[1:]]  # no set fails
+        bayesian = _singleton_sets(rng, 8, 45, 4)
         folds.clear()
         pairs.clear()
         singletons = _fuse_sets(bayesian, "dcr")
-        assert folds == [(3, 4)] and pairs == []
+        assert folds == [(45, 4)] and pairs == []
         monkeypatch.undo()
         for got, ms in zip(batch + singletons, sets + bayesian):
             _assert_dcr_n(got, ms)
@@ -948,12 +946,9 @@ class TestMurphyBatch:
     @settings(max_examples=150, deadline=None)
     @given(case=_open_loop_batches())
     def test_batch_equals_single_calls(self, case):
-        sets, method, chunk, conflict = case
-        with mock.patch.object(fusion, "_BLOCK_ENTRIES",
-                               fusion._BLOCK_ENTRIES if chunk is None
-                               else chunk << sets[0][0].frame.n), \
-                mock.patch.object(core, "_LOG2_CONFLICT_EPS",
-                                  -1.0 if conflict else core._LOG2_CONFLICT_EPS):
+        sets, method, conflict = case
+        with mock.patch.object(core, "_LOG2_CONFLICT_EPS",
+                               -1.0 if conflict else core._LOG2_CONFLICT_EPS):
             batch = _fuse_sets(sets, method)
             assert len(batch) == len(sets)
             for ms, got in zip(sets, batch):
@@ -995,17 +990,15 @@ class TestMurphyBatch:
             assert single.conflict.tobytes() == conflict.tobytes()
             assert (batch.conflict >= 0.0).all()
 
-    def test_one_array_step_per_chunk(self, monkeypatch):
+    def test_one_array_step_per_table(self, monkeypatch):
         sizes = []
         cef_rows = fusion._cef_rows
         monkeypatch.setattr(fusion, "_cef_rows",
                             lambda focal, table, *args: sizes.append(len(table))
                             or cef_rows(focal, table, *args))
-        monkeypatch.setattr(fusion, "_BLOCK_ENTRIES", 4 << 3)  # 4 sets of n = 3 per chunk
-        rng = np.random.default_rng(43)
-        sets = [_random_set(rng, _frame(3), 4) for _ in range(9)]
+        sets = _singleton_sets(np.random.default_rng(43), 8, 45, 4)
         batch = _fuse_sets(sets, "murphy")
-        assert sizes == [4, 4, 1]
+        assert sizes == [45]
         for ms, got in zip(sets, batch):
             _assert_same_result(got, _reference(ms, _weights(ms, "murphy"), "murphy"))
 
@@ -1013,8 +1006,8 @@ class TestMurphyBatch:
 @st.composite
 def _tables(draw):
     """A (B, N, F) mass table of sets on one frame, some of clashing
-    categorical reports, with any method, a chunk size and whether to raise
-    the conflict thresholds so that some sets hit total conflict."""
+    categorical reports, with any method and whether to raise the conflict
+    thresholds so that some sets hit total conflict."""
     n = draw(st.integers(min_value=1, max_value=5))
     n_pieces = draw(st.integers(min_value=2, max_value=6))
     n_sets = draw(st.integers(min_value=1, max_value=8))
@@ -1027,7 +1020,7 @@ def _tables(draw):
         ["dcr", "murphy", "cef-avg", "cef-eig", "icef-pbagd", "icef-bjs"]))
     config = IcefConfig(tau=5.0 if method == "icef-bjs" else 200.0,
                         max_iter=draw(st.sampled_from([1, 3, 200])))
-    return sets, method, config, draw(st.sampled_from([None, 1, 2, 3])), draw(st.booleans())
+    return sets, method, config, draw(st.booleans())
 
 
 @st.composite
@@ -1092,12 +1085,9 @@ class TestFuseTables:
     @settings(max_examples=150, deadline=None)
     @given(case=_tables())
     def test_rows_equal_the_results_of_the_pieces(self, case):
-        sets, method, config, chunk, conflict = case
-        frame = sets[0][0].frame
-        with mock.patch.object(fusion, "_BLOCK_ENTRIES",
-                               fusion._BLOCK_ENTRIES if chunk is None else chunk << frame.n), \
-                mock.patch.object(core, "_LOG2_CONFLICT_EPS",
-                                  -1.0 if conflict else core._LOG2_CONFLICT_EPS), \
+        sets, method, config, conflict = case
+        with mock.patch.object(core, "_LOG2_CONFLICT_EPS",
+                               -1.0 if conflict else core._LOG2_CONFLICT_EPS), \
                 mock.patch.object(core, "CONFLICT_EPS", 0.3 if conflict else core.CONFLICT_EPS):
             _assert_rows_equal_fuse(sets, method, config)
 
@@ -1183,8 +1173,8 @@ def _wide_set(rng, frame, n_pieces, n_focal):
 
 
 class TestLargeFrames:
-    """The array core against ``fuse``, bit for bit, where a chunk holds
-    one set (n = 13), on the widest frame (n = 20), and on one event."""
+    """The array core against ``fuse``, bit for bit, on a wide frame
+    (n = 13), on the widest frame (n = 20), and on one event."""
 
     @pytest.mark.parametrize("method", ["dcr", "murphy", "cef-avg", "cef-eig",
                                         "icef-pbagd", "icef-bjs"])
@@ -1194,8 +1184,6 @@ class TestLargeFrames:
         frame = _frame(n)
         sets = [_wide_set(rng, frame, 3, 3) for _ in range(n_sets)]
         config = IcefConfig(tau=5.0) if method == "icef-bjs" else None
-        if n > 1:  # one set per chunk
-            assert fusion._BLOCK_ENTRIES >> n <= 1
         wants = [fuse(ms, method, config) for ms in sets]
         for got, want in zip(_fuse_sets(sets, method, config), wants):
             assert (got.mass, got.mass._values.tobytes(), got.pignistic.tobytes()) == (
