@@ -353,8 +353,11 @@ def _run_splits(splits, methods, lam, config) -> list[EvaluationReport]:
     ``splits`` yields ``(params, train, test)``: each split's interval model
     is fit on ``train`` and scored on ``test`` by :func:`_evaluate_model`,
     whose scores are keyed by method, so a method named twice gives one
-    report per split.  A class with no test rows scores 0.
+    report per split.  A class with no test rows scores 0.  A ``str`` is
+    refused as ``methods``: its characters are no method names.
     """
+    if isinstance(methods, str):
+        raise InvalidConfigError(f"methods must be a sequence of names, not the str {methods!r}")
     for method in methods:
         _checked_method(method)
     reports = []

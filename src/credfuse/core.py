@@ -14,6 +14,7 @@ from array import array
 from bisect import bisect_left
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -639,39 +640,41 @@ def self_fuse(m: MassFunction, times: int) -> MassFunction:
 class _SelfCombination:
     """What every ``times``-fold self-combination of mass rows on the
     ascending masks ``focal`` of an ``n``-event frame shares, found once:
-    whether every mask is a singleton, the support of each pattern of focal
-    sets, and the pignistic layout of the support last read.  The ``icef``
-    loop makes one per call and combines every iteration's rows under it,
-    so each support is the same array from one iteration to the next.
-    """
+    whether every mask is a singleton, the call's ``support``, which every
+    row is read on, and its pignistic ``layout``.  The ``icef`` loop makes
+    one per call and combines every iteration's rows under it, so every
+    iteration is read on the same array.
 
-    __slots__ = ("focal", "times", "n", "bayesian", "supports", "_layout")
+    The support is ``focal`` itself on singletons or for one operand, and
+    otherwise the nonempty intersections of at most ``times`` of the focal
+    sets among the ``2**n`` subsets (from ``max(1, n - 1)`` operands on,
+    every nonempty set of the focal lattice of Chaveroche, Davoine and
+    Destercke, SUM 2019).  Its masks index the columns of the ``2**n``-wide
+    transforms.
+    """
 
     def __init__(self, focal: np.ndarray, times: int, n: int):
         self.focal, self.times, self.n = focal, times, n
         self.bayesian = _singletons_only(focal)
-        self.supports: dict[bytes, np.ndarray] = {}  # pattern bytes -> support
-        self._layout = None, None
+        self.support = (focal if self.bayesian or times == 1
+                        else _intersections(focal, times, 1 << n))
+        self.within: dict[bytes, np.ndarray] = {}  # pattern bytes -> mask on support
 
-    def support(self, key: bytes, pattern: np.ndarray) -> np.ndarray:
-        """The support of rows whose focal sets are ``focal[pattern]``: the
-        nonempty intersections of at most ``times`` of those sets, found once
-        per pattern, among the ``2**n`` subsets.  Its masks also index the
-        columns of the combined table, which is indexed by mask."""
-        support = self.supports.get(key)
-        if support is None:
-            support = self.supports[key] = _intersections(self.focal[pattern], self.times,
-                                                          1 << self.n)
-        return support
+    @cached_property
+    def layout(self):
+        """:func:`_pignistic_layout` of the support, found when first read."""
+        return _pignistic_layout(self.support, self.n)
 
-    def layout(self, support: np.ndarray):
-        """:func:`_pignistic_layout` of ``support``, kept while the same
-        array comes back."""
-        masks, layout = self._layout
-        if masks is not support:
-            layout = _pignistic_layout(support, self.n)
-            self._layout = support, layout
-        return layout
+    def own_support(self, key: bytes, pattern: np.ndarray) -> np.ndarray:
+        """Which masks of the support belong to the support of rows whose
+        focal sets are ``focal[pattern]``, a proper part of ``focal``: the
+        nonempty intersections of at most ``times`` of those sets, found
+        once per pattern."""
+        within = self.within.get(key)
+        if within is None:
+            within = self.within[key] = np.isin(self.support, _intersections(
+                self.focal[pattern], self.times, 1 << self.n), assume_unique=True)
+        return within
 
 
 def _self_combine_rows(masses: np.ndarray, combination: _SelfCombination):
@@ -680,10 +683,11 @@ def _self_combine_rows(masses: np.ndarray, combination: _SelfCombination):
     Row ``b`` of the ``(rows, F)`` array ``masses`` is one mass assignment on
     the ascending masks ``focal`` of an ``n``-event frame, the three held by
     ``combination``; a zero entry is not a focal set of that row.  Returns
-    ``(support, fused, conflict, failed)``: the ascending masks ``support``,
-    the ``(rows, len(support))`` combined masses on them (zero outside a
-    row's own support), the conflict K of each row, and whether K counts as
-    total.  One operand returns the rows unchanged, with K = 0.
+    ``(support, fused, conflict, failed)``: the call's ascending masks
+    ``combination.support``, the ``(rows, len(support))`` combined masses on
+    them (zero outside a row's own support), the conflict K of each row,
+    and whether K counts as total.  One operand returns the rows unchanged,
+    with K = 0.
 
     Dempster's rule multiplies commonalities, so the unnormalized k-fold
     combination is the Moebius transform of ``q**k``, with ``q`` the
@@ -692,9 +696,10 @@ def _self_combine_rows(masses: np.ndarray, combination: _SelfCombination):
     is a singleton (Bayesian masses) the commonality is the mass and the
     pair is the identity, so the power is taken on ``masses`` themselves
     and read on ``focal``: ``0.0**times`` stays 0 on the masks a row does
-    not hold.  Otherwise each row is read only on its exact support, the
-    nonempty intersections of at most ``times`` of its focal sets (see
-    :meth:`_SelfCombination.support`), so rounding left on the other subsets
+    not hold.  Otherwise every row is read on the call's support (see
+    :class:`_SelfCombination`), and a row that lacks some of the focal sets
+    is set to 0 outside its own support, the nonempty intersections of at
+    most ``times`` of its focal sets, so rounding left on the other subsets
     never becomes mass.  The values are clipped at 0 and normalized by each
     row's total, added in mask order: the zeros outside a row's support add
     nothing, so a row has the same bits alone and in any table.  A row
@@ -718,7 +723,7 @@ def _self_combine_rows(masses: np.ndarray, combination: _SelfCombination):
     focal, times, n = combination.focal, combination.times, combination.n
     rows = len(masses)
     if times == 1:
-        return focal, masses, np.zeros(rows), np.zeros(rows, dtype=bool)
+        return combination.support, masses, np.zeros(rows), np.zeros(rows, dtype=bool)
     # on singletons alone both transforms only add or subtract exact zeros:
     # the commonality of a singleton is its mass, of a larger set 0, and the
     # Moebius transform of q**times is q**times on every singleton
@@ -741,14 +746,14 @@ def _self_combine_rows(masses: np.ndarray, combination: _SelfCombination):
             q[low, nonempty] /= top[low, None]
             shift[low] = times * np.log2(top[low])
     q = q ** times
+    support = combination.support
     if combination.bayesian:
-        support, fused = focal, np.maximum(q, 0.0)
+        fused = np.maximum(q, 0.0)
     else:
-        unnormalized, parts = superset_mobius(q), []
+        fused = np.maximum(superset_mobius(q)[:, support], 0.0)
         for key, which, pattern in _focal_patterns(masses != 0.0):
-            support = combination.support(key, pattern)
-            parts.append((which, support, np.maximum(unnormalized[which][:, support], 0.0)))
-        support, fused = _merged(parts, rows)
+            if not pattern.all():
+                fused[which] = np.where(combination.own_support(key, pattern), fused[which], 0.0)
     totals = np.add.accumulate(fused, axis=1)[:, -1]
     # the unscaled survivor total is totals * 2**shift; a failed row's
     # masses may come out infinite or NaN.  A total that rounds above 1
@@ -771,27 +776,6 @@ def _focal_patterns(nonzero: np.ndarray):
     for b, row in enumerate(nonzero):
         members.setdefault(row.tobytes(), []).append(b)
     return [(key, np.array(bs), nonzero[bs[0]]) for key, bs in members.items()]
-
-
-def _merged(parts, rows: int) -> tuple[np.ndarray, np.ndarray]:
-    """One table of ``rows`` rows from ``(which, masks, values)`` parts, each
-    holding the rows ``which`` (one part per focal pattern of
-    :func:`_focal_patterns`, or per iteration at which ``icef`` sets stop):
-    the ascending union of the parts' masks, and each part's values on it in
-    its rows, zero elsewhere.  Parts that share one array of masks keep it."""
-    if len(parts) == 1:  # one pattern: every row, in order
-        return parts[0][1], parts[0][2]
-    first = parts[0][1]
-    if all(masks is first for _, masks, _ in parts):  # one array of masks: place the rows
-        table = np.zeros((rows, len(first)))
-        for which, _, values in parts:
-            table[which] = values
-        return first, table
-    union = np.unique(np.concatenate([masks for _, masks, _ in parts]))
-    table = np.zeros((rows, len(union)))
-    for which, masks, values in parts:
-        table[np.ix_(which, np.searchsorted(union, masks))] = values
-    return union, table
 
 
 def _dcr_fold(frame: Frame, focal: np.ndarray, table: np.ndarray):

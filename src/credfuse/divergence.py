@@ -315,10 +315,10 @@ def register_measure(measure: DivergenceMeasure, overwrite: bool = False) -> Non
 
 
 def get_measure(name: str) -> DivergenceMeasure:
-    try:
-        return _MEASURES[name.lower()]
-    except KeyError:
-        raise KeyError(f"unknown divergence measure {name!r}; registered: {sorted(_MEASURES)}") from None
+    measure = _MEASURES.get(name.lower()) if isinstance(name, str) else None
+    if measure is None:
+        raise KeyError(f"unknown divergence measure {name!r}; registered: {sorted(_MEASURES)}")
+    return measure
 
 
 def pbagd(m1: MassFunction, m2: MassFunction) -> float:

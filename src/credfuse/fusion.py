@@ -82,8 +82,11 @@ class IcefConfig:
 class IcefStep:
     """One loop iteration: credibilities, fused mass, fed-back probabilities.
 
-    The loop keeps the fused masses as an array on the masks ``support``;
-    ``fused`` builds the :class:`MassFunction` from them when first read.
+    The loop keeps the fused masses as an array on the masks ``support``,
+    the support of the call's self-combination, which every step shares;
+    ``masses`` is zero outside this step's own support, so it can hold
+    zeros.  ``fused`` builds the :class:`MassFunction` from the nonzero
+    masses when first read.
     """
 
     index: int
@@ -109,10 +112,14 @@ class IcefTrace:
         return self.steps[-1]
 
     def table_rows(self, frame, evidence_names: Sequence[str] | None = None):
-        """Header plus one row per step: step, p(event)..., cred..., delta."""
+        """Header plus one row per step: step, p(event)..., cred..., delta.
+
+        ``evidence_names`` must name every piece, one name each."""
         n_ev = len(self.steps[0].credibilities)
         if evidence_names is None:
             evidence_names = [f"m{i + 1}" for i in range(n_ev)]
+        elif len(evidence_names) != n_ev:
+            raise LengthMismatchError(f"{n_ev} pieces but {len(evidence_names)} evidence names")
         header = (
             ["step"]
             + [f"p({e})" for e in frame.events]
@@ -250,12 +257,12 @@ def icef(
 @dataclass(eq=False)
 class _Fused:
     """What a batched fusion gives per set, a row each: the fused masses on
-    the ascending masks ``support`` (zero outside a set's own focal sets),
-    the pignistic probabilities, the conflict K, whether the set hit total
-    conflict (its masses and probabilities are then meaningless), its
-    credibilities (none for ``dcr``), whether the ``icef`` loop converged
-    and after how many iterations (open-loop methods fuse once: ``True``
-    and 1)."""
+    the ascending masks ``support``, one array per call (zero outside a
+    set's own support), the pignistic probabilities, the conflict K,
+    whether the set hit total conflict (its masses and probabilities are
+    then meaningless), its credibilities (none for ``dcr``), whether the
+    ``icef`` loop converged and after how many iterations (open-loop
+    methods fuse once: ``True`` and 1)."""
 
     support: np.ndarray
     fused: np.ndarray
@@ -271,26 +278,6 @@ class _Fused:
             self.converged = np.ones(len(self.fused), dtype=bool)
         if self.n_iter is None:
             self.n_iter = np.ones(len(self.fused), dtype=np.int64)
-
-
-def _joined(parts, rows: int) -> _Fused:
-    """One :class:`_Fused` of ``rows`` sets from ``(which, part)`` pairs,
-    ``part`` holding the sets that the index array ``which`` names; a single
-    part holds every set, in order."""
-    if len(parts) == 1:
-        return parts[0][1]
-    support, fused = core._merged([(which, part.support, part.fused) for which, part in parts],
-                                  rows)
-
-    def gathered(name):
-        first = getattr(parts[0][1], name)
-        out = np.empty((rows, *first.shape[1:]), dtype=first.dtype)
-        for which, part in parts:
-            out[which] = getattr(part, name)
-        return out
-
-    return _Fused(support, fused, *map(gathered, (
-        "probs", "conflict", "failed", "credibilities", "converged", "n_iter")))
 
 
 def _icef_loop(frame: Frame, focal: np.ndarray, table: np.ndarray, cfg: IcefConfig,
@@ -311,10 +298,12 @@ def _icef_loop(frame: Frame, focal: np.ndarray, table: np.ndarray, cfg: IcefConf
     conditional credibilities weighted by its probabilities, and
     :func:`_cef_rows` fuses the sets under one
     :class:`core._SelfCombination`, so whether the masks are singletons,
-    each pattern's support and the pignistic layout are found once per
-    call.  A set leaves the arrays once its
-    probabilities move by at most ``cfg.delta``, or its self-combination
-    hits total conflict.
+    the support and the pignistic layout are found once per call, and
+    every iteration's rows are read on that one support, zero outside
+    their own.  A set leaves the arrays once its probabilities move by at
+    most ``cfg.delta``, or its self-combination hits total conflict; its
+    last iteration is then written into the call's :class:`_Fused`
+    arrays, allocated once.
     """
     n_sets, n_pieces, width = table.shape
     n = frame.n
@@ -337,8 +326,11 @@ def _icef_loop(frame: Frame, focal: np.ndarray, table: np.ndarray, cfg: IcefConf
             for b in range(n_sets)
         ])
     ids = np.arange(n_sets)
-    ends: list = []  # (sets, their last iteration) per iteration at which some stopped
     combination = core._SelfCombination(focal, n_pieces, n)
+    out = _Fused(combination.support, np.empty((n_sets, len(combination.support))),
+                 np.empty((n_sets, n)), np.empty(n_sets), np.empty(n_sets, dtype=bool),
+                 np.empty((n_sets, n_pieces)), np.empty(n_sets, dtype=bool),
+                 np.empty(n_sets, dtype=np.int64))
     for k in range(1, cfg.max_iter + 1):
         cred = (cond * probs[:, :, None]).sum(axis=1)
         support, fused, new_probs, conflict, failed = _cef_rows(table, cred, combination)
@@ -350,17 +342,18 @@ def _icef_loop(frame: Frame, focal: np.ndarray, table: np.ndarray, cfg: IcefConf
             done[:] = True
         finished = done.nonzero()[0]
         if len(finished):
-            ends.append((ids[finished], _Fused(
-                support, fused[finished], new_probs[finished], conflict[finished],
-                failed[finished], cred[finished], delta[finished] <= cfg.delta,
-                np.full(len(finished), k))))
+            stopped = ids[finished]
+            out.fused[stopped], out.probs[stopped] = fused[finished], new_probs[finished]
+            out.conflict[stopped], out.failed[stopped] = conflict[finished], failed[finished]
+            out.credibilities[stopped] = cred[finished]
+            out.converged[stopped], out.n_iter[stopped] = delta[finished] <= cfg.delta, k
         if len(finished) == len(ids):
             break
         probs = new_probs
         if len(finished):
             keep = ~done
             ids, cond, table, probs = ids[keep], cond[keep], table[keep], probs[keep]
-    return _joined(ends, n_sets)
+    return out
 
 
 def _cef_rows(table: np.ndarray, cred: np.ndarray, combination: core._SelfCombination):
@@ -372,8 +365,8 @@ def _cef_rows(table: np.ndarray, cred: np.ndarray, combination: core._SelfCombin
     :class:`_Fused`, ``(support, fused, probabilities, conflict, failed)``:
     the self-combination of :func:`core._self_combine_rows` and the (B, n)
     pignistic probabilities from the one array helper that
-    :meth:`MassFunction.pignistic` calls, on the layout that
-    ``combination`` keeps for the support.
+    :meth:`MassFunction.pignistic` calls, on the layout of
+    ``combination``'s support, found once per call.
 
     Each weighted average adds the pieces in order along the evidence axis,
     as :func:`weighted_average` adds them (a zero weight adds exact zeros,
@@ -383,8 +376,7 @@ def _cef_rows(table: np.ndarray, cred: np.ndarray, combination: core._SelfCombin
     """
     averaged = np.add.accumulate(cred[:, :, None] * table, axis=1)[:, -1]
     support, fused, conflict, failed = core._self_combine_rows(averaged, combination)
-    return (support, fused, core._pignistic_rows(fused, combination.layout(support)), conflict,
-            failed)
+    return support, fused, core._pignistic_rows(fused, combination.layout), conflict, failed
 
 
 def _fuse_tables(frame: Frame, focal: np.ndarray, table: np.ndarray, method: str,
@@ -396,10 +388,12 @@ def _fuse_tables(frame: Frame, focal: np.ndarray, table: np.ndarray, method: str
     ``method`` is a lower-case method name: ``dcr`` runs through
     :func:`core._dcr_fold`, ``icef-*`` through :func:`_icef_loop`, and the
     open-loop methods through :func:`_cef_rows`.  A set gets the bits of its
-    own ``fuse`` call.  No mass is checked here; a caller checks the rows it
-    reads.  The EEM blocks its own rows; a compound table's self-combination
-    holds one (B, 2**n) commonality array, and only the tests pass one here
-    (the classifier's tables hold singletons only).
+    own ``fuse`` call; a compound table's rows are on the support of all its
+    focal sets, zero outside each set's own.  No mass is checked here; a
+    caller checks the rows it reads.  The EEM blocks its own rows; a
+    compound table's self-combination holds one (B, 2**n) commonality
+    array, and only the tests pass one here (the classifier's tables hold
+    singletons only).
     """
     if method == "dcr":
         support, fused, conflict, failed = core._dcr_fold(frame, focal, table)
@@ -464,9 +458,10 @@ FUSION_METHODS = ("dcr", "murphy", "icef-pbagd", "cef-avg", "cef-eig")
 def _checked_method(method: str) -> str:
     """``method`` in lower case, if it is in :data:`FUSION_METHODS` or is
     ``icef-`` and a registered measure (else :func:`get_measure`'s
-    ``KeyError``); any other name raises :class:`InvalidConfigError`."""
-    name = method.lower()
-    if name.startswith("icef-"):
+    ``KeyError``); any other name, or one that is not a ``str``, raises
+    :class:`InvalidConfigError`."""
+    name = method.lower() if isinstance(method, str) else None
+    if name is not None and name.startswith("icef-"):
         get_measure(method[len("icef-"):])
     elif name not in FUSION_METHODS:
         raise InvalidConfigError(f"unknown fusion method {method!r}; known: "

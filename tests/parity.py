@@ -33,7 +33,10 @@ The groups are:
 * ``wide-classes``: the raw ``fusion._fuse_tables`` arrays of seeded wide
   batches: splits of 45 samples of 4 singleton pieces at 8 and 13
   classes, and 5 sets of 3 compound pieces at n = 12, under dcr, murphy,
-  cef-avg and icef-pbagd.
+  cef-avg and icef-pbagd;
+* ``wide-classes-results``: the ``fusion._results`` of those batches, the
+  results and errors a caller reads, which keep their bits when the raw
+  arrays only gain zero columns.
 
 Floats are recorded by their bits, so a NaN or a signed zero counts.  The
 file has no ``test_`` prefix, so pytest does not collect it.
@@ -167,14 +170,16 @@ def records():
             yield ("many-operands", i, times), self_fuse(MassFunction(frame, masses), times)
 
     rng = np.random.default_rng(SEED)
+    batches = []  # (key, frame, raw arrays) of each wide-classes record
     for n_classes in (8, 13):
         lows = rng.normal(0.0, 3.0, (n_classes, 4))
         model = classify.IntervalModel(tuple(f"C{i + 1}" for i in range(n_classes)), lows,
                                        lows + rng.uniform(0.5, 2.0, lows.shape), 5.0)
         focal, masses = classify._split_masses(model, rng.normal(0.0, 3.0, (45, 4)))
         for method in WIDE_METHODS:
-            yield ("wide-classes", n_classes, method), fusion._fuse_tables(
-                model.frame, focal, masses, method, config)
+            out = fusion._fuse_tables(model.frame, focal, masses, method, config)
+            batches.append(((n_classes, method), model.frame, out))
+            yield ("wide-classes", n_classes, method), out
     frame = Frame(tuple(f"E{i + 1}" for i in range(12)))
     pieces = []
     for _ in range(5 * 3):  # compound sets that each hold event 1, so none clashes
@@ -183,8 +188,11 @@ def records():
         pieces.append(MassFunction(frame, dict(zip(masks, weights / weights.sum()))))
     focal, table = core._mass_table(pieces)
     for method in WIDE_METHODS:
-        yield ("wide-classes", "compound", method), fusion._fuse_tables(
-            frame, focal, table.reshape(5, 3, -1), method, config)
+        out = fusion._fuse_tables(frame, focal, table.reshape(5, 3, -1), method, config)
+        batches.append((("compound", method), frame, out))
+        yield ("wide-classes", "compound", method), out
+    for (name, method), frame, out in batches:
+        yield ("wide-classes-results", name, method), fusion._results(frame, method, out)
 
 
 def main() -> None:

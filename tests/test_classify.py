@@ -472,10 +472,15 @@ class TestUnknownMethod:
     @pytest.mark.parametrize("methods, error, message", [
         (["magic"], InvalidConfigError, "unknown fusion method 'magic'"),
         (["dcr", "icef-nope"], KeyError, "unknown divergence measure 'nope'"),
+        ("murphy", InvalidConfigError, "not the str 'murphy'"),
+        ([3], InvalidConfigError, "unknown fusion method 3"),
+        ([None], InvalidConfigError, "unknown fusion method None"),
     ])
     def test_harnesses_refuse_before_any_fit(self, separable, monkeypatch, methods, error,
                                              message):
-        # both used to fit the first split, then raise ValueError or KeyError
+        # both used to fit the first split, then raise ValueError or KeyError;
+        # "murphy" was read as the methods 'm', 'u', ..., and a name that is
+        # not a str ended in AttributeError
         fits = []
         fit = classify.fit_interval_model
         monkeypatch.setattr(classify, "fit_interval_model",
@@ -485,6 +490,11 @@ class TestUnknownMethod:
         with pytest.raises(error, match=re.escape(message)):
             sweep_evaluate(separable, methods, lam=2.0, fractions=[0.5, 1.0])
         assert fits == []
+
+    def test_classify_sample_refuses_a_name_that_is_no_str(self, separable):
+        model = fit_interval_model(separable, lam=2.0)
+        with pytest.raises(InvalidConfigError, match="unknown fusion method None"):
+            classify_sample(model, separable.features[0], method=None)
 
 
 class TestEvaluationTallies:

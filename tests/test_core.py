@@ -568,8 +568,10 @@ class TestSelfFuseAgainstFold:
         combination = core._SelfCombination(focal, 6, 4)
         for _ in range(2):
             support, fused, conflict, failed = core._self_combine_rows(table, combination)
-        assert len(combination.supports) == 2
-        assert len(calls) == 2  # two focal patterns, found in the first call only
+        # the call's support, on every focal set, and the mask of the one
+        # partial pattern, c's; the full pattern needs none
+        assert len(combination.within) == 1
+        assert len(calls) == 2  # found in the first call only
         assert not failed.any()
         for row, m in zip(fused, (a, b, c, a)):
             # each row is bit-equal to combining its mass alone
@@ -714,7 +716,7 @@ class TestBayesianKernels:
         for result in (got, again):
             assert result[0] is focal
             _assert_same_rows(result, want, focal)
-        assert not combination.supports
+        assert not combination.within
 
     @settings(max_examples=200, deadline=None)
     @given(n=st.integers(min_value=1, max_value=MAX_EVENTS), seed=st.integers(0, 2**32 - 1),

@@ -1,6 +1,7 @@
 """Divergence measures: subset weights, arithmetic-geometric divergence, BJS."""
 
 import math
+import re
 import warnings
 
 import numpy as np
@@ -285,6 +286,12 @@ class TestRegistry:
     def test_unknown(self):
         with pytest.raises(KeyError):
             get_measure("dismp")
+
+    @pytest.mark.parametrize("name", [None, 3, b"pbagd"])
+    def test_a_name_that_is_not_a_str_is_unknown(self, name):
+        # used to end in AttributeError on .lower()
+        with pytest.raises(KeyError, match=re.escape(f"unknown divergence measure {name!r}")):
+            get_measure(name)
 
     def test_register_and_conflict(self):
         class Dummy(DivergenceMeasure):

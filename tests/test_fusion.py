@@ -433,6 +433,31 @@ class TestIcefMechanics:
         assert len(rows) == len(trace.steps)
         assert all(len(row) == len(header) for row in rows)
 
+    @pytest.mark.parametrize("names", [["m1"], [f"m{i}" for i in range(1, 7)]])
+    def test_table_rows_need_one_name_per_piece(self, fault_case, frame3, names):
+        # one name for five pieces used to give a 6-column header over
+        # 10-column rows
+        _, trace = icef(fault_case)
+        with pytest.raises(LengthMismatchError, match=f"5 pieces but {len(names)} evidence names"):
+            trace.table_rows(frame3, names)
+
+    def test_every_step_is_read_on_the_call_support(self, frame3):
+        # the last two pieces get credibility 0 at this tau, so the average
+        # holds the singletons only; its rows are read on the support of
+        # all five pieces' focal sets (they used to be read on [1, 2, 4])
+        ms = [event_evidence(frame3, j) for j in range(3)] + [
+            MassFunction(frame3, {0b011: 0.5, 0b110: 0.3, 0b111: 0.2}),
+            MassFunction(frame3, {0b101: 0.6, 0b111: 0.4})]
+        result, trace = icef(ms, IcefConfig(tau=1e5))
+        assert trace.steps[0].credibilities[3:].tolist() == [0.0, 0.0]
+        support = trace.steps[0].support
+        assert support.tolist() == list(range(1, 8))
+        assert all(step.support is support for step in trace.steps)
+        for step in trace.steps:
+            assert not step.masses[support > 4].any()
+            assert step.fused == core._mass_rows(frame3, support, step.masses[None])[0]
+        assert result.mass == MassFunction(frame3, {1: 1 / 3, 2: 1 / 3, 4: 1 / 3})
+
 
 class TestConvergenceBoundary:
     """A step whose change equals ``delta`` exactly ends the loop as converged."""
@@ -491,6 +516,11 @@ class TestFuseDispatcher:
     def test_unknown_method(self, fault_case):
         with pytest.raises(InvalidConfigError, match="unknown fusion method 'magic'"):
             fuse(fault_case, method="magic")
+        # a name that is not a str used to end in AttributeError on .lower()
+        for method in (None, 3, b"murphy"):
+            with pytest.raises(InvalidConfigError,
+                               match=re.escape(f"unknown fusion method {method!r}")):
+                fuse(fault_case, method=method)
         with pytest.raises(KeyError, match="unknown divergence measure 'nope'"):
             fuse(fault_case, method="icef-nope")
 
@@ -1090,6 +1120,29 @@ class TestFuseTables:
                                -1.0 if conflict else core._LOG2_CONFLICT_EPS), \
                 mock.patch.object(core, "CONFLICT_EPS", 0.3 if conflict else core.CONFLICT_EPS):
             _assert_rows_equal_fuse(sets, method, config)
+
+    @pytest.mark.parametrize("method", ["murphy", "cef-avg", "cef-eig", "icef-pbagd"])
+    def test_compound_rows_are_read_on_the_call_support(self, method):
+        # three sets of different focal patterns on n = 4: each row is on
+        # the support of the table's focal sets, which holds intersections
+        # that no set's own support holds (0b0100 = 0b0110 & 0b1100), and
+        # is zero outside its own
+        frame = _frame(4)
+        sets = [
+            [MassFunction(frame, {0b0011: 0.5, 0b0110: 0.3, 0b1111: 0.2}),
+             MassFunction(frame, {0b0011: 0.1, 0b0110: 0.6, 0b1111: 0.3})],
+            [MassFunction(frame, {0b0011: 0.7, 0b1111: 0.3})] * 2,
+            [MassFunction(frame, {0b1100: 0.6, 0b1111: 0.4}),
+             MassFunction(frame, {0b0011: 0.2, 0b1100: 0.5, 0b1111: 0.3})],
+        ]
+        focal, table = core._mass_table([m for ms in sets for m in ms])
+        out = fusion._fuse_tables(frame, focal, table.reshape(3, 2, -1), method)
+        assert out.support.tolist() == _intersections(focal, 2, 16).tolist()
+        assert 0b0100 in out.support.tolist()
+        for ms, row in zip(sets, out.fused):
+            own = _intersections(core._mass_table(ms)[0], 2, 16)
+            assert not row[~np.isin(out.support, own)].any()
+        _assert_rows_equal_fuse(sets, method, None)
 
     @pytest.mark.parametrize("method", ["dcr", "murphy", "cef-avg", "cef-eig", "icef-pbagd",
                                         "icef-bjs"])
