@@ -23,6 +23,7 @@ import numpy as np
 from . import core
 from .core import Frame, MassFunction, _is_number, _is_positive_finite
 from .fusion import IcefConfig, InvalidConfigError, _checked_method, _fuse_tables, fuse
+from .fusion import _read_config
 
 
 class DatasetError(ValueError):
@@ -348,7 +349,7 @@ def _evaluate_model(model, test: Dataset, methods, config) -> dict[str, _Score]:
 
 
 def _run_splits(splits, methods, lam, config) -> list[EvaluationReport]:
-    """One report per method per split, split by split, the names checked first.
+    """One report per method per split, split by split, names and config checked first.
 
     ``splits`` yields ``(params, train, test)``: each split's interval model
     is fit on ``train`` and scored on ``test`` by :func:`_evaluate_model`,
@@ -360,6 +361,7 @@ def _run_splits(splits, methods, lam, config) -> list[EvaluationReport]:
         raise InvalidConfigError(f"methods must be a sequence of names, not the str {methods!r}")
     for method in methods:
         _checked_method(method)
+    config = _read_config(config)
     reports = []
     for params, train, test in splits:
         model = fit_interval_model(train, lam)

@@ -240,7 +240,9 @@ class MassFunction:
             mask = frame.mask_of(subset)
             value = _mass_value(value)
             merged[mask] = merged[mask] + value if mask in merged else value
-        error = _first_violation(frame, merged.items())
+        # entry by entry when a subset is named twice, so no entry's mass cancels another's
+        error = (validate_masses(frame, masses) if len(merged) < len(masses)
+                 else _first_violation(frame, merged.items()))
         if error is not None:
             raise error
         focal = sorted(merged)

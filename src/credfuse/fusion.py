@@ -12,14 +12,14 @@ from __future__ import annotations
 
 import numbers
 from collections.abc import Sequence
-from dataclasses import dataclass, field, replace
-from functools import cached_property
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import core
 from .core import (
     Frame,
+    FrameMismatchError,
     InvalidMassValueError,
     LengthMismatchError,
     MassFunction,
@@ -29,7 +29,7 @@ from .core import (
     _is_positive_finite,
     _require_same_frame,
     dcr_n,
-    self_fuse,  # unused here; kept for callers of credfuse.fusion.self_fuse
+    self_fuse,  # unused here; perfbench's test_tracer_restores_every_original reads it
 )
 from .credibility import (
     EventEvaluationMatrix,
@@ -80,26 +80,14 @@ class IcefConfig:
 
 @dataclass(frozen=True, eq=False)
 class IcefStep:
-    """One loop iteration: credibilities, fused mass, fed-back probabilities.
-
-    The loop keeps the fused masses as an array on the masks ``support``,
-    the support of the call's self-combination, which every step shares;
-    ``masses`` is zero outside this step's own support, so it can hold
-    zeros.  ``fused`` builds the :class:`MassFunction` from the nonzero
-    masses when first read.
-    """
+    """One loop iteration: the credibilities, the mass fused under them, and
+    its pignistic probabilities (fed back) with their L1 change ``delta``."""
 
     index: int
     credibilities: np.ndarray
     probabilities: np.ndarray
     delta: float
-    frame: Frame = field(repr=False)
-    support: np.ndarray = field(repr=False)
-    masses: np.ndarray = field(repr=False)
-
-    @cached_property
-    def fused(self) -> MassFunction:
-        return core._mass_rows(self.frame, self.support, self.masses[None])[0]
+    fused: MassFunction
 
 
 @dataclass(frozen=True, eq=False)
@@ -114,7 +102,10 @@ class IcefTrace:
     def table_rows(self, frame, evidence_names: Sequence[str] | None = None):
         """Header plus one row per step: step, p(event)..., cred..., delta.
 
-        ``evidence_names`` must name every piece, one name each."""
+        ``frame`` must be the trace's own (else :class:`FrameMismatchError`),
+        and ``evidence_names`` must name every piece, one name each."""
+        if frame != self.final.fused.frame:
+            raise FrameMismatchError(f"the trace is not on {frame!r}")
         n_ev = len(self.steps[0].credibilities)
         if evidence_names is None:
             evidence_names = [f"m{i + 1}" for i in range(n_ev)]
@@ -227,31 +218,28 @@ def _check_set(ms) -> Frame:
 def icef(
     ms: Sequence[MassFunction], config: IcefConfig | None = None
 ) -> tuple[FusionResult, IcefTrace]:
-    """Iterative credible evidence fusion.
+    """Iterative credible evidence fusion, with its per-step trace.
 
     Builds the event evaluation matrix and conditional credibilities once,
     then repeats: evidence credibility from current event probabilities,
     weighted average, self-combination, pignistic feedback.  Stops when the
     L1 change in event probabilities drops to ``config.delta``, or returns a
     trace with ``converged=False`` after ``config.max_iter`` iterations.
-    The loop is :func:`_icef_loop` on the mass table of one evidence set.
+    The loop is :func:`_icef_loop` on the mass table of one evidence set, read
+    as :func:`fuse` reads it; every step's mass is built in one call.
     """
     frame = _check_set(ms)
-    cfg = config or IcefConfig()
+    cfg = _read_config(config)
     focal, table = core._mass_table(ms)
     history: list = []
     end = _icef_loop(frame, focal, table[None], cfg, history)
-    if end.failed[0]:
-        raise TotalConflictError(float(end.conflict[0]))
-    steps = tuple(
-        IcefStep(k, cred[0], probs[0], float(delta[0]), frame, support, fused[0])
-        for k, (cred, support, fused, probs, delta) in enumerate(history, start=1)
-    )
-    final, converged = steps[-1], bool(end.converged[0])
-    result = FusionResult(final.fused, final.probabilities,
-                          _decision(frame, final.probabilities), f"icef-{cfg.measure.name}",
-                          final.credibilities, converged, final.index)
-    return result, IcefTrace(steps, converged)
+    (result,) = _results(frame, f"icef-{cfg.measure.name}", end)
+    if isinstance(result, TotalConflictError):
+        raise result
+    cred, fused, probs, delta = map(np.concatenate, zip(*history))
+    steps = tuple(map(IcefStep, range(1, len(delta) + 1), cred, probs, delta.tolist(),
+                      core._mass_rows(frame, end.support, fused)))
+    return result, IcefTrace(steps, result.converged)
 
 
 @dataclass(eq=False)
@@ -288,10 +276,10 @@ def _icef_loop(frame: Frame, focal: np.ndarray, table: np.ndarray, cfg: IcefConf
     ``focal`` of ``frame``.  Returns each set's last iteration as a
     :class:`_Fused` row: its fused masses, probabilities, credibilities and
     conflict K, whether its self-combination hit total conflict, whether
-    it converged, and the iteration count.  When ``history`` is given, one
-    tuple ``(credibilities, support, fused, probabilities, delta)`` of
-    arrays, a row per set still iterating, is appended to it per iteration;
-    :func:`icef` makes its steps from them.
+    it converged, and the iteration count.  When ``history`` is given (only
+    :func:`icef` asks), one tuple ``(credibilities, fused, probabilities,
+    delta)`` of arrays, a row per set still iterating, the masses on the
+    returned support, is appended to it per iteration.
 
     The EEM of all B·N pieces is built in one call; each column depends on
     its own piece only.  Per iteration, each set's credibilities are its
@@ -333,10 +321,10 @@ def _icef_loop(frame: Frame, focal: np.ndarray, table: np.ndarray, cfg: IcefConf
                  np.empty(n_sets, dtype=np.int64))
     for k in range(1, cfg.max_iter + 1):
         cred = (cond * probs[:, :, None]).sum(axis=1)
-        support, fused, new_probs, conflict, failed = _cef_rows(table, cred, combination)
+        _, fused, new_probs, conflict, failed = _cef_rows(table, cred, combination)
         delta = np.abs(new_probs - probs).sum(axis=1)
         if history is not None:
-            history.append((cred, support, fused, new_probs, delta))
+            history.append((cred, fused, new_probs, delta))
         done = failed | (delta <= cfg.delta)
         if k == cfg.max_iter:
             done[:] = True
@@ -380,28 +368,29 @@ def _cef_rows(table: np.ndarray, cred: np.ndarray, combination: core._SelfCombin
 
 
 def _fuse_tables(frame: Frame, focal: np.ndarray, table: np.ndarray, method: str,
-                 config: IcefConfig | None = None) -> _Fused:
+                 config: IcefConfig) -> _Fused:
     """:func:`fuse` of B evidence sets of N pieces each, on arrays, in one pass.
 
     ``table`` holds the (B, N, F) masses of the sets on the ascending masks
     ``focal`` of ``frame``; a zero entry is not a focal set of that piece.
-    ``method`` is a lower-case method name: ``dcr`` runs through
-    :func:`core._dcr_fold`, ``icef-*`` through :func:`_icef_loop`, and the
-    open-loop methods through :func:`_cef_rows`.  A set gets the bits of its
-    own ``fuse`` call; a compound table's rows are on the support of all its
-    focal sets, zero outside each set's own.  No mass is checked here; a
-    caller checks the rows it reads.  The EEM blocks its own rows; a
-    compound table's self-combination holds one (B, 2**n) commonality
-    array, and only the tests pass one here (the classifier's tables hold
-    singletons only).
+    ``method`` is a checked method name, and ``config`` an :class:`IcefConfig`:
+    ``dcr`` runs through :func:`core._dcr_fold`, ``icef-*`` through
+    :func:`_icef_loop`, and the open-loop methods through :func:`_cef_rows`.
+    A set gets the bits of its own ``fuse`` call; a compound table's rows
+    are on the support of all its focal sets, zero outside each set's own.
+    No mass is checked here; a caller checks the rows it reads.  The EEM
+    blocks its own rows; a compound table's self-combination holds one
+    (B, 2**n) commonality array, and only the tests pass one here (the
+    classifier's tables hold singletons only).
     """
     if method == "dcr":
         support, fused, conflict, failed = core._dcr_fold(frame, focal, table)
         return _Fused(support, fused,
                       core._pignistic_rows(fused, core._pignistic_layout(support, frame.n)),
                       conflict, failed)
-    if method.startswith("icef-"):
-        return _icef_loop(frame, focal, table, _icef_config(method, config))
+    if method.startswith("icef-"):  # under the measure that the method names
+        measure = get_measure(method.removeprefix("icef-"))
+        return _icef_loop(frame, focal, table, replace(config, measure=measure))
     if method in ("cef-avg", "cef-eig"):  # their weights compare the pieces themselves
         pieces = core._mass_rows(frame, focal, table.reshape(-1, table.shape[2]))
         size = table.shape[1]
@@ -429,19 +418,21 @@ def _results(frame: Frame, method: str, out: _Fused) -> list:
     ]
 
 
-def _icef_config(method: str, config: IcefConfig | None) -> IcefConfig:
-    """``config`` (or the default) with the measure that an ``icef-*`` method names."""
-    return replace(config or IcefConfig(), measure=get_measure(method.removeprefix("icef-")))
+def _read_config(config) -> IcefConfig:
+    """``config`` if an :class:`IcefConfig`, the default if ``None``, else InvalidConfigError."""
+    if not isinstance(config, (IcefConfig, type(None))):
+        raise InvalidConfigError(f"config must be an IcefConfig or None, got {config!r}")
+    return config or IcefConfig()
 
 
-def _method_weights(method: str, sets, config: IcefConfig | None = None) -> np.ndarray:
+def _method_weights(method: str, sets, config: IcefConfig) -> np.ndarray:
     """Rows of 1/N for murphy, else of EDMM credibilities under ``config``'s
     measure, one per set; for murphy, ``sets`` may be any (B, N, ...) array.
     An EDMM with a NaN or infinite divergence raises :class:`InvalidMassValueError`."""
     if method == "murphy":
         return np.full((len(sets), len(sets[0])), 1.0 / len(sets[0]))
     credibility = average_support_credibility if method == "cef-avg" else eigenvalue_credibility
-    measure = (config or IcefConfig()).measure
+    measure = config.measure
     weights = []
     for ms in sets:
         edmm = build_edmm(ms, measure)
@@ -456,14 +447,14 @@ FUSION_METHODS = ("dcr", "murphy", "icef-pbagd", "cef-avg", "cef-eig")
 
 
 def _checked_method(method: str) -> str:
-    """``method`` in lower case, if it is in :data:`FUSION_METHODS` or is
-    ``icef-`` and a registered measure (else :func:`get_measure`'s
-    ``KeyError``); any other name, or one that is not a ``str``, raises
-    :class:`InvalidConfigError`."""
+    """``method`` in lower case if it is in :data:`FUSION_METHODS`, or
+    ``icef-`` and the name of the registered measure that an ``icef-*``
+    method names (else :func:`get_measure`'s ``KeyError``); any other name,
+    or one that is not a ``str``, raises :class:`InvalidConfigError`."""
     name = method.lower() if isinstance(method, str) else None
     if name is not None and name.startswith("icef-"):
-        get_measure(method[len("icef-"):])
-    elif name not in FUSION_METHODS:
+        return f"icef-{get_measure(method[len('icef-'):]).name}"
+    if name not in FUSION_METHODS:
         raise InvalidConfigError(f"unknown fusion method {method!r}; known: "
                                  f"{', '.join(FUSION_METHODS)}, or icef-<measure>")
     return name
@@ -474,14 +465,17 @@ def fuse(
 ) -> FusionResult:
     """Dispatch by method name.
 
-    The ``icef-*`` variants drop the per-step trace but keep whether the loop
-    converged and its iteration count on the result.
+    The ``icef-*`` variants run through :func:`_fuse_tables` and build no
+    trace; their result is :func:`icef`'s, bit for bit.
     """
-    method = _checked_method(method)
+    method, config = _checked_method(method), _read_config(config)
     if method == "dcr":
         return dcr_fuse(ms)
-    if method.startswith("icef-"):
-        result, _ = icef(ms, _icef_config(method, config))
-        return result
-    _check_set(ms)  # before the weights, which divide by the number of pieces
-    return cef_fuse(ms, _method_weights(method, [ms], config)[0], method=method)
+    frame = _check_set(ms)  # before the weights, which divide by the number of pieces
+    if not method.startswith("icef-"):
+        return cef_fuse(ms, _method_weights(method, [ms], config)[0], method=method)
+    focal, table = core._mass_table(ms)
+    (result,) = _results(frame, method, _fuse_tables(frame, focal, table[None], method, config))
+    if isinstance(result, TotalConflictError):
+        raise result
+    return result

@@ -281,7 +281,7 @@ class TestAttributeEvidence:
             attribute_evidence(model, [1e300, 0.1], 0)
         far = make_dataset([[0.1, 0.1], [1e300, 1e300]], ["p", "q"])
         with pytest.raises(InvalidMassValueError, match="not finite"):
-            _evaluate_model(model, far, ["dcr", "icef-pbagd"], None)
+            _evaluate_model(model, far, ["dcr", "icef-pbagd"], IcefConfig())
         assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
 
@@ -491,6 +491,19 @@ class TestUnknownMethod:
             sweep_evaluate(separable, methods, lam=2.0, fractions=[0.5, 1.0])
         assert fits == []
 
+    @pytest.mark.parametrize("config", [{"tau": 1}, {}])
+    def test_harnesses_refuse_a_config_before_any_fit(self, separable, monkeypatch, config):
+        # a dict used to raise TypeError from replace() after the first fit
+        fits = []
+        fit = classify.fit_interval_model
+        monkeypatch.setattr(classify, "fit_interval_model",
+                            lambda *args: fits.append(args) or fit(*args))
+        with pytest.raises(InvalidConfigError, match="config must be an IcefConfig"):
+            monte_carlo_evaluate(separable, ["icef-pbagd"], lam=5.0, config=config, trials=1)
+        with pytest.raises(InvalidConfigError, match="config must be an IcefConfig"):
+            sweep_evaluate(separable, ["murphy"], lam=2.0, config=config, fractions=[0.5])
+        assert fits == []
+
     def test_classify_sample_refuses_a_name_that_is_no_str(self, separable):
         model = fit_interval_model(separable, lam=2.0)
         with pytest.raises(InvalidConfigError, match="unknown fusion method None"):
@@ -506,7 +519,7 @@ class TestEvaluationTallies:
                              ["a", "a", "b", "b"])
         model = fit_interval_model(train, lam=1e307)
         test = make_dataset([[0.05, 0.05], [0.05, 100.05]], ["a", "a"])
-        scores = _evaluate_model(model, test, ["dcr", "murphy"], None)
+        scores = _evaluate_model(model, test, ["dcr", "murphy"], IcefConfig())
         assert scores["dcr"].conflicts == 1
         assert scores["murphy"].conflicts == 0
 
@@ -575,8 +588,8 @@ class TestBatchedScoringAgainstPerSample:
                              ["a", "a", "b", "b"])
         model = fit_interval_model(train, lam=1e307)
         test = make_dataset([[0.05, 0.05], [0.05, 100.05], [100.0, 0.05]], ["a", "a", "b"])
-        batched = _evaluate_model(model, test, self.METHODS, None)
-        expected = _per_sample_scores(model, test, self.METHODS, None)
+        batched = _evaluate_model(model, test, self.METHODS, IcefConfig())
+        expected = _per_sample_scores(model, test, self.METHODS, IcefConfig())
         assert {m: asdict(s) for m, s in batched.items()} == (
             {m: asdict(s) for m, s in expected.items()})
         assert batched["dcr"].conflicts == 1
@@ -613,7 +626,7 @@ class TestTableScoring:
         check_rows = core._check_rows
         monkeypatch.setattr(core, "_check_rows", lambda frame, masks, table:
                             checked.append(len(table)) or check_rows(frame, masks, table))
-        _evaluate_model(model, test, self.METHODS, None)
+        _evaluate_model(model, test, self.METHODS, IcefConfig())
         # the evidence once, then each method's fused rows
         assert checked == [test.n_records * model.n_attributes] + [test.n_records] * 4
 
@@ -639,5 +652,5 @@ class TestTableScoring:
         with pytest.raises(InvalidMassValueError) as want:
             attribute_evidence(model, features[3], 1)
         with pytest.raises(InvalidMassValueError) as got:
-            _evaluate_model(model, test, ["dcr", "icef-pbagd"], None)
+            _evaluate_model(model, test, ["dcr", "icef-pbagd"], IcefConfig())
         assert str(got.value) == str(want.value)

@@ -77,6 +77,34 @@ class TestFrame:
             frame3.mask_of(flag)
 
 
+def _spellings(frame, mask):
+    """The keys that name the subset ``mask``: the mask, its labels in
+    either order, and their comma-joined strings."""
+    labels = frame.labels_of(mask)
+    spellings = [mask, labels, labels[::-1], frozenset(labels)]
+    if labels:
+        spellings += [",".join(labels), ",".join(labels[::-1])]
+    return list(dict.fromkeys(spellings))
+
+
+@st.composite
+def _respelled_masses(draw):
+    """A frame of one to four events and a mass dict that spells its first
+    subset two or three ways and may spell the others so too, with masses
+    that may be negative, zero, not finite or not normalized."""
+    frame = _frame(draw(st.integers(1, 4)))
+    value = st.one_of(st.sampled_from([-0.5, -0.25, 0.0, 0.25, 0.5, 1.0, math.nan, math.inf]),
+                      st.floats(-2.0, 2.0))
+    masses = {}
+    masks = draw(st.lists(st.integers(0, frame.full_mask), min_size=1, max_size=5))
+    for i, mask in enumerate(masks):
+        keys = st.lists(st.sampled_from(_spellings(frame, mask)), min_size=2 if i == 0 else 1,
+                        max_size=3, unique=True)
+        for key in draw(keys):
+            masses[key] = draw(value)
+    return frame, masses
+
+
 class TestValidation:
     def test_valid_report(self, frame3):
         assert validate_masses(frame3, {"A1": 0.7, "A2": 0.1, "A1,A2,A3": 0.2}) is None
@@ -128,6 +156,30 @@ class TestValidation:
         # keys "A1" and mask 1 refer to the same subset and merge
         m2 = MassFunction(frame3, {"A1": 0.5, 1: 0.3, "A2": 0.2})
         assert m2.mass("A1") == pytest.approx(0.8)
+
+    def test_a_negative_mass_is_not_cancelled_by_a_second_spelling(self):
+        # the constructor used to add the two spellings first and accept
+        # the mass {A1}: 1, which validate_masses refused
+        frame, masses = Frame(("A1", "A2")), {"A1,A2": -0.5, "A2,A1": 0.5, "A1": 1.0}
+        assert isinstance(validate_masses(frame, masses), NegativeMassError)
+        with pytest.raises(NegativeMassError, match="-0.5"):
+            MassFunction(frame, masses)
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=_respelled_masses())
+    @example(case=(Frame(("A1", "A2")), {"A1,A2": -0.5, "A2,A1": 0.5, "A1": 1.0}))
+    @example(case=(Frame(("A1", "A2")), {"A1": 0.25, ("A1",): 0.25, 2: 0.5}))
+    @example(case=(Frame(("A1", "A2")), {0: 0.5, (): -0.5, "A2": 1.0}))
+    def test_validate_masses_returns_what_the_constructor_raises(self, case):
+        frame, masses = case
+        error = validate_masses(frame, masses)
+        try:
+            MassFunction(frame, masses)
+        except core.MassFunctionError as raised:
+            assert type(raised) is type(error) and raised.args == error.args
+        else:
+            assert error is None
+
 
 
 class TestBeliefPlausibility:

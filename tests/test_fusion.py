@@ -15,6 +15,7 @@ from credfuse import (
     BJS,
     PBAGD,
     Frame,
+    FrameMismatchError,
     FusionResult,
     IcefConfig,
     InvalidConfigError,
@@ -414,6 +415,17 @@ class TestIcefMechanics:
         with pytest.raises(InvalidConfigError):
             replace(IcefConfig(), measure=measure)
 
+    @pytest.mark.parametrize("config", [{"tau": 1}, {}, 200.0, "default"])
+    @pytest.mark.parametrize("method", ["icef-pbagd", "cef-avg", "cef-eig", "murphy", "dcr"])
+    def test_a_config_that_is_no_icef_config_is_refused(self, fault_case, config, method):
+        # a dict used to raise TypeError from replace() under icef-* and
+        # AttributeError under cef-*, and to be ignored under murphy and dcr;
+        # an empty one was read as the default
+        with pytest.raises(InvalidConfigError, match=re.escape(f"got {config!r}")):
+            fuse(fault_case, method, config=config)
+        with pytest.raises(InvalidConfigError, match=re.escape(f"got {config!r}")):
+            icef(fault_case, config)
+
     def test_config_accepts_integers_and_numpy_scalars(self):
         config = IcefConfig(tau=200, delta=np.float64(1e-6), max_iter=np.int64(5))
         assert (config.tau, config.max_iter) == (200, 5)
@@ -441,21 +453,35 @@ class TestIcefMechanics:
         with pytest.raises(LengthMismatchError, match=f"5 pieces but {len(names)} evidence names"):
             trace.table_rows(frame3, names)
 
-    def test_every_step_is_read_on_the_call_support(self, frame3):
+    @pytest.mark.parametrize("frame", [Frame(("A1", "A2", "A3", "A4")),
+                                       Frame(("B1", "B2", "B3"))])
+    def test_table_rows_refuse_a_frame_that_is_not_the_traces(self, fault_case, frame):
+        # a 4-event frame used to give an 11-column header over 10-column rows
+        _, trace = icef(fault_case)
+        with pytest.raises(FrameMismatchError):
+            trace.table_rows(frame)
+
+    def test_every_step_is_read_on_the_call_support(self, frame3, monkeypatch):
         # the last two pieces get credibility 0 at this tau, so the average
         # holds the singletons only; its rows are read on the support of
-        # all five pieces' focal sets (they used to be read on [1, 2, 4])
+        # all five pieces' focal sets (they used to be read on [1, 2, 4]),
+        # and every step's mass is built from them in one call, after the
+        # result's from the last row
+        calls = []
+        mass_rows = core._mass_rows
+        monkeypatch.setattr(core, "_mass_rows", lambda frame, masks, table:
+                            calls.append((masks, table)) or mass_rows(frame, masks, table))
         ms = [event_evidence(frame3, j) for j in range(3)] + [
             MassFunction(frame3, {0b011: 0.5, 0b110: 0.3, 0b111: 0.2}),
             MassFunction(frame3, {0b101: 0.6, 0b111: 0.4})]
         result, trace = icef(ms, IcefConfig(tau=1e5))
         assert trace.steps[0].credibilities[3:].tolist() == [0.0, 0.0]
-        support = trace.steps[0].support
-        assert support.tolist() == list(range(1, 8))
-        assert all(step.support is support for step in trace.steps)
-        for step in trace.steps:
-            assert not step.masses[support > 4].any()
-            assert step.fused == core._mass_rows(frame3, support, step.masses[None])[0]
+        (result_masks, last), (masks, rows) = calls
+        assert result_masks.tolist() == masks.tolist() == list(range(1, 8))
+        assert len(rows) == len(trace.steps) and last.tolist() == rows[-1:].tolist()
+        assert not rows[:, masks > 4].any()
+        for step, row in zip(trace.steps, rows):
+            assert step.fused == mass_rows(frame3, masks, row[None])[0]
         assert result.mass == MassFunction(frame3, {1: 1 / 3, 2: 1 / 3, 4: 1 / 3})
 
 
@@ -613,21 +639,30 @@ def _singleton_sets(rng, n, n_sets, n_pieces):
 
 
 class TestIcefSteps:
-    def test_fused_masses_built_when_read(self, fault_case, monkeypatch):
-        # counts the masses built by the row constructor, which the steps use,
-        # and by the dict constructor
-        calls = []
+    def test_steps_are_built_for_a_trace_only(self, fault_case, monkeypatch):
+        # icef builds every step's mass in one call of the row constructor,
+        # a row per step, after its result's, and none by the dict
+        # constructor; fuse builds no step and asks the loop for no history
+        # (it used to build both and drop them)
+        rows, inits, steps, histories = [], [], [], []
         mass_rows, init = core._mass_rows, MassFunction.__init__
+        step, loop = fusion.IcefStep, fusion._icef_loop
         monkeypatch.setattr(core, "_mass_rows", lambda frame, masks, table:
-                            calls.extend(table) or mass_rows(frame, masks, table))
+                            rows.append(len(table)) or mass_rows(frame, masks, table))
         monkeypatch.setattr(MassFunction, "__init__",
-                            lambda self, *args: calls.append(1) or init(self, *args))
+                            lambda self, *args: inits.append(1) or init(self, *args))
+        monkeypatch.setattr(fusion, "IcefStep", lambda *args: steps.append(1) or step(*args))
+        monkeypatch.setattr(fusion, "_icef_loop",
+                            lambda *args: histories.append(args[4:]) or loop(*args))
+        fused = fuse(fault_case, "icef-pbagd")
+        assert steps == [] and histories == [()]
+        assert rows == [1] and inits == []
+        rows.clear()
         result, trace = icef(fault_case)
         assert len(trace.steps) > 1
-        assert len(calls) == 1  # the final fused mass only
-        assert trace.final.fused is result.mass
-        first = trace.steps[0].fused
-        assert len(calls) == 2 and trace.steps[0].fused is first
+        assert rows == [1, len(trace.steps)] and inits == [] and len(steps) == len(trace.steps)
+        assert trace.final.fused == result.mass
+        _assert_same_result(fused, result)
 
     @settings(max_examples=60, deadline=None)
     @given(n=st.integers(min_value=1, max_value=6), n_pieces=st.integers(min_value=2, max_value=10),
@@ -677,10 +712,8 @@ def _fuse_sets(sets, method="icef-pbagd", config=None):
     frame, method = sets[0][0].frame, method.lower()
     focal, table = core._mass_table([m for ms in sets for m in ms])
     out = fusion._fuse_tables(frame, focal, table.reshape(len(sets), len(sets[0]), -1), method,
-                              config)
-    if method.startswith("icef-"):
-        method = f"icef-{fusion._icef_config(method, config).measure.name}"
-    return fusion._results(frame, method, out)
+                              config or IcefConfig())
+    return fusion._results(frame, fusion._checked_method(method), out)
 
 
 def _assert_same_result(got, want):
@@ -817,6 +850,45 @@ class TestFuseBatch:
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
+class TestFuseAgainstIcef:
+    """``fuse(ms, "icef-*", config)`` runs the set through the batched call
+    and gives what ``icef`` gives, bit for bit, without its trace."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(case=_batches())
+    def test_fuse_equals_icef(self, case):
+        sets, method, config, conflict = case
+        single_config = replace(config, measure=fusion.get_measure(method[len("icef-"):]))
+        with mock.patch.object(core, "_LOG2_CONFLICT_EPS",
+                               -1.0 if conflict else core._LOG2_CONFLICT_EPS):
+            for ms in sets:
+                try:
+                    want, _ = icef(ms, single_config)
+                except TotalConflictError as error:
+                    with pytest.raises(TotalConflictError) as raised:
+                        fuse(ms, method, config)
+                    assert raised.value.conflict.hex() == error.conflict.hex()
+                    continue
+                got = fuse(ms, method, config)
+                _assert_same_result(got, want)
+                assert got.mass._values.tobytes() == want.mass._values.tobytes()
+
+    def test_method_is_icef_and_the_measure_name(self, fault_case, monkeypatch):
+        class Loud(DivergenceMeasure):
+            name = "PBAGD-Loud"
+
+            def evaluate(self, m1, m2):
+                return PBAGD.evaluate(m1, m2)
+
+        measure = Loud()
+        monkeypatch.setitem(divergence._MEASURES, "pbagd-loud", measure)
+        want, _ = icef(fault_case, IcefConfig(measure=measure))
+        for spelling in ("icef-pbagd-loud", "ICEF-PBAGD-LOUD"):
+            got = fuse(fault_case, spelling)
+            assert got.method == want.method == "icef-PBAGD-Loud"
+            _assert_same_result(got, want)
+
+
 @st.composite
 def _open_loop_batches(draw):
     """Evidence sets of equal size on one frame with mixed focal patterns,
@@ -941,7 +1013,7 @@ class TestDcrBatch:
         focal, table = core._mass_table([m for ms in sets for m in ms])
         with mock.patch.object(core, "CONFLICT_EPS", eps):
             out = fusion._fuse_tables(frame, focal, table.reshape(len(sets), len(sets[0]), -1),
-                                      "dcr")
+                                      "dcr", IcefConfig())
             for ms, conflict, failed in zip(sets, out.conflict.tolist(), out.failed.tolist()):
                 if not failed:
                     assert conflict.hex() == reference.dcr_conflict(ms).hex()
@@ -1010,9 +1082,9 @@ class TestMurphyBatch:
                 _assert_same_result(got, _reference(ms, _weights(ms, "murphy"), "murphy"))
             focal, table = core._mass_table([m for ms in sets for m in ms])
             batch = fusion._fuse_tables(frame3, focal, table.reshape(2, n_pieces, -1),
-                                        "murphy")
+                                        "murphy", IcefConfig())
             focal, table = core._mass_table(sets[0])
-            single = fusion._fuse_tables(frame3, focal, table[None], "murphy")
+            single = fusion._fuse_tables(frame3, focal, table[None], "murphy", IcefConfig())
             average = reference.weighted_average(sets[0], _weights(sets[0], "murphy"))
             _, _, conflict, _ = core._self_combine_rows(
                 np.array([[average.mass(0b010)]]), core._SelfCombination(focal, n_pieces, 3))
@@ -1080,7 +1152,7 @@ def _assert_rows_equal_fuse(sets, method, config):
     frame = sets[0][0].frame
     focal, table = core._mass_table([m for ms in sets for m in ms])
     out = fusion._fuse_tables(frame, focal, table.reshape(len(sets), len(sets[0]), -1),
-                              method, config)
+                              method, config or IcefConfig())
     batch = _fuse_sets(sets, method, config)
     for b, (ms, got) in enumerate(zip(sets, batch)):
         try:
@@ -1136,7 +1208,7 @@ class TestFuseTables:
              MassFunction(frame, {0b0011: 0.2, 0b1100: 0.5, 0b1111: 0.3})],
         ]
         focal, table = core._mass_table([m for ms in sets for m in ms])
-        out = fusion._fuse_tables(frame, focal, table.reshape(3, 2, -1), method)
+        out = fusion._fuse_tables(frame, focal, table.reshape(3, 2, -1), method, IcefConfig())
         assert out.support.tolist() == _intersections(focal, 2, 16).tolist()
         assert 0b0100 in out.support.tolist()
         for ms, row in zip(sets, out.fused):
