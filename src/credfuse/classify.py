@@ -82,7 +82,7 @@ class Dataset:
             self.name,
             self.feature_names,
             self.features[indices],
-            tuple(self.labels[i] for i in indices),
+            tuple(self._label_array[indices].tolist()),
             self.class_labels,
         )
 
@@ -494,18 +494,18 @@ def monte_carlo_evaluate(
 
     def splits():
         for _ in range(trials):
-            train_idx: list[int] = []
-            test_idx: list[int] = []
+            train_idx, test_idx = [], []
             for label in ds.class_labels:
                 idx = ds.class_indices(label)
                 k = round(train_fraction * len(idx))
                 picked = rng.permutation(len(idx))
-                train_idx.extend(idx[picked[:k]])
-                test_idx.extend(idx[picked[k:]])
-            if not test_idx:
+                train_idx.append(idx[picked[:k]])
+                test_idx.append(idx[picked[k:]])
+            test_idx = np.sort(np.concatenate(test_idx))
+            if not len(test_idx):
                 raise InvalidConfigError(
                     f"train_fraction {train_fraction!r} leaves no rows to score")
-            yield params, ds.subset(sorted(train_idx)), ds.subset(sorted(test_idx))
+            yield params, ds.subset(np.sort(np.concatenate(train_idx))), ds.subset(test_idx)
 
     reports = _run_splits(splits(), methods, lam, config)
     return {method: _mean_report([r for r in reports if r.method == method], params)

@@ -643,16 +643,19 @@ class _SelfCombination:
     """What every ``times``-fold self-combination of mass rows on the
     ascending masks ``focal`` of an ``n``-event frame shares, found once:
     whether every mask is a singleton, the call's ``support``, which every
-    row is read on, and its pignistic ``layout``.  The ``icef`` loop makes
-    one per call and combines every iteration's rows under it, so every
-    iteration is read on the same array.
+    row is read on, its pignistic ``layout``, whether a row's largest power
+    can fall below ``_POWER_FLOOR`` (``floored``), and the log2 failure
+    ``threshold`` on the survivor total.  The ``icef`` loop makes one per
+    call and combines every iteration's rows under it, so every iteration
+    is read on the same array.
 
     The support is ``focal`` itself on singletons or for one operand, and
     otherwise the nonempty intersections of at most ``times`` of the focal
     sets among the ``2**n`` subsets (from ``max(1, n - 1)`` operands on,
     every nonempty set of the focal lattice of Chaveroche, Davoine and
     Destercke, SUM 2019).  Its masks index the columns of the ``2**n``-wide
-    transforms.
+    transforms.  The threshold reads ``_LOG2_CONFLICT_EPS`` when the
+    combination is built.
     """
 
     def __init__(self, focal: np.ndarray, times: int, n: int):
@@ -661,6 +664,12 @@ class _SelfCombination:
         self.support = (focal if self.bayesian or times == 1
                         else _intersections(focal, times, 1 << n))
         self.within: dict[bytes, np.ndarray] = {}  # pattern bytes -> mask on support
+        # a row's largest nonempty commonality, a singleton's plausibility, is
+        # at least 1/n (half of it leaves room for rounding), so only many
+        # operands take its power below the floor
+        self.floored = (0.5 / n) ** times < _POWER_FLOOR
+        # one operand combines nothing: its survivor total of 1 never fails
+        self.threshold = (times - 1) * _LOG2_CONFLICT_EPS if times > 1 else -math.inf
 
     @cached_property
     def layout(self):
@@ -678,6 +687,20 @@ class _SelfCombination:
                 self.focal[pattern], self.times, 1 << self.n), assume_unique=True)
         return within
 
+    def failed(self, totals: np.ndarray, shift) -> np.ndarray:
+        """Whether each row's unscaled survivor total, ``totals * 2**shift``,
+        is at most ``CONFLICT_EPS ** (times - 1)``, compared in logarithms.
+        A total of 0 or NaN fails; numpy's warnings for them are the
+        caller's to silence."""
+        return ~(np.log2(totals) + shift > self.threshold)
+
+
+def _conflict(totals: np.ndarray, shift) -> np.ndarray:
+    """The conflict K of rows whose unscaled survivor total is ``totals *
+    2**shift``.  A total that rounds above 1 would make K negative, so K is
+    clamped at 0."""
+    return np.maximum(1.0 - totals * np.exp2(shift), 0.0)
+
 
 def _self_combine_rows(masses: np.ndarray, combination: _SelfCombination):
     """The ``times``-fold Dempster self-combination of each row of ``masses``.
@@ -688,26 +711,43 @@ def _self_combine_rows(masses: np.ndarray, combination: _SelfCombination):
     ``(support, fused, conflict, failed)``: the call's ascending masks
     ``combination.support``, the ``(rows, len(support))`` combined masses on
     them (zero outside a row's own support), the conflict K of each row,
-    and whether K counts as total.  One operand returns the rows unchanged,
-    with K = 0.
+    and whether K counts as total: the rows of :func:`_self_combined`, with
+    :func:`_conflict` and :meth:`_SelfCombination.failed` of their survivor
+    totals.  One operand returns the rows unchanged, with K = 0.
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):
+        fused, totals, shift = _self_combined(masses, combination)
+        return (combination.support, fused, _conflict(totals, shift),
+                combination.failed(totals, shift))
+
+
+def _self_combined(masses: np.ndarray, combination: _SelfCombination):
+    """``(fused, totals, shift)`` of the ``times``-fold self-combination of
+    each row of ``masses``, as :func:`_self_combine_rows` reads them: the
+    normalized rows on ``combination.support``, each row's survivor total,
+    added in mask order, and the base-2 ``shift`` of that total (the scalar
+    0.0 when no row is scaled).  One operand returns the rows themselves,
+    with a total of 1.  A failed row's 0/0 is left to the caller's
+    ``np.errstate``.
 
     Dempster's rule multiplies commonalities, so the unnormalized k-fold
     combination is the Moebius transform of ``q**k``, with ``q`` the
     commonality of the row: one transform pair over the ``2**n`` subsets
     instead of ``k - 1`` pairwise combinations.  When every mask of ``focal``
     is a singleton (Bayesian masses) the commonality is the mass and the
-    pair is the identity, so the power is taken on ``masses`` themselves
-    and read on ``focal``: ``0.0**times`` stays 0 on the masks a row does
-    not hold.  Otherwise every row is read on the call's support (see
-    :class:`_SelfCombination`), and a row that lacks some of the focal sets
-    is set to 0 outside its own support, the nonempty intersections of at
-    most ``times`` of its focal sets, so rounding left on the other subsets
-    never becomes mass.  The values are clipped at 0 and normalized by each
-    row's total, added in mask order: the zeros outside a row's support add
-    nothing, so a row has the same bits alone and in any table.  A row
-    fails when at most ``CONFLICT_EPS ** (times - 1)`` of its mass survives,
-    i.e. when on average no more than ``CONFLICT_EPS`` survives each
-    combination; its ``fused`` entries are then meaningless.
+    pair is the identity, so :func:`_power_rule` takes the power of
+    ``masses`` themselves, read on ``focal``: ``0.0**times`` stays 0 on the
+    masks a row does not hold.  Otherwise every row is read on the call's
+    support (see :class:`_SelfCombination`), and a row that lacks some of
+    the focal sets is set to 0 outside its own support, the nonempty
+    intersections of at most ``times`` of its focal sets, so rounding left
+    on the other subsets never becomes mass.  The values are clipped at 0
+    and normalized by each row's total, added in mask order: the zeros
+    outside a row's support add nothing, so a row has the same bits alone
+    and in any table.  A row fails when at most ``CONFLICT_EPS ** (times -
+    1)`` of its mass survives, i.e. when on average no more than
+    ``CONFLICT_EPS`` survives each combination; its ``fused`` entries are
+    then meaningless.
 
     When a row's largest power would fall below ``_POWER_FLOOR``, its
     nonempty commonalities are first divided by the largest of them,
@@ -717,15 +757,15 @@ def _self_combine_rows(masses: np.ndarray, combination: _SelfCombination):
     total conflict; entries below ``2**-1074`` of it vanish.  The division
     rounds once, so each power stays within about ``times / 2`` units in
     the last place of its exact value, and the normalization divides
-    ``top**times`` out.  The threshold above is still applied to the
-    unscaled survivor total, ``totals * 2**shift``, compared in logarithms.
-    Only many operands can need this; fewer skip the check, and a row that
-    is not scaled keeps ``shift = 0``, which adds and multiplies exactly.
+    ``top**times`` out.  The failure threshold is still applied to the
+    unscaled survivor total, ``totals * 2**shift``.  Only a combination
+    that is ``floored`` checks for this, and a row that is not scaled keeps
+    ``shift = 0``, which adds and multiplies exactly.
     """
     focal, times, n = combination.focal, combination.times, combination.n
     rows = len(masses)
     if times == 1:
-        return combination.support, masses, np.zeros(rows), np.zeros(rows, dtype=bool)
+        return masses, np.ones(rows), 0.0
     # on singletons alone both transforms only add or subtract exact zeros:
     # the commonality of a singleton is its mass, of a larger set 0, and the
     # Moebius transform of q**times is q**times on every singleton
@@ -735,35 +775,34 @@ def _self_combine_rows(masses: np.ndarray, combination: _SelfCombination):
         q, nonempty = np.zeros((rows, 1 << n)), slice(1, None)
         q[:, focal] = masses
         q = superset_zeta(q)
-    # a row's largest nonempty commonality, a singleton's plausibility, is at
-    # least 1/n (half of it leaves room for rounding), so only many operands
-    # take its power below the floor; q[:, 0], the empty set's, only reaches
-    # the empty set's entry, which is never read
-    shift = np.zeros(rows)
-    if (0.5 / n) ** times < _POWER_FLOOR:
+    # q[:, 0], the empty set's commonality, only reaches the empty set's
+    # entry, which is never read
+    shift = 0.0
+    if combination.floored:
         top = q[:, nonempty].max(axis=1)
         low = top ** times < _POWER_FLOOR
         if low.any():
             q = q.copy()  # on singletons ``q`` is the caller's
             q[low, nonempty] /= top[low, None]
+            shift = np.zeros(rows)
             shift[low] = times * np.log2(top[low])
-    q = q ** times
-    support = combination.support
     if combination.bayesian:
-        fused = np.maximum(q, 0.0)
-    else:
-        fused = np.maximum(superset_mobius(q)[:, support], 0.0)
-        for key, which, pattern in _focal_patterns(masses != 0.0):
-            if not pattern.all():
-                fused[which] = np.where(combination.own_support(key, pattern), fused[which], 0.0)
+        return (*_power_rule(q, times), shift)
+    fused = np.maximum(superset_mobius(q ** times)[:, combination.support], 0.0)
+    for key, which, pattern in _focal_patterns(masses != 0.0):
+        if not pattern.all():
+            fused[which] = np.where(combination.own_support(key, pattern), fused[which], 0.0)
     totals = np.add.accumulate(fused, axis=1)[:, -1]
-    # the unscaled survivor total is totals * 2**shift; a failed row's
-    # masses may come out infinite or NaN.  A total that rounds above 1
-    # would make K negative, so K is clamped at 0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        failed = ~(np.log2(totals) + shift > (times - 1) * _LOG2_CONFLICT_EPS)
-        conflict = np.maximum(1.0 - totals * np.exp2(shift), 0.0)
-        return support, fused / totals[:, None], conflict, failed
+    return fused / totals[:, None], totals, shift
+
+
+def _power_rule(masses: np.ndarray, times: int):
+    """``(fused, totals)``: Dempster's rule for ``times`` copies of each row of
+    Bayesian ``masses``, the rows' powers over their totals, added in mask
+    order.  The powers of nonnegative masses need no clipping."""
+    powers = masses ** times
+    totals = np.add.accumulate(powers, axis=1)[:, -1]
+    return powers / totals[:, None], totals
 
 
 def _focal_patterns(nonzero: np.ndarray):

@@ -227,25 +227,20 @@ def _assertion_levels(n: int) -> tuple[tuple[tuple[float, float], tuple[int, ...
     of an ``n``-event frame, with the events that share them, in event
     order: ``((alpha, beta), events)`` per distinct pair.
 
-    The assertions are transformed by :func:`_pb_rows` in blocks of ``max(1,
-    _BLOCK_ENTRIES // 2**n)`` rows, as the evidence is.  They depend on
-    ``n`` alone, so the levels are computed once per frame size.
+    Each assertion is one one-hot row transformed by :func:`_pb_rows`.  The
+    levels depend on ``n`` alone, so they are computed once per frame size.
     """
-    size = 1 << n
-    full_mask = size - 1
-    rows = max(1, _BLOCK_ENTRIES // size)
+    full_mask = (1 << n) - 1
     levels: dict[tuple[float, float], list[int]] = {}
-    for start in range(0, n, rows):
-        events = range(start, min(n, start + rows))
-        assertions = np.zeros((len(events), size))
-        assertions[range(len(events)), [1 << j for j in events]] = 1.0
-        weights = _pb_rows(assertions)
-        for row, j in enumerate(events):
-            # the weights of {j} and of its complement (of {j} again when n = 1,
-            # where no nonempty subset lacks j and beta is never used)
-            alpha = weights[row, (1 << j) - 1]
-            beta = weights[row, (full_mask ^ 1 << j or 1 << j) - 1]
-            levels.setdefault((float(alpha), float(beta)), []).append(j)
+    for j in range(n):
+        assertion = np.zeros((1, 1 << n))
+        assertion[0, 1 << j] = 1.0
+        weights = _pb_rows(assertion)[0]
+        # the weights of {j} and of its complement (of {j} again when n = 1,
+        # where no nonempty subset lacks j and beta is never used)
+        alpha = weights[(1 << j) - 1]
+        beta = weights[(full_mask ^ 1 << j or 1 << j) - 1]
+        levels.setdefault((float(alpha), float(beta)), []).append(j)
     return tuple((pair, tuple(events)) for pair, events in levels.items())
 
 

@@ -38,7 +38,6 @@ from .credibility import (
     conditional_credibility,
     eigenvalue_credibility,
     initial_prob_from_eem,
-    initial_prob_uniform,
     support_matrix,
 )
 from .divergence import PBAGD, DivergenceMeasure, get_measure
@@ -282,66 +281,99 @@ def _icef_loop(frame: Frame, focal: np.ndarray, table: np.ndarray, cfg: IcefConf
     returned support, is appended to it per iteration.
 
     The EEM of all B·N pieces is built in one call; each column depends on
-    its own piece only.  Per iteration, each set's credibilities are its
-    conditional credibilities weighted by its probabilities, and
-    :func:`_cef_rows` fuses the sets under one
+    its own piece only.  Starting probabilities that are not finite (an EEM
+    whose every row sums to infinity) are refused, as NaN credibilities are.
+    Per iteration, each set's credibilities are its conditional
+    credibilities weighted by its probabilities, and the weighted averages
+    are self-combined by :func:`core._self_combined` under one
     :class:`core._SelfCombination`, so whether the masks are singletons,
-    the support and the pignistic layout are found once per call, and
-    every iteration's rows are read on that one support, zero outside
-    their own.  A set leaves the arrays once its probabilities move by at
-    most ``cfg.delta``, or its self-combination hits total conflict; its
-    last iteration is then written into the call's :class:`_Fused`
-    arrays, allocated once.
+    the support, the pignistic layout, the power-floor flag and the failure
+    threshold are found once per call.  An iteration computes only what the
+    stop test reads: the fused rows, their survivor totals, whether they
+    failed, and the probabilities, which are the fused rows themselves when
+    the masks are the frame's ``n`` singletons.  A set stops once its
+    probabilities move by at most ``cfg.delta``, or its self-combination
+    hits total conflict; its conflict K is computed then, and its last
+    iteration is kept and written into the call's :class:`_Fused` arrays
+    with every other set's at the end.
     """
     n_sets, n_pieces, width = table.shape
     n = frame.n
-    eem = EventEvaluationMatrix(
-        cfg.measure._table_event_divergences(frame, focal, table.reshape(-1, width)),
-        cfg.measure.name, frame)
-    with np.errstate(invalid="ignore"):  # an event that no piece supports gives 0/0
+    eem = cfg.measure._table_event_divergences(frame, focal, table.reshape(-1, width))
+    # an event that no piece supports gives 0/0, as does an EEM whose row
+    # sums overflow; a failed self-combination takes log2(0) and 0/0
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         cond = conditional_credibility(
-            support_matrix(eem, cfg.tau).reshape(n, n_sets, n_pieces))
-    if not np.isfinite(cond).all():
-        raise InvalidMassValueError(
-            f"no evidence supports some event at tau = {cfg.tau!r}, so credibilities are NaN")
-    cond = cond.transpose(1, 0, 2).copy()  # (B, n, N)
-    if cfg.init == "uniform":
-        probs = np.broadcast_to(initial_prob_uniform(frame), (n_sets, n))
-    else:
-        probs = np.array([
-            initial_prob_from_eem(EventEvaluationMatrix(
-                eem.values[:, b * n_pieces:(b + 1) * n_pieces], eem.measure, frame))
-            for b in range(n_sets)
-        ])
-    ids = np.arange(n_sets)
-    combination = core._SelfCombination(focal, n_pieces, n)
-    out = _Fused(combination.support, np.empty((n_sets, len(combination.support))),
-                 np.empty((n_sets, n)), np.empty(n_sets), np.empty(n_sets, dtype=bool),
-                 np.empty((n_sets, n_pieces)), np.empty(n_sets, dtype=bool),
-                 np.empty(n_sets, dtype=np.int64))
-    for k in range(1, cfg.max_iter + 1):
-        cred = (cond * probs[:, :, None]).sum(axis=1)
-        _, fused, new_probs, conflict, failed = _cef_rows(table, cred, combination)
-        delta = np.abs(new_probs - probs).sum(axis=1)
-        if history is not None:
-            history.append((cred, fused, new_probs, delta))
-        done = failed | (delta <= cfg.delta)
-        if k == cfg.max_iter:
-            done[:] = True
-        finished = done.nonzero()[0]
-        if len(finished):
-            stopped = ids[finished]
-            out.fused[stopped], out.probs[stopped] = fused[finished], new_probs[finished]
-            out.conflict[stopped], out.failed[stopped] = conflict[finished], failed[finished]
-            out.credibilities[stopped] = cred[finished]
-            out.converged[stopped], out.n_iter[stopped] = delta[finished] <= cfg.delta, k
-        if len(finished) == len(ids):
-            break
-        probs = new_probs
-        if len(finished):
-            keep = ~done
-            ids, cond, table, probs = ids[keep], cond[keep], table[keep], probs[keep]
-    return out
+            support_matrix(EventEvaluationMatrix(eem, cfg.measure.name, frame), cfg.tau)
+            .reshape(n, n_sets, n_pieces))
+        if not np.isfinite(cond).all():
+            raise InvalidMassValueError(
+                f"no evidence supports some event at tau = {cfg.tau!r}, so credibilities are NaN")
+        # each sum below runs along the first axis, over contiguous rows
+        cond = cond.transpose(0, 2, 1).copy()  # (n, N, B)
+        table = table.transpose(1, 0, 2).copy()  # (N, B, F)
+        if cfg.init == "uniform":
+            probs = np.full((n_sets, n), 1.0 / n)
+        else:
+            probs = np.array([
+                initial_prob_from_eem(EventEvaluationMatrix(
+                    eem[:, b * n_pieces:(b + 1) * n_pieces], cfg.measure.name, frame))
+                for b in range(n_sets)
+            ])
+            if not np.isfinite(probs).all():
+                raise InvalidMassValueError(
+                    f"measure {cfg.measure.name!r} gives starting probabilities that are "
+                    "not finite")
+        ids = np.arange(n_sets)
+        combination = core._SelfCombination(focal, n_pieces, n)
+        layout = combination.layout
+        # per iteration at which sets stop: where they are among the rows,
+        # the set of each row, the arrays of _Fused's fields and the iteration
+        stops = []
+        for k in range(1, cfg.max_iter + 1):
+            cred = _sum_in_order(cond * probs.T[:, None, :])  # (N, B)
+            averaged = _sum_in_order(table * cred[:, :, None])
+            fused, totals, shift = core._self_combined(averaged, combination)
+            failed = combination.failed(totals, shift)
+            new_probs = fused if layout is None else core._pignistic_rows(fused, layout)
+            delta = np.abs(new_probs - probs).sum(axis=1)
+            if history is not None:
+                history.append((cred.T, fused, new_probs, delta))
+            settled = delta <= cfg.delta
+            done = failed | settled
+            if k == cfg.max_iter:
+                done[:] = True
+            finished = done.nonzero()[0]
+            if len(finished):
+                stops.append((finished, ids, fused, new_probs, core._conflict(totals, shift),
+                              failed, cred.T, settled, k))
+                if len(finished) == len(ids):
+                    break
+                keep = ~done
+                ids, probs = ids[keep], new_probs[keep]
+                cond, table = cond[:, :, keep], table[:, keep]
+            else:
+                probs = new_probs
+    # every stopped row is read once, from the arrays of all stops laid end to end
+    finished, ids, *fields, ks = zip(*stops)
+    counts = [len(rows) for rows in finished]
+    starts = np.cumsum([0, *map(len, ids[:-1])])
+    rows = np.concatenate(finished) + np.repeat(starts, counts)
+    order = np.argsort(np.concatenate(ids)[rows])
+    rows = rows[order]
+    return _Fused(combination.support, *(np.concatenate(field)[rows] for field in fields),
+                  np.repeat(ks, counts)[order])
+
+
+def _sum_in_order(terms: np.ndarray) -> np.ndarray:
+    """The sum of ``terms`` along its first axis, added in order.
+
+    numpy adds a leading axis of a C-ordered array a row at a time, as a
+    loop over it would, but it may pair the terms when each row holds one
+    entry; ``np.add.accumulate`` adds in order always, and more slowly."""
+    if terms[0].size > 1:
+        return np.add.reduce(terms, axis=0)
+    return np.add.accumulate(terms, axis=0)[-1]
 
 
 def _cef_rows(table: np.ndarray, cred: np.ndarray, combination: core._SelfCombination):

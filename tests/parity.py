@@ -36,7 +36,12 @@ The groups are:
   cef-avg and icef-pbagd;
 * ``wide-classes-results``: the ``fusion._results`` of those batches, the
   results and errors a caller reads, which keep their bits when the raw
-  arrays only gain zero columns.
+  arrays only gain zero columns;
+* ``icef-stops``: the raw ``fusion._fuse_tables`` arrays of the 20 iris
+  splits and of the compound ``wide-classes`` batch under icef-pbagd and
+  icef-bjs, with ``max_iter`` 1, 2 and 3 and with the EEM start, so that
+  sets stop at the iteration cap as well as on convergence.  It comes
+  last, so the digests of the groups above do not depend on it.
 
 Floats are recorded by their bits, so a NaN or a signed zero counts.  The
 file has no ``test_`` prefix, so pytest does not collect it.
@@ -87,6 +92,11 @@ MANY_OPERANDS = (
 #: The methods of the ``wide-classes`` group.
 WIDE_METHODS = ("dcr", "murphy", "cef-avg", "icef-pbagd")
 
+#: The methods and loop settings of the ``icef-stops`` group.
+STOP_METHODS = ("icef-pbagd", "icef-bjs")
+STOP_CONFIGS = {**{f"max_iter={k}": IcefConfig(tau=200.0, max_iter=k) for k in (1, 2, 3)},
+                "eem": IcefConfig(tau=200.0, init="eem")}
+
 #: The group of a record whose key starts with a name other than its group's.
 GROUPS = {"monte-carlo": "iris-reports", "sweep": "iris-reports"}
 
@@ -126,6 +136,13 @@ def traced(ms, config: IcefConfig):
     return result, steps, trace.converged
 
 
+def raw(frame, focal, masses, method: str, config: IcefConfig):
+    try:
+        return fusion._fuse_tables(frame, focal, masses, method, config)
+    except Exception as error:  # the error is part of the result
+        return error
+
+
 def records():
     for name in BUILTIN_DOCUMENTS:
         doc = builtin_document(name)
@@ -147,6 +164,7 @@ def records():
 
     iris = load_dataset(ROOT / "data" / "iris.csv", label_column="species", name="iris")
     config = IcefConfig(tau=200.0)
+    stop_tables = []  # (name, frame, focal, masses) of each table of the icef-stops group
     yield ("monte-carlo",), monte_carlo_evaluate(iris, METHODS, lam=5.0, config=config,
                                                  trials=20, seed=3)
     yield ("sweep",), sweep_evaluate(iris, METHODS, lam=5.0, config=config)
@@ -160,6 +178,7 @@ def records():
             test.extend(idx[k:])
         model = classify.fit_interval_model(iris.subset(sorted(train)), 5.0)
         focal, masses = classify._split_masses(model, iris.features[sorted(test)])
+        stop_tables.append((f"iris-{seed}", model.frame, focal, masses))
         for method in METHODS:
             yield ("iris-split", seed, method), fusion._fuse_tables(
                 model.frame, focal, masses, method, config)
@@ -187,12 +206,18 @@ def records():
         weights = rng.uniform(0.1, 1.0, len(masks))
         pieces.append(MassFunction(frame, dict(zip(masks, weights / weights.sum()))))
     focal, table = core._mass_table(pieces)
+    stop_tables.append(("compound", frame, focal, table.reshape(5, 3, -1)))
     for method in WIDE_METHODS:
         out = fusion._fuse_tables(frame, focal, table.reshape(5, 3, -1), method, config)
         batches.append((("compound", method), frame, out))
         yield ("wide-classes", "compound", method), out
     for (name, method), frame, out in batches:
         yield ("wide-classes-results", name, method), fusion._results(frame, method, out)
+    for name, frame, focal, masses in stop_tables:
+        for method in STOP_METHODS:
+            for setting, stop_config in STOP_CONFIGS.items():
+                yield ("icef-stops", name, method, setting), raw(frame, focal, masses, method,
+                                                                 stop_config)
 
 
 def main() -> None:

@@ -3,7 +3,8 @@
 import math
 import operator
 import re
-from dataclasses import asdict
+import warnings
+from dataclasses import asdict, replace
 from functools import reduce
 
 import numpy as np
@@ -28,7 +29,8 @@ from credfuse import (
     monte_carlo_evaluate,
     sweep_evaluate,
 )
-from credfuse import classify, core
+from credfuse import classify, core, divergence
+from credfuse.divergence import DivergenceMeasure
 from credfuse.classify import (
     EmptyDatasetError,
     MissingClassError,
@@ -511,6 +513,26 @@ class TestUnknownMethod:
 
 
 class TestEvaluationTallies:
+    def test_starting_probabilities_that_are_not_finite_are_refused(self, iris, monkeypatch):
+        # every divergence from an assertion is 1e308: the support of each
+        # is exp(-1) at this tau, but every EEM row sum overflows, and the
+        # harness used to score each sample as a total conflict
+        class Remote(DivergenceMeasure):
+            name = "remote"
+
+            def evaluate(self, m1, m2):
+                return 0.0 if m1 == m2 else 1e308
+
+        monkeypatch.setitem(divergence._MEASURES, Remote.name, Remote())
+        config = IcefConfig(tau=1e-308, init="eem")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # numpy's overflow and 0/0 among them
+            with pytest.raises(InvalidMassValueError, match="starting probabilities"):
+                monte_carlo_evaluate(iris, ["icef-remote"], lam=5.0, config=config, trials=1)
+            report = monte_carlo_evaluate(iris, ["icef-remote"], lam=5.0,
+                                          config=replace(config, init="uniform"), trials=1)
+        assert report["icef-remote"].conflict_samples == 0
+
     def test_conflicts_counted_per_method(self):
         # at this scale the far class gets no mass, so a sample that sits in
         # class a on one attribute and in class b on the other drives plain

@@ -755,11 +755,12 @@ class TestBayesianKernels:
         rng = np.random.default_rng(seed)
         rows = int(rng.integers(1, 3 if n > 12 else 7))
         focal, masses = _singleton_table(rng, n, (rows,), zeros=0.0 if one_pattern else 0.3)
-        combination = core._SelfCombination(focal, times, n)
         # every singleton table is read on ``focal`` itself: it searches no
-        # pattern and finds no support by intersection
+        # pattern and finds no support by intersection.  The combination
+        # reads the threshold when it is built
         skipped = dict(_NO_TRANSFORM, _intersections=None, _focal_patterns=None)
         with mock.patch.object(core, "_LOG2_CONFLICT_EPS", math.log2(eps)):
+            combination = core._SelfCombination(focal, times, n)
             with mock.patch.multiple(core, **skipped):
                 got = core._self_combine_rows(masses, combination)
                 again = core._self_combine_rows(masses, combination)

@@ -197,8 +197,9 @@ class TestAssertionLevels:
 
     def test_an_icef_call_transforms_only_its_evidence_once_the_table_exists(
             self, monkeypatch):
-        # n = 12: two rows of 2**12 per block, so 8 pieces take 4 transforms
-        # and the 12 assertions 6 more, on the first call at that size only
+        # n = 12: the 12 assertions take one 1-row transform each, on the
+        # first call at that size only, before the evidence; two rows of
+        # 2**12 per block, so 8 pieces take 4 transforms
         calls = []
         monkeypatch.setattr(divergence, "_pb_rows",
                             lambda dense: calls.append(len(dense)) or _pb_rows(dense))
@@ -208,7 +209,7 @@ class TestAssertionLevels:
               for _ in range(8)]
         _assertion_levels.cache_clear()
         first, _ = fusion.icef(ms)
-        assert calls == [2] * 10
+        assert calls == [1] * 12 + [2] * 4
         calls.clear()
         again, _ = fusion.icef(ms)
         assert calls == [2] * 4

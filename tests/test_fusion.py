@@ -709,11 +709,20 @@ def _fuse_sets(sets, method="icef-pbagd", config=None):
     """What ``fuse(ms, method, config)`` gives for each set ``ms`` of one
     frame and size, or the total conflict it raises: one mass table of every
     set, fused by the array core, a result per set."""
-    frame, method = sets[0][0].frame, method.lower()
+    out = _fuse_raw(sets, method, config)
+    return fusion._results(sets[0][0].frame, fusion._checked_method(method), out)
+
+
+def _fuse_raw(sets, method="icef-pbagd", config=None):
+    """The raw ``fusion._fuse_tables`` arrays of one mass table of every set."""
     focal, table = core._mass_table([m for ms in sets for m in ms])
-    out = fusion._fuse_tables(frame, focal, table.reshape(len(sets), len(sets[0]), -1), method,
-                              config or IcefConfig())
-    return fusion._results(frame, fusion._checked_method(method), out)
+    return fusion._fuse_tables(sets[0][0].frame, focal,
+                               table.reshape(len(sets), len(sets[0]), -1), method.lower(),
+                               config or IcefConfig())
+
+
+#: The raw arrays of a batched call that do not depend on the call's support.
+_PER_SET_FIELDS = ("conflict", "failed", "converged", "n_iter", "credibilities")
 
 
 def _assert_same_result(got, want):
@@ -736,6 +745,14 @@ class TestFuseBatch:
                                -1.0 if conflict else core._LOG2_CONFLICT_EPS):
             batch = _fuse_sets(sets, method, config)
             assert len(batch) == len(sets)
+            # each set's raw arrays, K of a set that converged among them,
+            # are those of its own one-set call, by bytes
+            raw = _fuse_raw(sets, method, config)
+            for b, ms in enumerate(sets):
+                own = _fuse_raw([ms], method, config)
+                for field in _PER_SET_FIELDS:
+                    assert getattr(raw, field)[b:b + 1].tobytes() == (
+                        getattr(own, field).tobytes()), field
             for ms, got in zip(sets, batch):
                 try:
                     want, _ = icef(ms, single_config)
@@ -848,6 +865,30 @@ class TestFuseBatch:
             with pytest.raises(core.InvalidMassValueError):
                 icef(ms, IcefConfig(tau=1e6))
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+    def test_starting_probabilities_that_are_not_finite_are_refused(self, monkeypatch):
+        # each categorical piece lies infinitely far from the other events'
+        # assertions, so every EEM row sums to infinity and the EEM start is
+        # 0/0: the loop used to run on NaN and raise TotalConflictError(nan)
+        class Blind(DivergenceMeasure):
+            name = "blind"
+
+            def evaluate(self, m1, m2):
+                shared = set(m1.focal_elements()) & set(m2.focal_elements())
+                return 0.0 if shared else math.inf
+
+        monkeypatch.setitem(divergence._MEASURES, Blind.name, Blind())
+        frame = Frame(("A", "B", "C"))
+        ms = [event_evidence(frame, j) for j in range(3)]
+        config = IcefConfig(init="eem")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # numpy's warning for the 0/0 among them
+            for call in (lambda: fuse(ms, "icef-blind", config),
+                         lambda: icef(ms, replace(config, measure=Blind()))):
+                with pytest.raises(InvalidMassValueError, match="starting probabilities"):
+                    call()
+            # the uniform start needs no EEM row sum
+            assert fuse(ms, "icef-blind").converged
 
 
 class TestFuseAgainstIcef:
