@@ -427,12 +427,11 @@ def stratified_head_indices(ds: Dataset, fraction: float) -> np.ndarray:
     (not a bool) in (0, 1].
     """
     _check_fraction(fraction)
-    chosen: list[int] = []
+    chosen = []
     for label in ds.class_labels:
         idx = ds.class_indices(label)
-        k = min(len(idx), math.ceil(fraction * len(idx)))
-        chosen.extend(idx[:k])
-    return np.array(sorted(chosen), dtype=int)
+        chosen.append(idx[:min(len(idx), math.ceil(fraction * len(idx)))])
+    return np.sort(np.concatenate(chosen))
 
 
 def sweep_evaluate(

@@ -344,7 +344,7 @@ def _pignistic_rows(masses: np.ndarray, layout) -> np.ndarray:
     if layout is None:
         return masses.copy()
     sizes, members = layout
-    return (members * (masses / sizes)[..., None]).sum(axis=-2)
+    return np.add.reduce(members * (masses / sizes)[..., None], axis=-2)
 
 
 def _mass_table(ms) -> tuple[np.ndarray, np.ndarray]:
@@ -495,7 +495,7 @@ def dcr_n(ms: Iterable[MassFunction]) -> MassFunction:
 
 
 #: Arrays of fewer entries take every butterfly step in place; larger ones
-#: take their low bits on a transposed copy (see :func:`_butterfly`).
+#: take their low bits on a transposed copy (see :class:`_Butterfly`).
 _RELAYOUT_ENTRIES = 1 << 10
 
 #: Bits of an index that the butterfly handles on the transposed copy.
@@ -505,10 +505,14 @@ _LOW_BITS = 5
 _CACHE_BLOCK = 1 << 15
 
 
-def _butterfly(v: np.ndarray, ufunc) -> np.ndarray:
-    """Per bit of the index along the last axis, highest first, combine in
-    place each entry without that bit with its partner with it:
-    ``v[A] = ufunc(v[A], v[A | 1 << j])``.  Returns ``v``.
+class _Butterfly:
+    """A plan for the butterfly on the C-ordered array ``v``, found once and
+    run any number of times: per bit of the index along the last axis,
+    highest first, each entry without that bit is combined in place with
+    its partner with it, ``v[A] = ufunc(v[A], v[A | 1 << j])``.  The plan
+    holds ``v`` and the views that each step reads and writes, so a run is
+    one ufunc call per bit (and per cache block on large arrays), whatever
+    ``v`` holds; a caller refills ``v`` between runs.
 
     ``v`` is C-ordered, so each block of ``2**(j + 1)`` consecutive entries
     lies within one vector along the last axis, and a flat view pairs
@@ -522,37 +526,78 @@ def _butterfly(v: np.ndarray, ufunc) -> np.ndarray:
     sees the same operations in the same bit order in either layout, so the
     results are the same bits.  Each step then runs on at least
     ``2**_LOW_BITS`` consecutive entries (or whole rows), and numpy's ufunc
-    buffer is set to its minimum so that it iterates them in place rather
-    than copying them into buffers first.
+    buffer is set to its minimum during a run so that it iterates them in
+    place rather than copying them into buffers first.
     """
-    n = v.shape[-1].bit_length() - 1
-    if v.size < _RELAYOUT_ENTRIES:
-        _steps(v, range(n), ufunc)
-        return v
-    low = min(n, _LOW_BITS)
-    top = min(n, _CACHE_BLOCK.bit_length() - 1)
-    vectors = v.reshape(-1, 1 << top)
-    rows = max(1, _CACHE_BLOCK >> n)
-    with np.errstate():
-        np.setbufsize(16)
-        _steps(v, range(top, n), ufunc)
+
+    __slots__ = ("v", "steps", "blocks")
+
+    def __init__(self, v: np.ndarray):
+        self.v = v
+        n = v.shape[-1].bit_length() - 1
+        if v.size < _RELAYOUT_ENTRIES:
+            self.steps, self.blocks = _step_views(v, range(n)), ()
+            return
+        low = min(n, _LOW_BITS)
+        top = min(n, _CACHE_BLOCK.bit_length() - 1)
+        vectors = v.reshape(-1, 1 << top)
+        rows = max(1, _CACHE_BLOCK >> n)
+        self.steps = _step_views(v, range(top, n))
+        # one transposed copy serves every block; the last may be shorter
+        scratch = np.empty(min(rows, len(vectors)) << top, dtype=v.dtype)
+        self.blocks = []
         for start in range(0, len(vectors), rows):
             block = vectors[start:start + rows]
-            _steps(block, range(low, top), ufunc)
             grid = block.reshape(-1, 1 << low)
-            transposed = np.ascontiguousarray(grid.T)
-            _steps(transposed, range(low), ufunc, len(grid))
-            grid[...] = transposed.T
-    return v
+            transposed = scratch[:grid.size].reshape(1 << low, -1)
+            self.blocks.append((_step_views(block, range(low, top)), grid, transposed,
+                                _step_views(transposed, range(low), len(grid))))
+
+    def __call__(self, ufunc) -> np.ndarray:
+        """Run the butterfly with ``ufunc`` on ``v``, in place; returns ``v``."""
+        if not self.blocks:
+            for without, with_ in self.steps:
+                ufunc(without, with_, without)
+            return self.v
+        with np.errstate():
+            np.setbufsize(16)
+            for without, with_ in self.steps:
+                ufunc(without, with_, without)
+            for middle, grid, transposed, lows in self.blocks:
+                for without, with_ in middle:
+                    ufunc(without, with_, without)
+                np.copyto(transposed, grid.T)
+                for without, with_ in lows:
+                    ufunc(without, with_, without)
+                np.copyto(grid, transposed.T)
+        return self.v
 
 
-def _steps(v: np.ndarray, bits: range, ufunc, width: int = 1) -> None:
-    """The butterfly steps for ``bits``, highest first, on ``v`` whose bit
-    ``j`` pairs runs of ``width * 2**j`` consecutive entries."""
+def _step_views(v: np.ndarray, bits: range, width: int = 1) -> list:
+    """Per bit of ``bits``, highest first, the views ``(without, with)`` of
+    the entries of ``v`` that the butterfly's step pairs, where bit ``j``
+    pairs runs of ``width * 2**j`` consecutive entries.  ``v`` is
+    contiguous, so each reshape is a view of it."""
+    views = []
     for j in reversed(bits):
-        pairs = v.reshape(-1, 2, width << j)
-        without = pairs[:, 0]
-        ufunc(without, pairs[:, 1], out=without)
+        run = width << j
+        # runs of one entry as 1-D views, which numpy iterates faster
+        pairs = v.reshape(-1, 2, run) if run > 1 else v.reshape(-1, 2)
+        views.append((pairs[:, 0], pairs[:, 1]))
+    return views
+
+
+def _butterfly(v: np.ndarray, ufunc) -> np.ndarray:
+    """One run of the butterfly with ``ufunc`` on ``v``, in place, on a
+    one-off plan; returns ``v``.  Small arrays take each step as its views
+    are found, which is what a :class:`_Butterfly` run does with them,
+    without the plan object: one-off runs on small arrays are the per-pair
+    transforms of ``build_edmm``, where that object's cost would show."""
+    if v.size >= _RELAYOUT_ENTRIES:
+        return _Butterfly(v)(ufunc)
+    for without, with_ in _step_views(v, range(v.shape[-1].bit_length() - 1)):
+        ufunc(without, with_, without)
+    return v
 
 
 def superset_zeta(v) -> np.ndarray:
@@ -647,7 +692,9 @@ class _SelfCombination:
     can fall below ``_POWER_FLOOR`` (``floored``), and the log2 failure
     ``threshold`` on the survivor total.  The ``icef`` loop makes one per
     call and combines every iteration's rows under it, so every iteration
-    is read on the same array.
+    is read on the same array.  It also owns the :meth:`plan` on which
+    :func:`_self_combined` runs both transforms of a compound table, so
+    one combination serves one caller at a time.
 
     The support is ``focal`` itself on singletons or for one operand, and
     otherwise the nonempty intersections of at most ``times`` of the focal
@@ -670,6 +717,14 @@ class _SelfCombination:
         self.floored = (0.5 / n) ** times < _POWER_FLOOR
         # one operand combines nothing: its survivor total of 1 never fails
         self.threshold = (times - 1) * _LOG2_CONFLICT_EPS if times > 1 else -math.inf
+        self._plan: _Butterfly | None = None
+
+    def plan(self, rows: int) -> _Butterfly:
+        """The :class:`_Butterfly` plan on a ``(rows, 2**n)`` work buffer,
+        kept while the row count stays and rebuilt when it changes."""
+        if self._plan is None or len(self._plan.v) != rows:
+            self._plan = _Butterfly(np.empty((rows, 1 << self.n)))
+        return self._plan
 
     @cached_property
     def layout(self):
@@ -733,11 +788,16 @@ def _self_combined(masses: np.ndarray, combination: _SelfCombination):
     Dempster's rule multiplies commonalities, so the unnormalized k-fold
     combination is the Moebius transform of ``q**k``, with ``q`` the
     commonality of the row: one transform pair over the ``2**n`` subsets
-    instead of ``k - 1`` pairwise combinations.  When every mask of ``focal``
-    is a singleton (Bayesian masses) the commonality is the mass and the
-    pair is the identity, so :func:`_power_rule` takes the power of
-    ``masses`` themselves, read on ``focal``: ``0.0**times`` stays 0 on the
-    masks a row does not hold.  Otherwise every row is read on the call's
+    instead of ``k - 1`` pairwise combinations.  Both transforms and the
+    power run in place on the work buffer of the combination's
+    :meth:`_SelfCombination.plan`, one ufunc call per bit, with the views
+    found when the plan was made (once per call and row count); the fused
+    rows are gathered out of it, so no returned array shares its memory.
+    When every mask of ``focal`` is a singleton (Bayesian masses) the
+    commonality is the mass and the pair is the identity, so
+    :func:`_power_rule` takes the power of ``masses`` themselves, read on
+    ``focal``: ``0.0**times`` stays 0 on the masks a row does not hold.
+    Otherwise every row is read on the call's
     support (see :class:`_SelfCombination`), and a row that lacks some of
     the focal sets is set to 0 outside its own support, the nonempty
     intersections of at most ``times`` of its focal sets, so rounding left
@@ -772,9 +832,11 @@ def _self_combined(masses: np.ndarray, combination: _SelfCombination):
     if combination.bayesian:
         q, nonempty = masses, slice(None)
     else:
-        q, nonempty = np.zeros((rows, 1 << n)), slice(1, None)
+        plan = combination.plan(rows)
+        q, nonempty = plan.v, slice(1, None)
+        q.fill(0.0)
         q[:, focal] = masses
-        q = superset_zeta(q)
+        plan(np.add)
     # q[:, 0], the empty set's commonality, only reaches the empty set's
     # entry, which is never read
     shift = 0.0
@@ -782,16 +844,21 @@ def _self_combined(masses: np.ndarray, combination: _SelfCombination):
         top = q[:, nonempty].max(axis=1)
         low = top ** times < _POWER_FLOOR
         if low.any():
-            q = q.copy()  # on singletons ``q`` is the caller's
+            if combination.bayesian:
+                q = q.copy()  # the caller's
             q[low, nonempty] /= top[low, None]
             shift = np.zeros(rows)
             shift[low] = times * np.log2(top[low])
     if combination.bayesian:
         return (*_power_rule(q, times), shift)
-    fused = np.maximum(superset_mobius(q ** times)[:, combination.support], 0.0)
-    for key, which, pattern in _focal_patterns(masses != 0.0):
-        if not pattern.all():
-            fused[which] = np.where(combination.own_support(key, pattern), fused[which], 0.0)
+    q **= times
+    fused = plan(np.subtract).take(combination.support, axis=1)
+    np.maximum(fused, 0.0, out=fused)
+    if np.count_nonzero(masses) < masses.size:
+        for key, which, pattern in _focal_patterns(masses != 0.0):
+            if not pattern.all():
+                fused[which] = np.where(combination.own_support(key, pattern), fused[which],
+                                        0.0)
     totals = np.add.accumulate(fused, axis=1)[:, -1]
     return fused / totals[:, None], totals, shift
 

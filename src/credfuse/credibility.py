@@ -17,7 +17,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Frame, MassFunction, TooFewPiecesError, _is_positive_finite
+from .core import (
+    Frame,
+    InvalidMassValueError,
+    MassFunction,
+    TooFewPiecesError,
+    _is_positive_finite,
+)
 from .divergence import DivergenceMeasure
 
 
@@ -99,7 +105,7 @@ def conditional_credibility(support: np.ndarray) -> np.ndarray:
     axis, so a stack of matrices is normalized matrix by matrix.
     """
     support = np.asarray(support, dtype=float)
-    return support / support.sum(axis=-1, keepdims=True)
+    return support / np.add.reduce(support, axis=-1, keepdims=True)
 
 
 def average_support_credibility(edmm: PairwiseDifferenceMatrix) -> np.ndarray:
@@ -145,8 +151,15 @@ def initial_prob_from_eem(eem: EventEvaluationMatrix) -> np.ndarray:
     the evidence, so probabilities are proportional to the reciprocal row
     sums.  Rows with zero total divergence (perfectly asserted events) split
     all probability among themselves; an all-zero matrix yields uniform.
+    Row sums that give no finite probabilities, every one infinite (or
+    beyond float range) or any one NaN, raise :class:`InvalidMassValueError`.
     """
-    row_sums = eem.values.sum(axis=1)
+    with np.errstate(over="ignore"):  # a sum beyond float range is infinite
+        row_sums = eem.values.sum(axis=1)
+    if np.isnan(row_sums).any() or np.isinf(row_sums).all():
+        raise InvalidMassValueError(
+            f"measure {eem.measure!r} gives starting probabilities that are not finite: "
+            "every EEM row sums to infinity, or one to NaN")
     n = len(row_sums)
     if not row_sums.any():
         return np.full(n, 1.0 / n)

@@ -71,7 +71,7 @@ def _pb_rows(dense) -> np.ndarray:
     weights = np.exp((bel_of_complement[..., :1] - bel_of_complement)[..., 1:])
     # Bel of mask A is entry 2**n - 1 - A of bel_of_complement
     weights += np.exp(bel_of_complement, out=bel_of_complement)[..., -2::-1]
-    weights /= weights.sum(axis=-1, keepdims=True)
+    weights /= np.add.reduce(weights, axis=-1, keepdims=True)
     return weights
 
 
@@ -101,7 +101,7 @@ def ag_divergence(p, q) -> float:
         return 0.0
     p, q = p[differs], q[differs]
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        total = float(_ag_terms(p, q).sum())
+        total = float(np.add.reduce(_ag_terms(p, q)))
     if math.isfinite(total):
         return total
     if not (np.isfinite(p) & np.isfinite(q) & (p >= 0.0) & (q >= 0.0)).all():
@@ -193,13 +193,15 @@ class PBAGDivergence(DivergenceMeasure):
         (:func:`_assertion_levels`).  The divergence of weights
         ``p`` from it is then the sum of the elementwise terms against
         ``alpha`` over the subsets holding ``j`` and against ``beta`` over
-        the others.  Events whose two values agree share the elementwise
-        terms.  Entries where ``p`` equals the assertion's weight contribute
+        the others.  The terms against the distinct values of all events
+        (:func:`_level_values`) are found as many values per call as keep
+        its temporaries within a block, and events share them.
+        Entries where ``p`` equals the assertion's weight contribute
         exactly 0, as in :func:`ag_divergence`.
         """
         size = 1 << frame.n
         rows = max(1, _BLOCK_ENTRIES // size)
-        levels = _assertion_levels(frame.n)
+        levels, events = _level_values(_assertion_levels(frame.n))
         values = np.empty((frame.n, len(table)))
         for start in range(0, len(table), rows):
             block = table[start:start + rows]
@@ -208,16 +210,17 @@ class PBAGDivergence(DivergenceMeasure):
             dense[:, focal] = block
             p = np.ones((len(block), size))  # column 0, the empty set, only pads
             p[:, 1:] = _pb_rows(dense)
-            for (alpha, beta), events in levels:
-                terms = _ag_terms(p, alpha)
-                terms[p == alpha] = 0.0
-                for j in events:
-                    values[j, start:stop] = _half_sums(terms, j, 1)
-                terms = _ag_terms(p, beta)
-                terms[p == beta] = 0.0
-                terms[:, 0] = 0.0
-                for j in events:
-                    values[j, start:stop] += _half_sums(terms, j, 0)
+            # as many values per call as keep its temporaries within a block
+            chunk = max(1, _BLOCK_ENTRIES // p.size)
+            terms = []
+            for first in range(0, len(levels), chunk):
+                part = _ag_terms(p, levels[first:first + chunk])
+                part[p == levels[first:first + chunk]] = 0.0
+                part[:, :, 0] = 0.0  # no half reads the padding
+                terms.extend(part)
+            for j, alpha, beta in events:
+                values[j, start:stop] = (_half_sums(terms[alpha], j, 1)
+                                         + _half_sums(terms[beta], j, 0))
         return values
 
 
@@ -244,10 +247,23 @@ def _assertion_levels(n: int) -> tuple[tuple[tuple[float, float], tuple[int, ...
     return tuple((pair, tuple(events)) for pair, events in levels.items())
 
 
+@functools.cache
+def _level_values(levels) -> tuple[np.ndarray, tuple[tuple[int, int, int], ...]]:
+    """The distinct values of the :func:`_assertion_levels` ``levels`` as
+    an (L, 1, 1) array, and ``(j, alpha, beta)`` per event ``j``: the
+    indices of its two values among them."""
+    distinct = list(dict.fromkeys(value for pair, _ in levels for value in pair))
+    values = np.array(distinct)[:, None, None]
+    values.flags.writeable = False
+    return values, tuple((j, distinct.index(alpha), distinct.index(beta))
+                         for (alpha, beta), events in levels for j in events)
+
+
 def _half_sums(terms: np.ndarray, j: int, holding: int) -> np.ndarray:
     """Per row of ``terms``, the sum over the masks with (``holding=1``) or
     without (``holding=0``) bit ``j``."""
-    return terms.reshape(len(terms), -1, 2, 1 << j)[:, :, holding, :].sum(axis=(1, 2))
+    return np.add.reduce(terms.reshape(len(terms), -1, 2, 1 << j)[:, :, holding, :],
+                         axis=(1, 2))
 
 
 class MassJensenShannon(DivergenceMeasure):

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numbers
 from collections.abc import Sequence
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -231,7 +231,7 @@ def icef(
     cfg = _read_config(config)
     focal, table = core._mass_table(ms)
     history: list = []
-    end = _icef_loop(frame, focal, table[None], cfg, history)
+    end = _icef_loop(frame, focal, table[None], cfg, cfg.measure, history)
     (result,) = _results(frame, f"icef-{cfg.measure.name}", end)
     if isinstance(result, TotalConflictError):
         raise result
@@ -268,8 +268,9 @@ class _Fused:
 
 
 def _icef_loop(frame: Frame, focal: np.ndarray, table: np.ndarray, cfg: IcefConfig,
-               history: list | None = None) -> _Fused:
-    """The ``icef`` loop over B evidence sets of N pieces each at once.
+               measure: DivergenceMeasure, history: list | None = None) -> _Fused:
+    """The ``icef`` loop over B evidence sets of N pieces each at once, under
+    ``cfg``'s knobs and the EEM of ``measure`` (``cfg.measure`` is not read).
 
     ``table`` holds the (B, N, F) masses of the sets on the ascending masks
     ``focal`` of ``frame``.  Returns each set's last iteration as a
@@ -281,30 +282,33 @@ def _icef_loop(frame: Frame, focal: np.ndarray, table: np.ndarray, cfg: IcefConf
     returned support, is appended to it per iteration.
 
     The EEM of all B·N pieces is built in one call; each column depends on
-    its own piece only.  Starting probabilities that are not finite (an EEM
-    whose every row sums to infinity) are refused, as NaN credibilities are.
-    Per iteration, each set's credibilities are its conditional
-    credibilities weighted by its probabilities, and the weighted averages
-    are self-combined by :func:`core._self_combined` under one
-    :class:`core._SelfCombination`, so whether the masks are singletons,
-    the support, the pignistic layout, the power-floor flag and the failure
-    threshold are found once per call.  An iteration computes only what the
-    stop test reads: the fused rows, their survivor totals, whether they
-    failed, and the probabilities, which are the fused rows themselves when
-    the masks are the frame's ``n`` singletons.  A set stops once its
-    probabilities move by at most ``cfg.delta``, or its self-combination
-    hits total conflict; its conflict K is computed then, and its last
-    iteration is kept and written into the call's :class:`_Fused` arrays
-    with every other set's at the end.
+    its own piece only.  The EEM start is :func:`initial_prob_from_eem` per
+    set, which refuses an EEM that gives no finite probabilities.  What
+    every iteration shares is found once per call: the
+    :class:`core._SelfCombination` (whether the masks are singletons, the
+    support, the pignistic layout, the power-floor flag, the failure
+    threshold and the butterfly plan on which :func:`core._self_combined`
+    runs both transforms of every iteration).  Per iteration, each set's
+    credibilities are its conditional credibilities weighted by its
+    probabilities, and the weighted averages are self-combined.  An
+    iteration computes only what the stop test reads: the fused rows, their
+    survivor totals, whether they failed, and the probabilities, which are
+    the fused rows themselves when the masks are the frame's ``n``
+    singletons.  A set stops once its probabilities move by at most
+    ``cfg.delta``, or its self-combination hits total conflict; its
+    conflict K is computed then.  When one iteration stops every set (a
+    single set always) its arrays are the result as they stand; otherwise
+    each stopped iteration is kept and its rows are read into the call's
+    :class:`_Fused` arrays with every other set's at the end.
     """
     n_sets, n_pieces, width = table.shape
     n = frame.n
-    eem = cfg.measure._table_event_divergences(frame, focal, table.reshape(-1, width))
-    # an event that no piece supports gives 0/0, as does an EEM whose row
-    # sums overflow; a failed self-combination takes log2(0) and 0/0
+    eem = measure._table_event_divergences(frame, focal, table.reshape(-1, width))
+    # an event that no piece supports gives 0/0 (its supports underflow, or
+    # tau * d overflows); a failed self-combination takes log2(0) and 0/0
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         cond = conditional_credibility(
-            support_matrix(EventEvaluationMatrix(eem, cfg.measure.name, frame), cfg.tau)
+            support_matrix(EventEvaluationMatrix(eem, measure.name, frame), cfg.tau)
             .reshape(n, n_sets, n_pieces))
         if not np.isfinite(cond).all():
             raise InvalidMassValueError(
@@ -317,13 +321,9 @@ def _icef_loop(frame: Frame, focal: np.ndarray, table: np.ndarray, cfg: IcefConf
         else:
             probs = np.array([
                 initial_prob_from_eem(EventEvaluationMatrix(
-                    eem[:, b * n_pieces:(b + 1) * n_pieces], cfg.measure.name, frame))
+                    eem[:, b * n_pieces:(b + 1) * n_pieces], measure.name, frame))
                 for b in range(n_sets)
             ])
-            if not np.isfinite(probs).all():
-                raise InvalidMassValueError(
-                    f"measure {cfg.measure.name!r} gives starting probabilities that are "
-                    "not finite")
         ids = np.arange(n_sets)
         combination = core._SelfCombination(focal, n_pieces, n)
         layout = combination.layout
@@ -336,7 +336,7 @@ def _icef_loop(frame: Frame, focal: np.ndarray, table: np.ndarray, cfg: IcefConf
             fused, totals, shift = core._self_combined(averaged, combination)
             failed = combination.failed(totals, shift)
             new_probs = fused if layout is None else core._pignistic_rows(fused, layout)
-            delta = np.abs(new_probs - probs).sum(axis=1)
+            delta = np.add.reduce(np.abs(new_probs - probs), axis=1)
             if history is not None:
                 history.append((cred.T, fused, new_probs, delta))
             settled = delta <= cfg.delta
@@ -354,6 +354,9 @@ def _icef_loop(frame: Frame, focal: np.ndarray, table: np.ndarray, cfg: IcefConf
                 cond, table = cond[:, :, keep], table[:, keep]
             else:
                 probs = new_probs
+    if len(stops) == 1:  # one iteration stopped every set: its rows are in set order
+        _, _, *fields, k = stops[0]
+        return _Fused(combination.support, *fields, np.full(n_sets, k))
     # every stopped row is read once, from the arrays of all stops laid end to end
     finished, ids, *fields, ks = zip(*stops)
     counts = [len(rows) for rows in finished]
@@ -421,8 +424,8 @@ def _fuse_tables(frame: Frame, focal: np.ndarray, table: np.ndarray, method: str
                       core._pignistic_rows(fused, core._pignistic_layout(support, frame.n)),
                       conflict, failed)
     if method.startswith("icef-"):  # under the measure that the method names
-        measure = get_measure(method.removeprefix("icef-"))
-        return _icef_loop(frame, focal, table, replace(config, measure=measure))
+        return _icef_loop(frame, focal, table, config,
+                          get_measure(method.removeprefix("icef-")))
     if method in ("cef-avg", "cef-eig"):  # their weights compare the pieces themselves
         pieces = core._mass_rows(frame, focal, table.reshape(-1, table.shape[2]))
         size = table.shape[1]
@@ -450,11 +453,15 @@ def _results(frame: Frame, method: str, out: _Fused) -> list:
     ]
 
 
+#: The settings that ``config=None`` stands for; a frozen dataclass, so one serves every call.
+_DEFAULT_CONFIG = IcefConfig()
+
+
 def _read_config(config) -> IcefConfig:
     """``config`` if an :class:`IcefConfig`, the default if ``None``, else InvalidConfigError."""
     if not isinstance(config, (IcefConfig, type(None))):
         raise InvalidConfigError(f"config must be an IcefConfig or None, got {config!r}")
-    return config or IcefConfig()
+    return config or _DEFAULT_CONFIG
 
 
 def _method_weights(method: str, sets, config: IcefConfig) -> np.ndarray:

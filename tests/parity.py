@@ -15,6 +15,15 @@ which records moved::
 
     python tests/parity.py --records iris-reports
 
+``--against REV`` extracts the ``src``, ``tests``, ``perfbench`` and
+``data`` trees of the git revision ``REV`` of this checkout (``git
+archive``) into a temporary directory, runs that tree's own parity script,
+and then prints one line per group, ``same`` or ``moved``: a group whose
+digest or record count differs, or that only one side has, moved.  It
+exits 1 if any group moved::
+
+    python tests/parity.py --against HEAD~1
+
 The groups are:
 
 * ``builtin``: every builtin document under the six methods;
@@ -52,7 +61,12 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import hashlib
+import io
+import re
+import subprocess
 import sys
+import tarfile
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -220,10 +234,44 @@ def records():
                                                                  stop_config)
 
 
+#: A group's line in the output: its name, its number of records and its digest.
+GROUP_LINE = re.compile(r"^(\S+): (\d+) records ([0-9a-f]{64})$")
+
+
+def group_digests(output: str) -> dict[str, tuple[str, str]]:
+    """``{name: (records, digest)}`` of the group lines of a parity output."""
+    return {match[1]: (match[2], match[3])
+            for match in map(GROUP_LINE.match, output.splitlines()) if match}
+
+
+def compare(ours: str, theirs: str) -> list[tuple[str, str]]:
+    """``(group, "same" or "moved")`` for each group of two parity outputs,
+    theirs first, in order; a group that only one output has moved."""
+    mine, other = group_digests(ours), group_digests(theirs)
+    return [(name, "same" if name in mine and mine[name] == other.get(name) else "moved")
+            for name in dict.fromkeys([*other, *mine])]
+
+
+def output_at(rev: str) -> str:
+    """The output of the parity script of git revision ``rev`` of this
+    checkout, run on that revision's trees in a temporary directory."""
+    archive = subprocess.run(
+        ["git", "-C", str(ROOT), "archive", "--format=tar", rev, "src", "tests", "perfbench",
+         "data"], capture_output=True, check=True).stdout
+    with tempfile.TemporaryDirectory() as tree:
+        with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+            tar.extractall(tree, filter="data")
+        return subprocess.run([sys.executable, str(Path(tree) / "tests" / "parity.py")],
+                              cwd=tree, capture_output=True, text=True, check=True).stdout
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description="Digest the library's results.")
     parser.add_argument("--records", metavar="GROUP",
                         help="also print the key and digest of each record of GROUP")
+    parser.add_argument("--against", metavar="REV",
+                        help="compare each group with the parity script of git revision REV; "
+                             "exit 1 if any group moved")
     args = parser.parse_args()
     digest = hashlib.sha256()
     groups: dict[str, list] = {}  # name -> [digest, records]
@@ -241,12 +289,23 @@ def main() -> None:
             picked.append((canon(key), hashlib.sha256(line).hexdigest()))
     if args.records is not None and args.records not in groups:
         parser.error(f"no group {args.records!r}; the groups are {', '.join(groups)}")
-    print(f"{count} records")
-    print(digest.hexdigest())
-    for name, (group, records_in_group) in groups.items():
-        print(f"{name}: {records_in_group} records {group.hexdigest()}")
-    for key, record_digest in picked:
-        print(f"{key} {record_digest}")
+    lines = [f"{count} records", digest.hexdigest()]
+    lines += [f"{name}: {records_in_group} records {group.hexdigest()}"
+              for name, (group, records_in_group) in groups.items()]
+    lines += [f"{key} {record_digest}" for key, record_digest in picked]
+    print("\n".join(lines))
+    if args.against is None:
+        return
+    try:
+        theirs = output_at(args.against)
+    except subprocess.CalledProcessError as error:
+        stderr = error.stderr if isinstance(error.stderr, str) else error.stderr.decode()
+        parser.error(f"could not run the parity script of {args.against!r}:\n{stderr}")
+    print(f"against {args.against}:")
+    verdicts = compare("\n".join(lines), theirs)
+    for name, verdict in verdicts:
+        print(f"{name}: {verdict}")
+    sys.exit(1 if any(verdict == "moved" for _, verdict in verdicts) else 0)
 
 
 if __name__ == "__main__":

@@ -8,6 +8,7 @@ bounds a kernel's error rather than fixing its bits.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -32,6 +33,32 @@ def weighted_average(ms, weights) -> MassFunction:
         for mask, value in m.items():
             combined[mask] = combined.get(mask, 0.0) + w * value
     return MassFunction(frame, combined)
+
+
+def butterfly(v, op) -> np.ndarray:
+    """The butterfly as a loop over bits: a C-ordered copy of ``v`` in which,
+    for each vector along the last axis and each bit ``j`` of its index,
+    highest first, every entry ``A`` without that bit becomes ``op(v[A],
+    v[A | 1 << j])``.  With ``np.add`` it is the superset zeta transform,
+    with ``np.subtract`` its inverse, and with ``np.bitwise_and`` each mask
+    meets its supersets.  The entries are picked by index arrays, not by
+    the library's reshaped views, and each vector is done bit by bit."""
+    v = np.array(v, order="C")
+    index = np.arange(v.shape[-1])
+    for j in reversed(range(v.shape[-1].bit_length() - 1)):
+        without = index[index >> j & 1 == 0]
+        v[..., without] = op(v[..., without], v[..., without | 1 << j])
+    return v
+
+
+def stratified_head_indices(ds, fraction) -> np.ndarray:
+    """The first ``ceil(fraction * n_c)`` row indices of each class, sorted
+    one by one as Python integers."""
+    chosen: list[int] = []
+    for label in ds.class_labels:
+        idx = ds.class_indices(label)
+        chosen.extend(idx[:min(len(idx), math.ceil(fraction * len(idx)))])
+    return np.array(sorted(chosen), dtype=int)
 
 
 def event_divergences(measure, ms, frame) -> np.ndarray:

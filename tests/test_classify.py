@@ -40,6 +40,8 @@ from credfuse.classify import (
     stratified_head_indices,
 )
 
+from . import reference
+
 
 @pytest.fixture(scope="module")
 def iris(iris_path):
@@ -367,6 +369,14 @@ class TestSweep:
         b = sweep_evaluate(separable, ["dcr"], lam=2.0, fractions=[0.6])
         assert a[0].total_accuracy == b[0].total_accuracy
         assert a[0].per_class_accuracy == b[0].per_class_accuracy
+
+    def test_head_indices_equal_the_sorted_loop(self, iris):
+        # np.sort over the classes' heads gives the indices, and the dtype,
+        # of sorting them one by one, at every default sweep fraction
+        for fraction in (round(0.50 + 0.01 * i, 2) for i in range(51)):
+            got = stratified_head_indices(iris, fraction)
+            want = reference.stratified_head_indices(iris, fraction)
+            assert got.dtype == want.dtype and got.tolist() == want.tolist()
 
     def test_full_fraction_is_resubstitution(self, separable):
         report = sweep_evaluate(separable, ["dcr"], lam=2.0, fractions=[1.0])[0]

@@ -19,6 +19,7 @@ from credfuse import (
     MassFunction,
     NegativeMassError,
     NotNormalizedError,
+    PBAGD,
     TotalConflictError,
     dcr_n,
     dcr_pair,
@@ -396,41 +397,19 @@ class TestDenseKernel:
         assert q[0] == pytest.approx(1.0)
 
 
-def _bit_halves(v: np.ndarray):
-    """The butterfly's loop as the library first wrote it, kept as the
-    oracle: per bit, highest first, views of the entries of ``v`` without
-    and with that bit in their index along the last axis.
-
-    ``v`` is C-ordered, so each block of ``2**(j + 1)`` consecutive
-    entries lies within one vector along the last axis, and a flat view
-    pairs entries of the same vector only.
-    """
-    for j in reversed(range(v.shape[-1].bit_length() - 1)):
-        pairs = v.reshape(-1, 2, 1 << j)
-        yield pairs[:, 0, :], pairs[:, 1, :]
-
-
 def _oracle_zeta(v):
-    v = np.array(v, dtype=float, order="C")
-    for without, with_ in _bit_halves(v):
-        without += with_
-    return v
+    return reference.butterfly(np.asarray(v, dtype=float), np.add)
 
 
 def _oracle_mobius(v):
-    v = np.array(v, dtype=float, order="C")
-    for without, with_ in _bit_halves(v):
-        without -= with_
-    return v
+    return reference.butterfly(np.asarray(v, dtype=float), np.subtract)
 
 
 def _oracle_intersections(focal, size):
     """The closure branch of ``_intersections`` on the oracle's loop."""
     common = np.full(size, 2 * size - 1)
     common[focal] = focal
-    for without, with_ in _bit_halves(common):
-        without &= with_
-    closed = common == np.arange(size)
+    closed = reference.butterfly(common, np.bitwise_and) == np.arange(size)
     closed[0] = False
     return closed.nonzero()[0]
 
@@ -448,9 +427,30 @@ def _spread_values(rng, shape):
 
 
 class TestButterflyAgainstOracle:
-    """``superset_zeta``, ``superset_mobius`` and the ``&`` closure of
-    ``_intersections`` run the butterfly in two layouts; every result has
-    the bits of the in-place loop above."""
+    """``superset_zeta``, ``superset_mobius``, the self-combination's plan
+    and the ``&`` closure of ``_intersections`` run the butterfly in two
+    layouts; every result has the bits of the reference loop."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(n=st.integers(min_value=1, max_value=12), rows=st.integers(min_value=1, max_value=9),
+           seed=st.integers(0, 2**32 - 1))
+    @example(n=7, rows=8, seed=0)  # 1024 entries, the first to take the transposed copy
+    @example(n=12, rows=9, seed=1)
+    def test_every_butterfly_equals_the_loop(self, n, rows, seed):
+        rng = np.random.default_rng(seed)
+        v = _spread_values(rng, (rows, 1 << n))
+        zeta = reference.butterfly(v, np.add)
+        _assert_same_bits(superset_zeta(v), zeta)
+        _assert_same_bits(superset_mobius(v), reference.butterfly(v, np.subtract))
+        # the plan runs zeta and then Moebius on its one buffer, as
+        # _self_combined does, and keeps its views from run to run
+        plan = core._SelfCombination(np.array([(1 << n) - 1]), 2, n).plan(rows)
+        plan.v[...] = v
+        _assert_same_bits(plan(np.add), zeta)
+        _assert_same_bits(plan(np.subtract), reference.butterfly(zeta, np.subtract))
+        masks = rng.integers(0, 2 << n, (rows, 1 << n))
+        np.testing.assert_array_equal(core._butterfly(masks.copy(), np.bitwise_and),
+                                      reference.butterfly(masks, np.bitwise_and))
 
     @settings(max_examples=200, deadline=None)
     @given(n=st.integers(min_value=0, max_value=12), seed=st.integers(0, 2**32 - 1),
@@ -470,11 +470,8 @@ class TestButterflyAgainstOracle:
         _assert_same_bits(superset_mobius(v), _oracle_mobius(v))
         np.testing.assert_array_equal(v, before)  # the input is not touched
         masks = rng.integers(0, 2 * (1 << n), shape)
-        got, want = masks.copy(), masks.copy()
-        core._butterfly(got, np.bitwise_and)
-        for without, with_ in _bit_halves(want):
-            without &= with_
-        np.testing.assert_array_equal(got, want)
+        got = core._butterfly(masks.copy(), np.bitwise_and)
+        np.testing.assert_array_equal(got, reference.butterfly(masks, np.bitwise_and))
 
     @settings(max_examples=100, deadline=None)
     @given(n=st.integers(min_value=1, max_value=12), seed=st.integers(0, 2**32 - 1))
@@ -677,6 +674,34 @@ class TestSelfFuseAgainstFold:
         _assert_agree(fused, _fold(m, 2))
 
 
+class TestSelfCombinationPlan:
+    """A combination's one plan buffer serves every call under it, and no
+    result holds any of it."""
+
+    @pytest.mark.parametrize("times", [6, 5000])
+    def test_calls_give_the_bytes_of_fresh_combinations(self, times):
+        # three rows, three others, then two: the second call reuses the
+        # plan, the third rebuilds it for its row count; at 5000 operands
+        # every power is scaled in the buffer.  A zero entry in the first
+        # row reads it on its own support.  The fresh combination's buffer
+        # starts as NaN, so nothing a call leaves unwritten can count
+        rng = np.random.default_rng(times)
+        focal = np.array([0b0011, 0b0110, 0b1100, 0b1111])
+        combination = core._SelfCombination(focal, times, 4)
+        for rows in (3, 3, 2):
+            masses = rng.uniform(0.1, 1.0, (rows, len(focal)))
+            masses[0, 1] = 0.0
+            masses /= masses.sum(axis=1, keepdims=True)
+            got = core._self_combined(masses, combination)
+            fresh = core._SelfCombination(focal, times, 4)
+            fresh.plan(rows).v.fill(np.nan)
+            want = core._self_combined(masses, fresh)
+            assert (np.ndim(got[2]) == 1) == (times == 5000)  # the scaled rows' shifts
+            for mine, theirs in zip(got, want):
+                assert np.asarray(mine).tobytes() == np.asarray(theirs).tobytes()
+                assert not np.shares_memory(mine, combination.plan(rows).v)
+
+
 def _singleton_table(rng, n, rows, zeros=0.3):
     """Ascending singleton masks of an n-event frame and a random table of
     masses on them, of shape ``(*rows, len(masks))``: about a fraction
@@ -813,7 +838,7 @@ class TestBayesianKernels:
         for name in ("_singletons_only", "_pignistic_layout"):
             monkeypatch.setattr(core, name, counted(name))
         monkeypatch.setattr(core, "_focal_patterns", None)
-        end = fusion._icef_loop(frame, focal, table[None], fusion.IcefConfig())
+        end = fusion._icef_loop(frame, focal, table[None], fusion.IcefConfig(), PBAGD)
         assert end.n_iter[0] >= 3 and end.converged[0]
         assert sorted(calls) == ["_pignistic_layout", "_singletons_only", "_singletons_only"]
 

@@ -1,6 +1,7 @@
 """Difference matrices, support kernels, and credibility vectors."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from credfuse import (
     PBAGD,
     Frame,
     FrameMismatchError,
+    InvalidMassValueError,
     MassFunction,
     PBAGDivergence,
     average_support_credibility,
@@ -345,6 +347,23 @@ class TestInitialProbabilities:
         values = np.array([[0.0, 0.0], [0.1, 0.2], [0.0, 0.0]])
         probs = initial_prob_from_eem(EventEvaluationMatrix(values, "pbagd", frame3))
         np.testing.assert_allclose(probs, [0.5, 0.0, 0.5])
+
+    @pytest.mark.parametrize("values", [
+        [[math.inf, 1.0], [1.0, math.inf], [math.inf, 0.0]],
+        [[1e308, 1e308], [1e308, 1e308], [1e308, 1e308]],  # every sum beyond float range
+        [[math.nan, 0.1], [0.2, 0.3], [0.1, 0.1]],
+    ])
+    def test_rows_that_give_no_finite_probabilities_are_refused(self, frame3, values):
+        eem = EventEvaluationMatrix(np.array(values), "blind", frame3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # numpy's overflow and 0/0 among them
+            with pytest.raises(InvalidMassValueError, match="starting probabilities"):
+                initial_prob_from_eem(eem)
+
+    def test_an_infinite_row_takes_no_probability(self, frame3):
+        values = np.array([[math.inf, 1.0], [1.0, 1.0], [2.0, 2.0]])
+        probs = initial_prob_from_eem(EventEvaluationMatrix(values, "pbagd", frame3))
+        np.testing.assert_allclose(probs, [0.0, 2 / 3, 1 / 3])
 
     def test_all_zero_matrix_uniform(self, frame3):
         eem = EventEvaluationMatrix(np.zeros((3, 2)), "pbagd", frame3)

@@ -35,6 +35,7 @@ from credfuse import (
     event_evidence,
     fuse,
     icef,
+    initial_prob_from_eem,
     murphy_fuse,
     pbagd,
     self_fuse,
@@ -653,7 +654,7 @@ class TestIcefSteps:
                             lambda self, *args: inits.append(1) or init(self, *args))
         monkeypatch.setattr(fusion, "IcefStep", lambda *args: steps.append(1) or step(*args))
         monkeypatch.setattr(fusion, "_icef_loop",
-                            lambda *args: histories.append(args[4:]) or loop(*args))
+                            lambda *args: histories.append(args[5:]) or loop(*args))
         fused = fuse(fault_case, "icef-pbagd")
         assert steps == [] and histories == [()]
         assert rows == [1] and inits == []
@@ -669,12 +670,14 @@ class TestIcefSteps:
            seed=st.integers(0, 2**32 - 1))
     def test_each_step_is_the_scalar_average_self_combined(self, n, n_pieces, seed):
         # the loop's average is bit-equal to weighted_average, its combination
-        # to self_fuse, and its probabilities to the fused pignistic
+        # to self_fuse, and its probabilities to the fused pignistic; every
+        # step is combined on the loop's one plan buffer, and a fresh fusion
+        # under the step's credibilities gives its mass
         ms = _random_set(np.random.default_rng(seed), _frame(n), n_pieces)
         _, trace = icef(ms, IcefConfig(max_iter=6))
         for step in trace.steps:
             fused = self_fuse(weighted_average(ms, step.credibilities), n_pieces)
-            assert step.fused == fused
+            assert step.fused == fused == cef_fuse(ms, step.credibilities).mass
             assert step.probabilities.tobytes() == fused.pignistic().tobytes()
 
 
@@ -869,7 +872,8 @@ class TestFuseBatch:
     def test_starting_probabilities_that_are_not_finite_are_refused(self, monkeypatch):
         # each categorical piece lies infinitely far from the other events'
         # assertions, so every EEM row sums to infinity and the EEM start is
-        # 0/0: the loop used to run on NaN and raise TotalConflictError(nan)
+        # 0/0: the loop used to run on NaN and raise TotalConflictError(nan),
+        # and the public start function returned NaN with numpy's warning
         class Blind(DivergenceMeasure):
             name = "blind"
 
@@ -883,7 +887,8 @@ class TestFuseBatch:
         config = IcefConfig(init="eem")
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # numpy's warning for the 0/0 among them
-            for call in (lambda: fuse(ms, "icef-blind", config),
+            for call in (lambda: initial_prob_from_eem(build_eem(ms, frame, Blind())),
+                         lambda: fuse(ms, "icef-blind", config),
                          lambda: icef(ms, replace(config, measure=Blind()))):
                 with pytest.raises(InvalidMassValueError, match="starting probabilities"):
                     call()
