@@ -589,15 +589,8 @@ def _step_views(v: np.ndarray, bits: range, width: int = 1) -> list:
 
 def _butterfly(v: np.ndarray, ufunc) -> np.ndarray:
     """One run of the butterfly with ``ufunc`` on ``v``, in place, on a
-    one-off plan; returns ``v``.  Small arrays take each step as its views
-    are found, which is what a :class:`_Butterfly` run does with them,
-    without the plan object: one-off runs on small arrays are the per-pair
-    transforms of ``build_edmm``, where that object's cost would show."""
-    if v.size >= _RELAYOUT_ENTRIES:
-        return _Butterfly(v)(ufunc)
-    for without, with_ in _step_views(v, range(v.shape[-1].bit_length() - 1)):
-        ufunc(without, with_, without)
-    return v
+    one-off :class:`_Butterfly` plan; returns ``v``."""
+    return _Butterfly(v)(ufunc)
 
 
 def superset_zeta(v) -> np.ndarray:

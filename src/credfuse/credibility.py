@@ -151,22 +151,25 @@ def initial_prob_from_eem(eem: EventEvaluationMatrix) -> np.ndarray:
     the evidence, so probabilities are proportional to the reciprocal row
     sums.  Rows with zero total divergence (perfectly asserted events) split
     all probability among themselves; an all-zero matrix yields uniform.
-    Row sums that give no finite probabilities, every one infinite (or
-    beyond float range) or any one NaN, raise :class:`InvalidMassValueError`.
+    Row sums that give any probability that is not finite raise
+    :class:`InvalidMassValueError`: every sum infinite or beyond float range,
+    sums too small to invert, or a NaN sum where no row sums to zero.
     """
-    with np.errstate(over="ignore"):  # a sum beyond float range is infinite
+    # a sum beyond float range is infinite; the one check below reads the result
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         row_sums = eem.values.sum(axis=1)
-    if np.isnan(row_sums).any() or np.isinf(row_sums).all():
+        n = len(row_sums)
+        if not row_sums.any():
+            return np.full(n, 1.0 / n)
+        zero_rows = row_sums == 0.0
+        if zero_rows.any():
+            probs = np.zeros(n)
+            probs[zero_rows] = 1.0 / zero_rows.sum()
+            return probs
+        inverse = 1.0 / row_sums
+        probs = inverse / inverse.sum()
+    if not np.isfinite(probs).all():
         raise InvalidMassValueError(
             f"measure {eem.measure!r} gives starting probabilities that are not finite: "
-            "every EEM row sums to infinity, or one to NaN")
-    n = len(row_sums)
-    if not row_sums.any():
-        return np.full(n, 1.0 / n)
-    zero_rows = row_sums == 0.0
-    if zero_rows.any():
-        probs = np.zeros(n)
-        probs[zero_rows] = 1.0 / zero_rows.sum()
-        return probs
-    inverse = 1.0 / row_sums
-    return inverse / inverse.sum()
+            "the EEM row sums are infinite, NaN or too small to invert")
+    return probs

@@ -19,7 +19,6 @@ from credfuse import (
     MassFunction,
     NegativeMassError,
     NotNormalizedError,
-    PBAGD,
     TotalConflictError,
     dcr_n,
     dcr_pair,
@@ -838,7 +837,7 @@ class TestBayesianKernels:
         for name in ("_singletons_only", "_pignistic_layout"):
             monkeypatch.setattr(core, name, counted(name))
         monkeypatch.setattr(core, "_focal_patterns", None)
-        end = fusion._icef_loop(frame, focal, table[None], fusion.IcefConfig(), PBAGD)
+        end = fusion._icef_loop(frame, focal, table[None], fusion.IcefConfig())
         assert end.n_iter[0] >= 3 and end.converged[0]
         assert sorted(calls) == ["_pignistic_layout", "_singletons_only", "_singletons_only"]
 

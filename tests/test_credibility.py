@@ -352,6 +352,7 @@ class TestInitialProbabilities:
         [[math.inf, 1.0], [1.0, math.inf], [math.inf, 0.0]],
         [[1e308, 1e308], [1e308, 1e308], [1e308, 1e308]],  # every sum beyond float range
         [[math.nan, 0.1], [0.2, 0.3], [0.1, 0.1]],
+        [[1e-310, 1e-310], [1e-310, 1e-310], [1e-310, 1e-310]],  # 1 / sum overflows
     ])
     def test_rows_that_give_no_finite_probabilities_are_refused(self, frame3, values):
         eem = EventEvaluationMatrix(np.array(values), "blind", frame3)

@@ -654,7 +654,7 @@ class TestIcefSteps:
                             lambda self, *args: inits.append(1) or init(self, *args))
         monkeypatch.setattr(fusion, "IcefStep", lambda *args: steps.append(1) or step(*args))
         monkeypatch.setattr(fusion, "_icef_loop",
-                            lambda *args: histories.append(args[5:]) or loop(*args))
+                            lambda *args: histories.append(args[4:]) or loop(*args))
         fused = fuse(fault_case, "icef-pbagd")
         assert steps == [] and histories == [()]
         assert rows == [1] and inits == []
@@ -785,6 +785,20 @@ class TestFuseBatch:
         assert len({result.n_iter for result in batch}) > 1
         for ms, got in zip(sets, batch):
             _assert_same_result(got, icef(ms)[0])
+
+    @pytest.mark.parametrize("singletons", [True, False])
+    def test_the_loop_returns_arrays_that_share_no_memory(self, singletons):
+        # one set stops at one iteration, whose arrays are returned as they
+        # stand; on singleton masks its probabilities are its fused rows
+        rng = np.random.default_rng(43)
+        one = (_singleton_sets(rng, 3, 1, 4) if singletons
+               else [_wide_set(rng, _frame(4), 5, 3)])
+        for sets in (one, self._mixed_sets()):
+            raw = _fuse_raw(sets)
+            arrays = [getattr(raw, field) for field in ("fused", "probs", *_PER_SET_FIELDS)]
+            for i, a in enumerate(arrays):
+                for b in arrays[i + 1:]:
+                    assert not np.shares_memory(a, b)
 
     def test_sets_reach_zero_credibility(self):
         # every event has a categorical report, and exp(-tau * d) underflows
