@@ -21,7 +21,7 @@ from functools import cached_property
 import numpy as np
 
 from . import core
-from .core import Frame, MassFunction, _is_number, _is_positive_finite
+from .core import Frame, LengthMismatchError, MassFunction, _is_number, _is_positive_finite
 from .fusion import IcefConfig, InvalidConfigError, _checked_method, _fuse_tables, fuse
 from .fusion import _read_config
 
@@ -269,7 +269,13 @@ def _split_masses(model: IntervalModel, samples) -> tuple[np.ndarray, np.ndarray
 
 def _split_evidence(model: IntervalModel, samples) -> list[list[MassFunction]]:
     """Per sample, one piece of evidence per attribute, all from one
-    similarity table and built in one :func:`core._mass_rows` call."""
+    similarity table and built in one :func:`core._mass_rows` call.  Each
+    sample must be one row of ``model.n_attributes`` values, else
+    :class:`LengthMismatchError`."""
+    samples = np.asarray(samples, dtype=float)
+    if samples.ndim != 2 or samples.shape[1] != model.n_attributes:
+        raise LengthMismatchError(f"a sample must be one row of {model.n_attributes} "
+                                  f"attribute values, got values of shape {samples.shape[1:]}")
     focal, masses = _split_masses(model, samples)
     n_samples, n_attributes, n_classes = masses.shape
     pieces = core._mass_rows(model.frame, focal, masses.reshape(-1, n_classes))

@@ -661,7 +661,7 @@ def self_fuse(m: MassFunction, times: int) -> MassFunction:
     """Combine ``times`` copies of ``m`` under Dempster's rule.
 
     ``times`` counts operands, so ``times=1`` returns ``m`` unchanged and
-    ``times=k`` combines ``k`` copies: one row of :func:`_self_combine_rows`,
+    ``times=k`` combines ``k`` copies: one row of :func:`_self_combined`,
     built through the validating constructor.  ``times`` must be an
     integer (not a bool or a float) of at least 1.
     """
@@ -669,12 +669,12 @@ def self_fuse(m: MassFunction, times: int) -> MassFunction:
         raise ValueError(f"times must be an integer >= 1, got {times!r}")
     if times == 1:
         return m
-    support, fused, conflict, failed = _self_combine_rows(
-        np.frombuffer(m._values)[None],
-        _SelfCombination(np.frombuffer(m._focal, dtype=np.int64), times, m.frame.n))
-    if failed[0]:
-        raise TotalConflictError(float(conflict[0]))
-    return MassFunction(m.frame, dict(zip(support.tolist(), fused[0].tolist())))
+    combination = _SelfCombination(np.frombuffer(m._focal, dtype=np.int64), times, m.frame.n)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        fused, totals, shift = _self_combined(np.frombuffer(m._values)[None], combination)
+        if combination.failed(totals, shift)[0]:
+            raise TotalConflictError(float(_conflict(totals, shift)[0]))
+    return MassFunction(m.frame, dict(zip(combination.support.tolist(), fused[0].tolist())))
 
 
 class _SelfCombination:
@@ -750,29 +750,11 @@ def _conflict(totals: np.ndarray, shift) -> np.ndarray:
     return np.maximum(1.0 - totals * np.exp2(shift), 0.0)
 
 
-def _self_combine_rows(masses: np.ndarray, combination: _SelfCombination):
-    """The ``times``-fold Dempster self-combination of each row of ``masses``.
-
-    Row ``b`` of the ``(rows, F)`` array ``masses`` is one mass assignment on
-    the ascending masks ``focal`` of an ``n``-event frame, the three held by
-    ``combination``; a zero entry is not a focal set of that row.  Returns
-    ``(support, fused, conflict, failed)``: the call's ascending masks
-    ``combination.support``, the ``(rows, len(support))`` combined masses on
-    them (zero outside a row's own support), the conflict K of each row,
-    and whether K counts as total: the rows of :func:`_self_combined`, with
-    :func:`_conflict` and :meth:`_SelfCombination.failed` of their survivor
-    totals.  One operand returns the rows unchanged, with K = 0.
-    """
-    with np.errstate(divide="ignore", invalid="ignore"):
-        fused, totals, shift = _self_combined(masses, combination)
-        return (combination.support, fused, _conflict(totals, shift),
-                combination.failed(totals, shift))
-
-
 def _self_combined(masses: np.ndarray, combination: _SelfCombination):
     """``(fused, totals, shift)`` of the ``times``-fold self-combination of
-    each row of ``masses``, as :func:`_self_combine_rows` reads them: the
-    normalized rows on ``combination.support``, each row's survivor total,
+    each row of ``masses``, ``(rows, F)`` masses on ``combination.focal``
+    (zero where a row holds none): the normalized rows on
+    ``combination.support``, each row's survivor total,
     added in mask order, and the base-2 ``shift`` of that total (the scalar
     0.0 when no row is scaled).  One operand returns the rows themselves,
     with a total of 1.  A failed row's 0/0 is left to the caller's
@@ -884,8 +866,8 @@ def _dcr_fold(frame: Frame, focal: np.ndarray, table: np.ndarray):
 
     ``table`` holds the (B, N, F) masses of the sets on the ascending masks
     ``focal`` of ``frame``; a zero entry is not a focal set of that piece.
-    Returns ``(support, fused, conflict, failed)`` as
-    :func:`_self_combine_rows` does: the (B, len(support)) combined masses,
+    Returns ``(support, fused, conflict, failed)``: the ascending masks
+    ``support``, the (B, len(support)) combined masses on them,
     zero outside a set's own focal sets; the conflict K of the set's last
     combination; and whether that combination hit total conflict, in which
     case the set left the fold there and its ``fused`` row is zero.  One

@@ -102,10 +102,25 @@ def conditional_credibility(support: np.ndarray) -> np.ndarray:
 
     Row j gives the probability that each evidence is the most credible one
     assuming event j is true; every row sums to 1.  Rows run along the last
-    axis, so a stack of matrices is normalized matrix by matrix.
+    axis, so a stack of matrices is normalized matrix by matrix.  A row
+    whose sum is zero or not finite (a NaN or infinite entry, or a sum
+    beyond float range) cannot be normalized and raises
+    :class:`InvalidMassValueError`.
     """
     support = np.asarray(support, dtype=float)
-    return support / np.add.reduce(support, axis=-1, keepdims=True)
+    with np.errstate(over="ignore", invalid="ignore"):
+        totals = np.add.reduce(support, axis=-1, keepdims=True)
+    if not (np.isfinite(totals).all() and totals.all()):
+        raise InvalidMassValueError("a support row sums to 0 or to no finite number, "
+                                    "so it cannot be normalized")
+    return support / totals
+
+
+def _check_finite(edmm: PairwiseDifferenceMatrix) -> None:
+    """Raise :class:`InvalidMassValueError` if ``edmm`` holds a NaN or an infinity."""
+    if not np.isfinite(edmm.values).all():
+        raise InvalidMassValueError(
+            f"measure {edmm.measure!r} gave a non-finite divergence between two pieces")
 
 
 def average_support_credibility(edmm: PairwiseDifferenceMatrix) -> np.ndarray:
@@ -113,8 +128,10 @@ def average_support_credibility(edmm: PairwiseDifferenceMatrix) -> np.ndarray:
 
     Each piece's share of the summed distances is inverted, ``(1 - share) /
     (N - 1)``, so the evidence nearest the cluster center rates highest and
-    the credibilities sum to 1.  A matrix of all zeros falls back to uniform.
+    the credibilities sum to 1.  A matrix of all zeros falls back to uniform,
+    and one with a NaN or infinite entry raises :class:`InvalidMassValueError`.
     """
+    _check_finite(edmm)
     row_sums = edmm.values.sum(axis=1)  # diagonal is zero
     total = row_sums.sum()
     n = edmm.n_evidence
@@ -128,8 +145,10 @@ def eigenvalue_credibility(edmm: PairwiseDifferenceMatrix) -> np.ndarray:
 
     Component magnitudes of the dominant eigenvector are rescaled so the
     largest is 1, then normalized to sum to 1.  An all-zero matrix falls
-    back to uniform.
+    back to uniform, and one with a NaN or infinite entry raises
+    :class:`InvalidMassValueError`.
     """
+    _check_finite(edmm)
     n = edmm.n_evidence
     if not edmm.values.any():
         return np.full(n, 1.0 / n)

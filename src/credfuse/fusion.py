@@ -187,12 +187,7 @@ def cef_fuse(ms: Sequence[MassFunction], weights, method: str = "cef") -> Fusion
     frame = _check_set(ms)
     focal, table = core._mass_table(ms)
     weights, _, _ = _checked_average(frame, focal, table, weights)
-    combination = core._SelfCombination(focal, len(ms), frame.n)
-    (result,) = _results(frame, method, _Fused(*_cef_rows(table[None], weights[None], combination),
-                                               weights[None]))
-    if isinstance(result, TotalConflictError):
-        raise result
-    return result
+    return _only(frame, method, _weighted_fusion(frame, focal, table[None], weights[None]))
 
 
 def murphy_fuse(ms: Sequence[MassFunction]) -> FusionResult:
@@ -232,9 +227,7 @@ def icef(
     focal, table = core._mass_table(ms)
     history: list = []
     end = _icef_loop(frame, focal, table[None], cfg, history)
-    (result,) = _results(frame, f"icef-{cfg.measure.name}", end)
-    if isinstance(result, TotalConflictError):
-        raise result
+    result = _only(frame, f"icef-{cfg.measure.name}", end)
     cred, fused, probs, delta = map(np.concatenate, zip(*history))
     steps = tuple(map(IcefStep, range(1, len(delta) + 1), cred, probs, delta.tolist(),
                       core._mass_rows(frame, end.support, fused)))
@@ -283,18 +276,12 @@ def _icef_loop(frame: Frame, focal: np.ndarray, table: np.ndarray, cfg: IcefConf
     The EEM of all B·N pieces is built in one call; each column depends on
     its own piece only.  The EEM start is :func:`initial_prob_from_eem` per
     set, which refuses an EEM that gives no finite probabilities.  What
-    every iteration shares is found once per call: the
-    :class:`core._SelfCombination` (whether the masks are singletons, the
-    support, the pignistic layout, the power-floor flag, the failure
-    threshold and the butterfly plan on which :func:`core._self_combined`
-    runs both transforms of every iteration).  Per iteration, each set's
-    credibilities are its conditional credibilities weighted by its
-    probabilities, and the weighted averages are self-combined.  An
-    iteration computes only what the stop test reads: the fused rows, their
-    survivor totals, whether they failed, and the probabilities, which are
-    the fused rows themselves when the masks are the frame's ``n``
-    singletons.  A set stops once its probabilities move by at most
-    ``cfg.delta``, or its self-combination hits total conflict; its
+    every iteration shares, the :class:`core._SelfCombination`, is found
+    once per call.  Per iteration, each set's credibilities are its
+    conditional credibilities weighted by its probabilities, and one
+    :func:`_fusion_step` fuses every set still iterating under them.  A
+    set stops once its probabilities move by at
+    most ``cfg.delta``, or its self-combination hits total conflict; its
     conflict K is computed then.  When one iteration stops every set (a
     single set always) its arrays are the result as they stand (the
     probabilities copied when they are the fused rows); otherwise
@@ -304,15 +291,18 @@ def _icef_loop(frame: Frame, focal: np.ndarray, table: np.ndarray, cfg: IcefConf
     n_sets, n_pieces, width = table.shape
     n = frame.n
     eem = cfg.measure._table_event_divergences(frame, focal, table.reshape(-1, width))
-    # an event that no piece supports gives 0/0 (its supports underflow, or
-    # tau * d overflows); a failed self-combination takes log2(0) and 0/0
+    # an event that no piece supports has no support row to normalize (its
+    # supports underflow, or tau * d overflows); a failed self-combination
+    # takes log2(0) and 0/0
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        cond = conditional_credibility(
-            support_matrix(EventEvaluationMatrix(eem, cfg.measure.name, frame), cfg.tau)
-            .reshape(n, n_sets, n_pieces))
-        if not np.isfinite(cond).all():
+        try:
+            cond = conditional_credibility(
+                support_matrix(EventEvaluationMatrix(eem, cfg.measure.name, frame), cfg.tau)
+                .reshape(n, n_sets, n_pieces))
+        except InvalidMassValueError:
             raise InvalidMassValueError(
-                f"no evidence supports some event at tau = {cfg.tau!r}, so credibilities are NaN")
+                f"no evidence supports some event at tau = {cfg.tau!r}, so credibilities are NaN"
+            ) from None
         # each sum below runs along the first axis, over contiguous rows
         cond = cond.transpose(0, 2, 1).copy()  # (n, N, B)
         table = table.transpose(1, 0, 2).copy()  # (N, B, F)
@@ -326,16 +316,12 @@ def _icef_loop(frame: Frame, focal: np.ndarray, table: np.ndarray, cfg: IcefConf
             ])
         ids = np.arange(n_sets)
         combination = core._SelfCombination(focal, n_pieces, n)
-        layout = combination.layout
         # per iteration at which sets stop: where they are among the rows,
         # the set of each row, the arrays of _Fused's fields and the iteration
         stops = []
         for k in range(1, cfg.max_iter + 1):
             cred = _sum_in_order(cond * probs.T[:, None, :])  # (N, B)
-            averaged = _sum_in_order(table * cred[:, :, None])
-            fused, totals, shift = core._self_combined(averaged, combination)
-            failed = combination.failed(totals, shift)
-            new_probs = fused if layout is None else core._pignistic_rows(fused, layout)
+            fused, totals, shift, failed, new_probs = _fusion_step(table, cred, combination)
             delta = np.add.reduce(np.abs(new_probs - probs), axis=1)
             if history is not None:
                 history.append((cred.T, fused, new_probs, delta))
@@ -381,27 +367,36 @@ def _sum_in_order(terms: np.ndarray) -> np.ndarray:
     return np.add.accumulate(terms, axis=0)[-1]
 
 
-def _cef_rows(table: np.ndarray, cred: np.ndarray, combination: core._SelfCombination):
-    """:func:`cef_fuse` of B evidence sets of N pieces each at once.
+def _fusion_step(table: np.ndarray, cred: np.ndarray, combination: core._SelfCombination):
+    """``(fused, totals, shift, failed, probs)`` of B evidence sets of N
+    pieces each: the C-ordered (N, B, F) masses ``table`` on the masks
+    ``combination.focal``, averaged under the (N, B) weights ``cred`` in
+    piece order, as :func:`weighted_average` adds them, then self-combined
+    by :func:`core._self_combined`, with the pignistic probabilities (the
+    fused rows themselves on the frame's ``n`` singletons).  Each set gets
+    the same bits in any batch.  A failed row's 0/0 is left to the caller's
+    ``np.errstate``."""
+    fused, totals, shift = core._self_combined(_sum_in_order(table * cred[:, :, None]),
+                                               combination)
+    layout = combination.layout
+    probs = fused if layout is None else core._pignistic_rows(fused, layout)
+    return fused, totals, shift, combination.failed(totals, shift), probs
 
-    ``table`` holds the (B, N, F) masses of the sets on the ascending masks
-    ``combination.focal``, and ``cred`` their (B, N) weights; ``combination``
-    combines N operands.  Returns the first five fields of a
-    :class:`_Fused`, ``(support, fused, probabilities, conflict, failed)``:
-    the self-combination of :func:`core._self_combine_rows` and the (B, n)
-    pignistic probabilities from the one array helper that
-    :meth:`MassFunction.pignistic` calls, on the layout of
-    ``combination``'s support, found once per call.
 
-    Each weighted average adds the pieces in order along the evidence axis,
-    as :func:`weighted_average` adds them (a zero weight adds exact zeros,
-    so that set's focal sets drop out as they do there).  Every operation
-    acts on each set's rows alone, so a set gets the same bits in any batch
-    as from :func:`cef_fuse` on its own.
-    """
-    averaged = np.add.accumulate(cred[:, :, None] * table, axis=1)[:, -1]
-    support, fused, conflict, failed = core._self_combine_rows(averaged, combination)
-    return support, fused, core._pignistic_rows(fused, combination.layout), conflict, failed
+def _weighted_fusion(frame: Frame, focal: np.ndarray, table: np.ndarray,
+                     weights: np.ndarray) -> _Fused:
+    """The open-loop fusion of B evidence sets of N pieces each: one
+    :func:`_fusion_step` of the (B, N, F) masses ``table`` on the ascending
+    masks ``focal`` of ``frame`` under the sets' (B, N) ``weights``, with
+    each set's conflict K."""
+    combination = core._SelfCombination(focal, table.shape[1], frame.n)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        fused, totals, shift, failed, probs = _fusion_step(
+            table.transpose(1, 0, 2).copy(), weights.T, combination)
+        conflict = core._conflict(totals, shift)
+    if probs is fused:  # singleton masks: the result holds its own probabilities
+        probs = probs.copy()
+    return _Fused(combination.support, fused, probs, conflict, failed, weights)
 
 
 def _fuse_tables(frame: Frame, focal: np.ndarray, table: np.ndarray, method: str,
@@ -412,7 +407,7 @@ def _fuse_tables(frame: Frame, focal: np.ndarray, table: np.ndarray, method: str
     ``focal`` of ``frame``; a zero entry is not a focal set of that piece.
     ``method`` is a checked method name, and ``config`` an :class:`IcefConfig`:
     ``dcr`` runs through :func:`core._dcr_fold`, ``icef-*`` through
-    :func:`_icef_loop`, and the open-loop methods through :func:`_cef_rows`.
+    :func:`_icef_loop`, and the open-loop methods through :func:`_weighted_fusion`.
     A set gets the bits of its own ``fuse`` call; a compound table's rows
     are on the support of all its focal sets, zero outside each set's own.
     No mass is checked here; a caller checks the rows it reads.  The EEM
@@ -436,9 +431,16 @@ def _fuse_tables(frame: Frame, focal: np.ndarray, table: np.ndarray, method: str
         sets = [pieces[start:start + size] for start in range(0, len(pieces), size)]
     else:  # murphy's weights read the number and size of the sets only
         sets = table
-    weights = _method_weights(method, sets, config)
-    combination = core._SelfCombination(focal, table.shape[1], frame.n)
-    return _Fused(*_cef_rows(table, weights, combination), weights)
+    return _weighted_fusion(frame, focal, table, _method_weights(method, sets, config))
+
+
+def _only(frame: Frame, method: str, out: _Fused) -> FusionResult:
+    """The :class:`FusionResult` of the one set of ``out``, or its
+    :class:`TotalConflictError` raised."""
+    (result,) = _results(frame, method, out)
+    if isinstance(result, TotalConflictError):
+        raise result
+    return result
 
 
 def _results(frame: Frame, method: str, out: _Fused) -> list:
@@ -475,15 +477,7 @@ def _method_weights(method: str, sets, config: IcefConfig) -> np.ndarray:
     if method == "murphy":
         return np.full((len(sets), len(sets[0])), 1.0 / len(sets[0]))
     credibility = average_support_credibility if method == "cef-avg" else eigenvalue_credibility
-    measure = config.measure
-    weights = []
-    for ms in sets:
-        edmm = build_edmm(ms, measure)
-        if not np.isfinite(edmm.values).all():
-            raise InvalidMassValueError(
-                f"measure {measure.name!r} gave a non-finite divergence between two pieces")
-        weights.append(credibility(edmm))
-    return np.array(weights)
+    return np.array([credibility(build_edmm(ms, config.measure)) for ms in sets])
 
 
 FUSION_METHODS = ("dcr", "murphy", "icef-pbagd", "cef-avg", "cef-eig")
@@ -518,7 +512,4 @@ def fuse(
     if not method.startswith("icef-"):
         return cef_fuse(ms, _method_weights(method, [ms], config)[0], method=method)
     focal, table = core._mass_table(ms)
-    (result,) = _results(frame, method, _fuse_tables(frame, focal, table[None], method, config))
-    if isinstance(result, TotalConflictError):
-        raise result
-    return result
+    return _only(frame, method, _fuse_tables(frame, focal, table[None], method, config))

@@ -18,6 +18,7 @@ from credfuse import (
     IcefConfig,
     InvalidConfigError,
     InvalidMassValueError,
+    LengthMismatchError,
     MassFunction,
     TotalConflictError,
     attribute_evidence,
@@ -352,6 +353,20 @@ class TestClassifySample:
         for mask in murphy.mass.focal_elements():
             assert icef_res.mass.mass(mask) == pytest.approx(murphy.mass.mass(mask),
                                                              abs=1e-9)
+
+    @pytest.mark.parametrize("sample, shape", [
+        ([5.1], "(1,)"),  # used to be spread over every attribute and decided
+        ([5.1, 3.5], "(2,)"),  # used to end in numpy's broadcast ValueError
+        (5.1, "()"),  # used to end in IndexError
+        ([[5.1, 3.5, 1.4, 0.2]], "(1, 4)"),
+    ])
+    def test_a_sample_of_the_wrong_length_is_refused(self, iris, sample, shape):
+        model = fit_interval_model(iris, lam=5.0)
+        message = re.escape(f"one row of 4 attribute values, got values of shape {shape}")
+        with pytest.raises(LengthMismatchError, match=message):
+            classify_sample(model, sample)
+        with pytest.raises(LengthMismatchError, match=message):
+            attribute_evidence(model, sample, 3)
 
 
 @pytest.fixture(scope="module")

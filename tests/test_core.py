@@ -325,7 +325,8 @@ class TestSelfFuse:
         # on this mass 2.0 and 2.5 used to fail in range() inside
         # _intersections, 3.0 returned a result and True was read as 1
         m = MassFunction(_frame(4), {0b0011: 0.5, 0b0110: 0.3, 0b1111: 0.2})
-        monkeypatch.setattr(core, "_self_combine_rows", None)  # refused before any work
+        for name in ("_SelfCombination", "_self_combined"):  # refused before any work
+            monkeypatch.setattr(core, name, None)
         for times in [0, -3, 2.0, 2.5, 3.0, True, False, "2", None]:
             with pytest.raises(ValueError, match=re.escape(f"got {times!r}")):
                 self_fuse(m, times)
@@ -516,6 +517,17 @@ def _self_fuse_cases(draw):
     return m, draw(st.integers(min_value=1, max_value=30))
 
 
+def _combine_rows(masses, combination):
+    """``(support, fused, conflict, failed)`` of the self-combination of each
+    row of ``masses`` under ``combination``, read as :func:`self_fuse` reads
+    its one row: :func:`core._self_combined`, the conflict K of
+    :func:`core._conflict` and :meth:`core._SelfCombination.failed`."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        fused, totals, shift = core._self_combined(masses, combination)
+        return (combination.support, fused, core._conflict(totals, shift),
+                combination.failed(totals, shift))
+
+
 class TestSelfFuseAgainstFold:
     """The dense k-fold combination against the pairwise oracle."""
 
@@ -594,7 +606,7 @@ class TestSelfFuseAgainstFold:
         # lies far below 2**-969, so K rounds to 1; the second row's largest
         # power 0.996**500 needs no scaling, and it keeps its own K
         table = np.array([[0.2] * 5, [0.996] + [0.001] * 4])
-        support, fused, conflict, failed = core._self_combine_rows(
+        support, fused, conflict, failed = _combine_rows(
             table, core._SelfCombination(1 << np.arange(5), 500, 5))
         assert conflict[0] == 1.0
         assert conflict[1] == pytest.approx(1.0 - 0.996**500, rel=1e-12)
@@ -615,7 +627,7 @@ class TestSelfFuseAgainstFold:
         focal, table = core._mass_table([a, b, c, a])
         combination = core._SelfCombination(focal, 6, 4)
         for _ in range(2):
-            support, fused, conflict, failed = core._self_combine_rows(table, combination)
+            support, fused, conflict, failed = _combine_rows(table, combination)
         # the call's support, on every focal set, and the mask of the one
         # partial pattern, c's; the full pattern needs none
         assert len(combination.within) == 1
@@ -633,7 +645,7 @@ class TestSelfFuseAgainstFold:
         m = MassFunction(_frame(3), masses)
         assert self_fuse(m, 1) is m
         focal, table = core._mass_table([m, m])
-        support, fused, conflict, failed = core._self_combine_rows(
+        support, fused, conflict, failed = _combine_rows(
             table, core._SelfCombination(focal, 1, 3))
         assert support.tolist() == list(m.focal_elements())
         assert fused.tolist() == [[v for _, v in m.items()]] * 2
@@ -752,7 +764,7 @@ _NO_TRANSFORM = dict.fromkeys(["superset_zeta", "superset_mobius", "_dcr_pair"])
 
 
 class TestBayesianKernels:
-    """On singletons only, ``_self_combine_rows`` skips the power-set
+    """On singletons only, ``_self_combined`` skips the power-set
     transforms and ``_dcr_fold`` multiplies elementwise; both give the bits
     of the general path (the transforms, or the per-set fold), which a zero
     column on a compound mask forces."""
@@ -786,10 +798,10 @@ class TestBayesianKernels:
         with mock.patch.object(core, "_LOG2_CONFLICT_EPS", math.log2(eps)):
             combination = core._SelfCombination(focal, times, n)
             with mock.patch.multiple(core, **skipped):
-                got = core._self_combine_rows(masses, combination)
-                again = core._self_combine_rows(masses, combination)
+                got = _combine_rows(masses, combination)
+                again = _combine_rows(masses, combination)
             wide_focal, wide = _with_zero_column(focal, masses, n)
-            want = core._self_combine_rows(wide, core._SelfCombination(wide_focal, times, n))
+            want = _combine_rows(wide, core._SelfCombination(wide_focal, times, n))
         for result in (got, again):
             assert result[0] is focal
             _assert_same_rows(result, want, focal)

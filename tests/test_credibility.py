@@ -1,6 +1,7 @@
 """Difference matrices, support kernels, and credibility vectors."""
 
 import math
+import re
 import warnings
 
 import numpy as np
@@ -270,6 +271,38 @@ class TestConditionalCredibility:
         cond = conditional_credibility(support_matrix(eem, 200.0))
         np.testing.assert_allclose(cond.sum(axis=1), 1.0, atol=1e-9)
         assert ((cond >= 0) & (cond <= 1)).all()
+
+    @pytest.mark.parametrize("support", [
+        [[0.0, 0.0], [1.0, 1.0]],  # used to give a NaN row and a RuntimeWarning
+        [[0.5, math.nan], [1.0, 1.0]],
+        [[1.0, 1.0], [math.inf, 1.0]],
+        [[1e308, 1e308], [1.0, 1.0]],  # a sum beyond float range
+        [[[1.0, 1.0]], [[0.0, 0.0]]],  # the second matrix of a stack
+    ])
+    def test_rows_that_cannot_be_normalized_are_refused(self, support):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidMassValueError, match="cannot be normalized"):
+                conditional_credibility(support)
+
+
+_NON_FINITE_EDMMS = [
+    [[0.0, math.nan], [math.nan, 0.0]],
+    [[0.0, math.inf, 0.1], [math.inf, 0.0, 0.2], [0.1, 0.2, 0.0]],
+    [[0.0, 0.3], [0.3, -math.inf]],
+]
+
+
+@pytest.mark.parametrize("credibility", [average_support_credibility, eigenvalue_credibility])
+@pytest.mark.parametrize("values", _NON_FINITE_EDMMS)
+def test_non_finite_pairwise_matrices_are_refused(credibility, values):
+    # both used to return NaN credibilities, silently or with a RuntimeWarning
+    edmm = PairwiseDifferenceMatrix(np.array(values), "blind")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidMassValueError, match=re.escape(
+                "measure 'blind' gave a non-finite divergence between two pieces")):
+            credibility(edmm)
 
 
 class TestAverageSupportCredibility:

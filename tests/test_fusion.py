@@ -33,16 +33,19 @@ from credfuse import (
     decide,
     eigenvalue_credibility,
     event_evidence,
+    fit_interval_model,
     fuse,
     icef,
     initial_prob_from_eem,
+    load_dataset,
     murphy_fuse,
     pbagd,
     self_fuse,
     vacuous,
     weighted_average,
 )
-from credfuse import core, divergence, fusion
+from credfuse import classify, core, divergence, fusion
+from credfuse.classify import stratified_head_indices
 from credfuse.core import _intersections
 from credfuse.divergence import DivergenceMeasure
 from credfuse.divergence import LengthMismatchError as DivergenceLengthMismatchError
@@ -1146,23 +1149,65 @@ class TestMurphyBatch:
             focal, table = core._mass_table(sets[0])
             single = fusion._fuse_tables(frame3, focal, table[None], "murphy", IcefConfig())
             average = reference.weighted_average(sets[0], _weights(sets[0], "murphy"))
-            _, _, conflict, _ = core._self_combine_rows(
+            _, totals, shift = core._self_combined(
                 np.array([[average.mass(0b010)]]), core._SelfCombination(focal, n_pieces, 3))
+            conflict = core._conflict(totals, shift)
             assert batch.conflict.tobytes() == np.repeat(single.conflict, 2).tobytes()
             assert single.conflict.tobytes() == conflict.tobytes()
             assert (batch.conflict >= 0.0).all()
 
     def test_one_array_step_per_table(self, monkeypatch):
         sizes = []
-        cef_rows = fusion._cef_rows
-        monkeypatch.setattr(fusion, "_cef_rows",
-                            lambda focal, table, *args: sizes.append(len(table))
-                            or cef_rows(focal, table, *args))
+        step = fusion._fusion_step
+        monkeypatch.setattr(fusion, "_fusion_step",
+                            lambda table, cred, *args: sizes.append(cred.shape[1])
+                            or step(table, cred, *args))
         sets = _singleton_sets(np.random.default_rng(43), 8, 45, 4)
         batch = _fuse_sets(sets, "murphy")
         assert sizes == [45]
         for ms, got in zip(sets, batch):
             _assert_same_result(got, _reference(ms, _weights(ms, "murphy"), "murphy"))
+
+
+class TestOneFusionStep:
+    """Every credibility-weighted fusion runs through ``fusion._fusion_step``:
+    once for an open-loop call, once per iteration of ``icef``, and once
+    for a whole table of sets."""
+
+    @pytest.fixture
+    def widths(self, monkeypatch):
+        """The number of sets of each step taken, in call order."""
+        widths = []
+        step = fusion._fusion_step
+        monkeypatch.setattr(fusion, "_fusion_step",
+                            lambda table, cred, *args: widths.append(cred.shape[1])
+                            or step(table, cred, *args))
+        return widths
+
+    @pytest.mark.parametrize("method", ["murphy", "cef-avg", "cef-eig"])
+    def test_an_open_loop_fuse_takes_one_step(self, fault_case, widths, method):
+        fuse(fault_case, method)
+        assert widths == [1]
+
+    def test_cef_fuse_takes_one_step(self, fault_case, widths):
+        cef_fuse(fault_case, np.full(len(fault_case), 1 / len(fault_case)))
+        assert widths == [1]
+
+    def test_icef_takes_one_step_per_iteration(self, fault_case, widths):
+        result = fuse(fault_case, "icef-pbagd")
+        assert result.n_iter > 1 and widths == [1] * result.n_iter
+        widths.clear()
+        result, trace = icef(fault_case)
+        assert widths == [1] * result.n_iter == [1] * len(trace.steps)
+
+    def test_one_step_fuses_an_iris_split(self, iris_path, widths):
+        iris = load_dataset(iris_path, label_column="species")
+        train = stratified_head_indices(iris, 0.7)
+        test = np.setdiff1d(np.arange(len(iris.features)), train)
+        model = fit_interval_model(iris.subset(train), 5.0)
+        focal, masses = classify._split_masses(model, iris.features[test])
+        out = fusion._fuse_tables(model.frame, focal, masses, "murphy", IcefConfig())
+        assert len(out.fused) == 45 and widths == [45]
 
 
 @st.composite
