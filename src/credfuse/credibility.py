@@ -110,7 +110,8 @@ def conditional_credibility(support: np.ndarray) -> np.ndarray:
     support = np.asarray(support, dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):
         totals = np.add.reduce(support, axis=-1, keepdims=True)
-    if not (np.isfinite(totals).all() and totals.all()):
+    rows = totals.size  # count_nonzero is the cheapest test of every row
+    if np.count_nonzero(totals) < rows or np.count_nonzero(np.isfinite(totals)) < rows:
         raise InvalidMassValueError("a support row sums to 0 or to no finite number, "
                                     "so it cannot be normalized")
     return support / totals
