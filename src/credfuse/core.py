@@ -752,9 +752,9 @@ def _conflict(totals: np.ndarray, shift) -> np.ndarray:
 
 def _self_combined(masses: np.ndarray, combination: _SelfCombination):
     """``(fused, totals, shift)`` of the ``times``-fold self-combination of
-    each row of ``masses``, ``(rows, F)`` masses on ``combination.focal``
-    (zero where a row holds none): the normalized rows on
-    ``combination.support``, each row's survivor total,
+    each row of the ``(rows, F)`` array ``masses`` on the masks
+    ``combination.focal`` (zero where a row holds none): the normalized
+    rows on ``combination.support``, each row's survivor total,
     added in mask order, and the base-2 ``shift`` of that total (the scalar
     0.0 when no row is scaled).  One operand returns the rows themselves,
     with a total of 1.  A failed row's 0/0 is left to the caller's
