@@ -235,7 +235,15 @@ def attribute_evidence(model: IntervalModel, sample, attribute: int) -> MassFunc
     Similarity to class c is ``1 / (1 + lam * dist)`` between the class
     interval and the sample's point interval; masses go to the class
     singletons only.  This is one entry of :func:`_split_evidence`.
+    ``attribute`` is a 0-based index: one that is not an integer, a bool
+    among them, raises ``TypeError``, and one outside ``0 ..
+    model.n_attributes - 1``, a negative one among them, ``IndexError``.
     """
+    if not _is_number(attribute, numbers.Integral):
+        raise TypeError(f"an attribute is an integer index, got {attribute!r}")
+    if not 0 <= attribute < model.n_attributes:
+        raise IndexError(f"attribute index {attribute} out of range for a model of "
+                         f"{model.n_attributes} attributes")
     return _split_evidence(model, [sample])[0][attribute]
 
 

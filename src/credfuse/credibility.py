@@ -130,11 +130,16 @@ def average_support_credibility(edmm: PairwiseDifferenceMatrix) -> np.ndarray:
     Each piece's share of the summed distances is inverted, ``(1 - share) /
     (N - 1)``, so the evidence nearest the cluster center rates highest and
     the credibilities sum to 1.  A matrix of all zeros falls back to uniform,
-    and one with a NaN or infinite entry raises :class:`InvalidMassValueError`.
+    and one with a NaN or infinite entry, or whose row sums or their total
+    are beyond float range, raises :class:`InvalidMassValueError`.
     """
-    _check_finite(edmm)
-    row_sums = edmm.values.sum(axis=1)  # diagonal is zero
-    total = row_sums.sum()
+    with np.errstate(over="ignore", invalid="ignore"):
+        row_sums = edmm.values.sum(axis=1)  # diagonal is zero
+        total = row_sums.sum()
+    if not (np.isfinite(row_sums).all() and np.isfinite(total)):
+        _check_finite(edmm)  # a non-finite entry is named first
+        raise InvalidMassValueError(
+            f"measure {edmm.measure!r} gave divergences whose sums are beyond float range")
     n = edmm.n_evidence
     if total == 0.0:
         return np.full(n, 1.0 / n)

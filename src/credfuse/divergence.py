@@ -119,9 +119,21 @@ def ag_divergence(p, q) -> float:
 
 
 def _ag_terms(p, q):
-    """Elementwise ``mean * log2(mean / geo)`` of the paired entries of ``p`` and ``q``."""
-    mean = (p + q) / 2.0
-    return mean * np.log2(mean / np.sqrt(p * q))
+    """Elementwise ``mean * log2(mean / geo)`` of the paired entries of ``p``
+    and ``q``, broadcast against each other.
+
+    The operations of ``mean = (p + q) / 2.0; mean * log2(mean / sqrt(p *
+    q))`` in the same order, in place on two temporaries (halving is exact,
+    so ``*= 0.5`` rounds as ``/ 2.0`` does).  ``p`` and ``q`` are not written.
+    """
+    mean = np.add(p, q)
+    mean *= 0.5
+    terms = np.multiply(p, q)
+    np.sqrt(terms, out=terms)
+    np.divide(mean, terms, out=terms)
+    np.log2(terms, out=terms)
+    terms *= mean
+    return terms
 
 
 class DivergenceMeasure:
@@ -193,15 +205,17 @@ class PBAGDivergence(DivergenceMeasure):
         (:func:`_assertion_levels`).  The divergence of weights
         ``p`` from it is then the sum of the elementwise terms against
         ``alpha`` over the subsets holding ``j`` and against ``beta`` over
-        the others.  The terms against the distinct values of all events
-        (:func:`_level_values`) are found as many values per call as keep
-        its temporaries within a block, and events share them.
-        Entries where ``p`` equals the assertion's weight contribute
-        exactly 0, as in :func:`ag_divergence`.
+        the others.  Each block takes one :func:`_ag_terms` call per
+        distinct value of all events (:func:`_level_values`), and the
+        halves of the events that read the value are summed from it at
+        once, so one value's terms are held at a time.  An entry equal to
+        the assertion's weight contributes exactly +0.0, as in
+        :func:`ag_divergence`: ``sqrt(a * a)`` rounds back to ``a`` for every
+        weight ``a``, so its ratio is exactly 1.
         """
         size = 1 << frame.n
         rows = max(1, _BLOCK_ENTRIES // size)
-        levels, events = _level_values(_assertion_levels(frame.n))
+        levels = _level_values(_assertion_levels(frame.n))
         values = np.empty((frame.n, len(table)))
         for start in range(0, len(table), rows):
             block = table[start:start + rows]
@@ -210,17 +224,14 @@ class PBAGDivergence(DivergenceMeasure):
             dense[:, focal] = block
             p = np.ones((len(block), size))  # column 0, the empty set, only pads
             p[:, 1:] = _pb_rows(dense)
-            # as many values per call as keep its temporaries within a block
-            chunk = max(1, _BLOCK_ENTRIES // p.size)
-            terms = []
-            for first in range(0, len(levels), chunk):
-                part = _ag_terms(p, levels[first:first + chunk])
-                part[p == levels[first:first + chunk]] = 0.0
-                part[:, :, 0] = 0.0  # no half reads the padding
-                terms.extend(part)
-            for j, alpha, beta in events:
-                values[j, start:stop] = (_half_sums(terms[alpha], j, 1)
-                                         + _half_sums(terms[beta], j, 0))
+            for level, halves in levels:
+                terms = _ag_terms(p, level)
+                terms[:, 0] = 0.0  # no half reads the padding
+                for j, holding, first in halves:
+                    if first:
+                        values[j, start:stop] = _half_sums(terms, j, holding)
+                    else:  # the event's alpha half plus its beta half
+                        values[j, start:stop] += _half_sums(terms, j, holding)
         return values
 
 
@@ -248,15 +259,25 @@ def _assertion_levels(n: int) -> tuple[tuple[tuple[float, float], tuple[int, ...
 
 
 @functools.cache
-def _level_values(levels) -> tuple[np.ndarray, tuple[tuple[int, int, int], ...]]:
-    """The distinct values of the :func:`_assertion_levels` ``levels`` as
-    an (L, 1, 1) array, and ``(j, alpha, beta)`` per event ``j``: the
-    indices of its two values among them."""
-    distinct = list(dict.fromkeys(value for pair, _ in levels for value in pair))
-    values = np.array(distinct)[:, None, None]
-    values.flags.writeable = False
-    return values, tuple((j, distinct.index(alpha), distinct.index(beta))
-                         for (alpha, beta), events in levels for j in events)
+def _level_values(levels) -> tuple[tuple[float, tuple[tuple[int, int, bool], ...]], ...]:
+    """The distinct values of the :func:`_assertion_levels` ``levels``, each
+    with the event halves that read it: ``(j, holding, first)``, where
+    ``holding`` is 1 for event ``j``'s alpha half (the masks holding ``j``)
+    and 0 for its beta half, and ``first`` marks the half read first."""
+    halves: dict[float, list[tuple[int, int]]] = {}
+    for (alpha, beta), events in levels:
+        for j in events:
+            halves.setdefault(alpha, []).append((j, 1))
+            halves.setdefault(beta, []).append((j, 0))
+    seen: set[int] = set()
+    values = []
+    for value, readers in halves.items():
+        marked = []
+        for j, holding in readers:
+            marked.append((j, holding, j not in seen))
+            seen.add(j)
+        values.append((value, tuple(marked)))
+    return tuple(values)
 
 
 def _half_sums(terms: np.ndarray, j: int, holding: int) -> np.ndarray:

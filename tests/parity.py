@@ -49,8 +49,15 @@ The groups are:
 * ``icef-stops``: the raw ``fusion._fuse_tables`` arrays of the 20 iris
   splits and of the compound ``wide-classes`` batch under icef-pbagd and
   icef-bjs, with ``max_iter`` 1, 2 and 3 and with the EEM start, so that
-  sets stop at the iteration cap as well as on convergence.  It comes
-  last, so the digests of the groups above do not depend on it.
+  sets stop at the iteration cap as well as on convergence;
+* ``divergences``: the PB-AGD event evaluation matrix of seeded compound
+  pieces with each event's categorical evidence among them, at n = 1..16,
+  and ``ag_divergence`` and ``pbagd`` of near-equal pairs and of pairs at
+  the ends of the float range.
+
+The groups from ``icef-stops`` on come after all the others, in the order
+they were added, so the digests of the groups before them do not depend on
+them.
 
 Floats are recorded by their bits, so a NaN or a signed zero counts.  The
 file has no ``test_`` prefix, so pytest does not collect it.
@@ -77,15 +84,18 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 from credfuse import (  # noqa: E402
     BJS,
     BUILTIN_DOCUMENTS,
+    PBAGD,
     Frame,
     IcefConfig,
     MassFunction,
+    ag_divergence,
     builtin_document,
     classify,
     core,
     fusion,
     load_dataset,
     monte_carlo_evaluate,
+    pbagd,
     self_fuse,
     sweep_evaluate,
 )
@@ -150,11 +160,44 @@ def traced(ms, config: IcefConfig):
     return result, steps, trace.converged
 
 
-def raw(frame, focal, masses, method: str, config: IcefConfig):
+def caught(function, *args):
     try:
-        return fusion._fuse_tables(frame, focal, masses, method, config)
+        return function(*args)
     except Exception as error:  # the error is part of the result
         return error
+
+
+def divergence_records():
+    """The records of the ``divergences`` group."""
+    rng = np.random.default_rng(SEED)
+    for n in range(1, 17):
+        frame = Frame(tuple(f"E{i + 1}" for i in range(n)))
+        pieces = []
+        for _ in range(3):
+            masks = sorted({int(rng.integers(1, 1 << n)) for _ in range(3)} | {frame.full_mask})
+            weights = rng.uniform(0.1, 1.0, len(masks))
+            pieces.append(MassFunction(frame, dict(zip(masks, weights / weights.sum()))))
+        pieces += [core.event_evidence(frame, j) for j in range(n)]
+        yield ("divergences", "eem", n), caught(PBAGD.event_divergences, pieces, frame)
+    for i in range(40):  # relative gaps from 1e-12 to 1e-4
+        p = rng.uniform(0.01, 1.0, 8)
+        q = p * (1.0 + rng.uniform(-1.0, 1.0, 8) * 10.0 ** -rng.uniform(4, 12))
+        yield ("divergences", "ag-near", i), caught(ag_divergence, p / p.sum(), q / q.sum())
+    for i, scale in enumerate((1e-308, 1e-300, 1e-290, 1e290, 1e300, 1e307)):
+        p, q = rng.uniform(0.0, 1.0, (2, 8)) * scale
+        p[0], q[0], p[1], q[2] = 0.0, 0.0, q[1], 0.0  # both zero, equal, one zero
+        yield ("divergences", "ag-ends", i), caught(ag_divergence, p, q)
+        yield ("divergences", "ag-ends", i, "finite"), caught(ag_divergence, p[3:], q[3:])
+    frame = Frame(tuple(f"E{i + 1}" for i in range(5)))
+    for i in range(20):
+        masks = sorted({int(rng.integers(1, 1 << 5)) for _ in range(4)})
+        weights = rng.uniform(0.1, 1.0, len(masks))
+        near = weights * (1.0 + rng.uniform(-1.0, 1.0, len(masks)) * 1e-9)
+        tiny = np.where(np.arange(len(masks)) == 0, 1e-300, weights)
+        near_pair = [MassFunction(frame, dict(zip(masks, w / w.sum()))) for w in (weights, near)]
+        yield ("divergences", "pbagd-near", i), caught(pbagd, *near_pair)
+        yield ("divergences", "pbagd-ends", i), caught(
+            pbagd, near_pair[0], MassFunction(frame, dict(zip(masks, tiny / tiny.sum()))))
 
 
 def records():
@@ -230,8 +273,9 @@ def records():
     for name, frame, focal, masses in stop_tables:
         for method in STOP_METHODS:
             for setting, stop_config in STOP_CONFIGS.items():
-                yield ("icef-stops", name, method, setting), raw(frame, focal, masses, method,
-                                                                 stop_config)
+                yield ("icef-stops", name, method, setting), caught(
+                    fusion._fuse_tables, frame, focal, masses, method, stop_config)
+    yield from divergence_records()
 
 
 #: A group's line in the output: its name, its number of records and its digest.

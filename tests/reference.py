@@ -68,6 +68,14 @@ def event_divergences(measure, ms, frame) -> np.ndarray:
     return np.array([[measure(m, a) for m in ms] for a in assertions])
 
 
+def ag_terms(p, q) -> np.ndarray:
+    """The elementwise terms of the arithmetic-geometric divergence as one
+    expression, ``mean * log2(mean / sqrt(p * q))`` with ``mean = (p + q) /
+    2.0``, broadcast as numpy broadcasts ``p`` against ``q``."""
+    mean = (p + q) / 2.0
+    return mean * np.log2(mean / np.sqrt(p * q))
+
+
 def dcr_conflict(ms) -> float:
     """The conflict K of the last combination in ``dcr_n(ms)``: the products
     of the disjoint focal sets of ``dcr_n(ms[:-1])`` and ``ms[-1]``, added

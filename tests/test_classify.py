@@ -289,6 +289,26 @@ class TestAttributeEvidence:
             _evaluate_model(model, far, ["dcr", "icef-pbagd"], IcefConfig())
         assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
+    @pytest.mark.parametrize("attribute, error, message", [
+        (-1, IndexError, "attribute index -1 out of range for a model of 4 attributes"),
+        (4, IndexError, "attribute index 4 out of range for a model of 4 attributes"),
+        (True, TypeError, "an attribute is an integer index, got True"),
+        (1.0, TypeError, "an attribute is an integer index, got 1.0"),
+    ])
+    def test_an_attribute_that_is_no_index_of_the_model_is_refused(
+            self, iris, attribute, error, message):
+        # -1 used to read the last attribute, True attribute 1, 1.0 ended in
+        # list indexing's TypeError and 4 in a bare IndexError
+        model = fit_interval_model(iris, lam=5.0)
+        with pytest.raises(error, match=re.escape(message)):
+            attribute_evidence(model, iris.features[0], attribute)
+
+    def test_a_numpy_integer_index_reads_its_attribute(self, iris):
+        model = fit_interval_model(iris, lam=5.0)
+        sample = iris.features[0]
+        assert attribute_evidence(model, sample, np.int64(3)) == attribute_evidence(
+            model, sample, 3)
+
 
 def _scalar_evidence(model, sample, attribute):
     """The per-element reference: interval_distance per class, normalized."""

@@ -145,7 +145,7 @@ class TestBuildEem:
             assert abs(eem.values[j, i] - expected) <= 1e-12
         assert eem.values[n - 1, 23] == 0.0
 
-    @pytest.mark.parametrize("n", [3, 6, 9])
+    @pytest.mark.parametrize("n", [3, 6, 9, 12])
     def test_block_size_does_not_change_entries(self, n, monkeypatch):
         rng = np.random.default_rng(n)
         frame = Frame(tuple(f"E{i + 1}" for i in range(n)))
@@ -303,6 +303,30 @@ def test_non_finite_pairwise_matrices_are_refused(credibility, values):
         with pytest.raises(InvalidMassValueError, match=re.escape(
                 "measure 'blind' gave a non-finite divergence between two pieces")):
             credibility(edmm)
+
+
+@pytest.mark.parametrize("value, n", [
+    (1e308, 3),  # the row sums overflow; it used to give [nan nan nan]
+    (5e307, 4),  # only their total overflows; it used to give 1/3 each, 4/3 in all
+])
+def test_pairwise_matrices_whose_sums_overflow_are_refused(value, n):
+    edmm = PairwiseDifferenceMatrix(value * (1.0 - np.eye(n)), "blind")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidMassValueError, match=re.escape(
+                "measure 'blind' gave divergences whose sums are beyond float range")):
+            average_support_credibility(edmm)
+
+
+@pytest.mark.parametrize("value, n", [(1e307, 3), (1e307, 4), (0.25, 5)])
+def test_pairwise_matrices_with_finite_sums_keep_their_bits(value, n):
+    values = value * (1.0 - np.eye(n))
+    values[0, 1] = values[1, 0] = value / 3.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = average_support_credibility(PairwiseDifferenceMatrix(values, "blind"))
+    row_sums = values.sum(axis=1)
+    assert got.tobytes() == ((1.0 - row_sums / row_sums.sum()) / (n - 1)).tobytes()
 
 
 class TestAverageSupportCredibility:

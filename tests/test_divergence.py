@@ -7,6 +7,7 @@ import warnings
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from credfuse import (
     BJS,
@@ -16,6 +17,7 @@ from credfuse import (
     MassFunction,
     ag_divergence,
     bjs,
+    event_evidence,
     get_measure,
     pb_transform,
     pbagd,
@@ -29,10 +31,13 @@ from credfuse import divergence, fusion
 from credfuse.divergence import (
     DivergenceMeasure,
     LengthMismatchError,
+    _ag_terms,
     _assertion_levels,
+    _level_values,
     _pb_rows,
 )
 
+from . import reference
 from .conftest import random_mass_function
 from .test_core import _oracle_zeta, bba_pairs, bbas
 
@@ -116,6 +121,59 @@ class TestAgDivergence:
             assert ag_divergence(p, q) > 1e-12
 
 
+#: Entries of the term kernel's operands: weights, zeros, and values near
+#: both ends of the float range, where ag_divergence's fallback reads the
+#: kernel's terms.
+_ENTRIES = st.one_of(
+    st.floats(min_value=0.0, max_value=1.0),
+    st.sampled_from([0.0, 5e-324, 1e-320, 1e-300, 3e-300, 1e300, 1.6e308, 1.7e308]),
+    st.floats(min_value=1e-310, max_value=1e-290),
+    st.floats(min_value=1e290, max_value=1.7e308),
+)
+
+
+class TestAgTerms:
+    """The in-place term kernel gives the bytes of the expression form."""
+
+    @staticmethod
+    def _assert_reference_bytes(p, q):
+        before = np.copy(p), np.copy(q)
+        with np.errstate(all="ignore"):
+            got = _ag_terms(p, q)
+            want = reference.ag_terms(p, q)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+        # the operands are read, not written
+        assert np.copy(p).tobytes() == before[0].tobytes()
+        assert np.copy(q).tobytes() == before[1].tobytes()
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), n=st.integers(1, 6), rows=st.integers(1, 4),
+           n_levels=st.integers(1, 4))
+    def test_levels_broadcast_against_a_block(self, data, n, rows, n_levels):
+        size = rows << n
+        p = np.array(data.draw(st.lists(_ENTRIES, min_size=size, max_size=size)))
+        p = p.reshape(rows, 1 << n)
+        levels = np.array(data.draw(st.lists(_ENTRIES, min_size=n_levels,
+                                             max_size=n_levels)))
+        for entry, level in data.draw(st.lists(st.tuples(
+                st.integers(0, size - 1), st.integers(0, n_levels - 1)), max_size=6)):
+            p.flat[entry] = levels[level]  # entries equal to a level
+        self._assert_reference_bytes(p, levels[:, None, None])
+        for level in levels:  # one value per call, as the table EEM reads them
+            self._assert_reference_bytes(p, float(level))
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), length=st.integers(1, 40))
+    def test_pairs_of_vectors(self, data, length):
+        p = np.array(data.draw(st.lists(_ENTRIES, min_size=length, max_size=length)))
+        q = np.array(data.draw(st.lists(_ENTRIES, min_size=length, max_size=length)))
+        equal = np.array(data.draw(st.lists(st.booleans(), min_size=length,
+                                            max_size=length)))
+        q[equal] = p[equal]
+        self._assert_reference_bytes(p, q)
+
+
 class TestPbTransform:
     def test_single_event_frame(self):
         frame = Frame(("only",))
@@ -194,6 +252,39 @@ class TestAssertionLevels:
                 assert sorted(j for _, events in got for j in events) == list(range(n))
         finally:
             _assertion_levels.cache_clear()
+
+    def test_each_event_reads_its_two_values_once(self):
+        for n in range(1, 21):
+            levels = _assertion_levels(n)
+            values = _level_values(levels)
+            assert len({value for value, _ in values}) == len(values)
+            for (alpha, beta), events in levels:
+                for j in events:
+                    reads = [(value, holding, first) for value, halves in values
+                             for k, holding, first in halves if k == j]
+                    assert sorted(read[:2] for read in reads) == sorted(
+                        [(alpha, 1), (beta, 0)])
+                    assert [first for *_, first in reads] == [True, False]
+
+    def test_every_level_gives_a_term_of_plus_zero_against_itself(self):
+        # sqrt(a * a) rounds back to a, so the table EEM needs no pass that
+        # zeroes the entries equal to their level
+        for n in range(1, 21):
+            for value, _ in _level_values(_assertion_levels(n)):
+                for p, q in ((np.array([value]), np.array([value])),
+                             (np.full((2, 8), value), value)):
+                    terms = _ag_terms(p, q)
+                    assert (terms == 0.0).all()
+                    assert not np.signbit(terms).any()
+
+    @pytest.mark.parametrize("n", range(1, 21))
+    def test_an_assertion_is_exactly_zero_from_its_own_event(self, n):
+        frame = Frame(tuple(f"E{i + 1}" for i in range(n)))
+        events = range(n) if n <= 12 else sorted({0, n // 2, n - 1})
+        eem = PBAGD.event_divergences([event_evidence(frame, j) for j in events], frame)
+        own = eem[list(events), range(len(events))]
+        assert (own == 0.0).all()
+        assert not np.signbit(own).any()
 
     def test_an_icef_call_transforms_only_its_evidence_once_the_table_exists(
             self, monkeypatch):
