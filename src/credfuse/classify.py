@@ -222,11 +222,12 @@ def interval_distance(lo1: float, hi1: float, lo2: float, hi2: float) -> float:
 
     ``sqrt((mid1 - mid2)^2 + (half1 - half2)^2 / 3)``; for two identical
     intervals this is 0, and for degenerate (point) intervals it reduces to
-    the absolute midpoint difference.
+    the absolute midpoint difference.  The bounds may be arrays, which
+    broadcast against each other; for floats the result is a NumPy float.
     """
     mid = (lo1 + hi1) / 2.0 - (lo2 + hi2) / 2.0
     half = (hi1 - lo1) / 2.0 - (hi2 - lo2) / 2.0
-    return math.sqrt(mid * mid + half * half / 3.0)
+    return np.sqrt(mid * mid + half * half / 3.0)
 
 
 def attribute_evidence(model: IntervalModel, sample, attribute: int) -> MassFunction:
@@ -250,7 +251,7 @@ def attribute_evidence(model: IntervalModel, sample, attribute: int) -> MassFunc
 def _similarities(model: IntervalModel, samples) -> np.ndarray:
     """The (S, A, C) similarities ``1 / (1 + lam * dist)`` of each of the S
     samples' A attribute values, as point intervals, to each of the C class
-    intervals: :func:`interval_distance`'s formula, elementwise."""
+    intervals, through :func:`interval_distance` on arrays."""
     x = np.asarray(samples, dtype=float)[:, :, None]
     # C-ordered (A, C) bounds give a C-ordered table, whose sum over the last
     # axis adds as the sum of one sample's (C,) similarities does
@@ -258,9 +259,7 @@ def _similarities(model: IntervalModel, samples) -> np.ndarray:
     # as in float arithmetic, a huge lam sends a far class's similarity to 0
     # and an infinite value gives NaN, which the mass rules refuse
     with np.errstate(over="ignore", invalid="ignore"):
-        mid = (lo + hi) / 2.0 - (x + x) / 2.0
-        half = (hi - lo) / 2.0 - (x - x) / 2.0
-        return 1.0 / (1.0 + model.lam * np.sqrt(mid * mid + half * half / 3.0))
+        return 1.0 / (1.0 + model.lam * interval_distance(lo, hi, x, x))
 
 
 def _split_masses(model: IntervalModel, samples) -> tuple[np.ndarray, np.ndarray]:

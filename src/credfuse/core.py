@@ -769,20 +769,20 @@ def _self_combined(masses: np.ndarray, combination: _SelfCombination):
     found when the plan was made (once per call and row count); the fused
     rows are gathered out of it, so no returned array shares its memory.
     When every mask of ``focal`` is a singleton (Bayesian masses) the
-    commonality is the mass and the pair is the identity, so
-    :func:`_power_rule` takes the power of ``masses`` themselves, read on
-    ``focal``: ``0.0**times`` stays 0 on the masks a row does not hold.
-    Otherwise every row is read on the call's
-    support (see :class:`_SelfCombination`), and a row that lacks some of
-    the focal sets is set to 0 outside its own support, the nonempty
-    intersections of at most ``times`` of its focal sets, so rounding left
-    on the other subsets never becomes mass.  The values are clipped at 0
-    and normalized by each row's total, added in mask order: the zeros
-    outside a row's support add nothing, so a row has the same bits alone
-    and in any table.  A row fails when at most ``CONFLICT_EPS ** (times -
-    1)`` of its mass survives, i.e. when on average no more than
-    ``CONFLICT_EPS`` survives each combination; its ``fused`` entries are
-    then meaningless.
+    commonality is the mass and the pair is the identity, so the power is
+    taken of ``masses`` themselves, read on ``focal``: ``0.0**times`` stays
+    0 on the masks a row does not hold, and the powers of nonnegative masses
+    need no clipping.  Otherwise every row is read on the call's support
+    (see :class:`_SelfCombination`), the values are clipped at 0, and a row
+    that lacks some of the focal sets is set to 0 outside its own support,
+    the nonempty intersections of at most ``times`` of its focal sets, so
+    rounding left on the other subsets never becomes mass.  Both branches
+    end in one tail: each row is normalized by its total, added in mask
+    order, and the zeros outside a row's support add nothing, so a row has
+    the same bits alone and in any table.  A row fails when at most
+    ``CONFLICT_EPS ** (times - 1)`` of its mass survives, i.e. when on
+    average no more than ``CONFLICT_EPS`` survives each combination; its
+    ``fused`` entries are then meaningless.
 
     When a row's largest power would fall below ``_POWER_FLOOR``, its
     nonempty commonalities are first divided by the largest of them,
@@ -825,26 +825,18 @@ def _self_combined(masses: np.ndarray, combination: _SelfCombination):
             shift = np.zeros(rows)
             shift[low] = times * np.log2(top[low])
     if combination.bayesian:
-        return (*_power_rule(q, times), shift)
-    q **= times
-    fused = plan(np.subtract).take(combination.support, axis=1)
-    np.maximum(fused, 0.0, out=fused)
-    if np.count_nonzero(masses) < masses.size:
-        for key, which, pattern in _focal_patterns(masses != 0.0):
-            if not pattern.all():
-                fused[which] = np.where(combination.own_support(key, pattern), fused[which],
-                                        0.0)
+        fused = q ** times
+    else:
+        q **= times
+        fused = plan(np.subtract).take(combination.support, axis=1)
+        np.maximum(fused, 0.0, out=fused)
+        if np.count_nonzero(masses) < masses.size:
+            for key, which, pattern in _focal_patterns(masses != 0.0):
+                if not pattern.all():
+                    fused[which] = np.where(combination.own_support(key, pattern),
+                                            fused[which], 0.0)
     totals = np.add.accumulate(fused, axis=1)[:, -1]
     return fused / totals[:, None], totals, shift
-
-
-def _power_rule(masses: np.ndarray, times: int):
-    """``(fused, totals)``: Dempster's rule for ``times`` copies of each row of
-    Bayesian ``masses``, the rows' powers over their totals, added in mask
-    order.  The powers of nonnegative masses need no clipping."""
-    powers = masses ** times
-    totals = np.add.accumulate(powers, axis=1)[:, -1]
-    return powers / totals[:, None], totals
 
 
 def _focal_patterns(nonzero: np.ndarray):

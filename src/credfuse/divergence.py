@@ -201,21 +201,20 @@ class PBAGDivergence(DivergenceMeasure):
         :func:`pb_transform` along its rows.  The assertion of event ``j``
         has Bel = Pl = 1 on the subsets holding ``j`` and 0 elsewhere, so its
         weights take two values, ``alpha`` and ``beta``, read exactly as
-        :func:`pb_transform` would compute them, once per frame size
-        (:func:`_assertion_levels`).  The divergence of weights
+        :func:`pb_transform` would compute them.  The divergence of weights
         ``p`` from it is then the sum of the elementwise terms against
         ``alpha`` over the subsets holding ``j`` and against ``beta`` over
         the others.  Each block takes one :func:`_ag_terms` call per
-        distinct value of all events (:func:`_level_values`), and the
-        halves of the events that read the value are summed from it at
-        once, so one value's terms are held at a time.  An entry equal to
-        the assertion's weight contributes exactly +0.0, as in
-        :func:`ag_divergence`: ``sqrt(a * a)`` rounds back to ``a`` for every
-        weight ``a``, so its ratio is exactly 1.
+        distinct value of all events, from one table per frame size
+        (:func:`_assertion_values`), and the halves of the events that read
+        the value are summed from it at once, so one value's terms are held
+        at a time.  An entry equal to the assertion's weight contributes
+        exactly +0.0, as in :func:`ag_divergence`: ``sqrt(a * a)`` rounds back
+        to ``a`` for every weight ``a``, so its ratio is exactly 1.
         """
         size = 1 << frame.n
         rows = max(1, _BLOCK_ENTRIES // size)
-        levels = _level_values(_assertion_levels(frame.n))
+        levels = _assertion_values(frame.n)
         values = np.empty((frame.n, len(table)))
         for start in range(0, len(table), rows):
             block = table[start:start + rows]
@@ -236,39 +235,27 @@ class PBAGDivergence(DivergenceMeasure):
 
 
 @functools.cache
-def _assertion_levels(n: int) -> tuple[tuple[tuple[float, float], tuple[int, ...]], ...]:
-    """The two weight values ``(alpha, beta)`` of the assertion of each event
-    of an ``n``-event frame, with the events that share them, in event
-    order: ``((alpha, beta), events)`` per distinct pair.
+def _assertion_values(n: int) -> tuple[tuple[float, tuple[tuple[int, int, bool], ...]], ...]:
+    """The distinct weight values of the assertions of the events of an
+    ``n``-event frame, in first-use order, each with the event halves that
+    read it: ``(j, holding, first)``, where ``holding`` is 1 for event
+    ``j``'s alpha half (the masks holding ``j``) and 0 for its beta half,
+    and ``first`` marks the half read first.
 
-    Each assertion is one one-hot row transformed by :func:`_pb_rows`.  The
-    levels depend on ``n`` alone, so they are computed once per frame size.
+    Each assertion is one one-hot row transformed by :func:`_pb_rows`, read
+    at ``{j}`` (alpha) and at its complement (beta; ``{j}`` again when n = 1,
+    where no nonempty subset lacks ``j`` and the beta half sums nothing).
+    The values depend on ``n`` alone, so they are computed once per frame
+    size.
     """
     full_mask = (1 << n) - 1
-    levels: dict[tuple[float, float], list[int]] = {}
+    halves: dict[float, list[tuple[int, int]]] = {}
     for j in range(n):
         assertion = np.zeros((1, 1 << n))
         assertion[0, 1 << j] = 1.0
         weights = _pb_rows(assertion)[0]
-        # the weights of {j} and of its complement (of {j} again when n = 1,
-        # where no nonempty subset lacks j and beta is never used)
-        alpha = weights[(1 << j) - 1]
-        beta = weights[(full_mask ^ 1 << j or 1 << j) - 1]
-        levels.setdefault((float(alpha), float(beta)), []).append(j)
-    return tuple((pair, tuple(events)) for pair, events in levels.items())
-
-
-@functools.cache
-def _level_values(levels) -> tuple[tuple[float, tuple[tuple[int, int, bool], ...]], ...]:
-    """The distinct values of the :func:`_assertion_levels` ``levels``, each
-    with the event halves that read it: ``(j, holding, first)``, where
-    ``holding`` is 1 for event ``j``'s alpha half (the masks holding ``j``)
-    and 0 for its beta half, and ``first`` marks the half read first."""
-    halves: dict[float, list[tuple[int, int]]] = {}
-    for (alpha, beta), events in levels:
-        for j in events:
-            halves.setdefault(alpha, []).append((j, 1))
-            halves.setdefault(beta, []).append((j, 0))
+        for holding, mask in ((1, 1 << j), (0, full_mask ^ 1 << j or 1 << j)):
+            halves.setdefault(float(weights[mask - 1]), []).append((j, holding))
     seen: set[int] = set()
     values = []
     for value, readers in halves.items():
@@ -293,7 +280,9 @@ class MassJensenShannon(DivergenceMeasure):
     Compares masses focal-element by focal-element over the union of the
     two focal sets; maximal value ``log2(2) = 1`` for fully disjoint
     categorical evidence.  Blind to overlap between distinct compound
-    subsets; provided as a comparison measure.
+    subsets; provided as a comparison measure.  A sum that rounding (or a
+    mass total within the normalization tolerance of 1) puts outside
+    ``[0, 1]`` is clipped to it.
     """
 
     name = "bjs"
@@ -302,34 +291,39 @@ class MassJensenShannon(DivergenceMeasure):
         keys = sorted(set(m1.focal_elements()) | set(m2.focal_elements()))
         p = np.array([m1.mass(k) for k in keys])
         q = np.array([m2.mass(k) for k in keys])
-        mid = (p + q) / 2.0
         total = 0.0
-        for vec in (p, q):
-            pos = vec > 0
-            total += 0.5 * float(np.sum(vec[pos] * np.log2(vec[pos] / mid[pos])))
-        return total
+        for v, w in ((p, q), (q, p)):
+            pos = v > 0
+            total += 0.5 * float(np.add.reduce(_js_terms(v[pos], w[pos])))
+        return min(max(total, 0.0), 1.0)
 
     def _table_event_divergences(self, frame: Frame, focal: np.ndarray,
                                  table: np.ndarray) -> np.ndarray:
         """As the base method, for the rows of one focal pattern at a time:
         :meth:`evaluate`'s operations on each row's masses, in ascending mask
         order, against the assertion of each event, so each entry gets the
-        bits of that pair's call.  The assertion's own term is ``log2(1 /
-        mid)`` at its event, whose mid is 1/2 unless the row holds it."""
+        bits of that pair's call.  The assertion's own term is that of its
+        mass 1 against the row's mass on its event, or 0."""
         values = np.empty((frame.n, len(table)))
         for _, which, pattern in core._focal_patterns(table != 0.0):
             p = table[which][:, pattern]
             masks = focal[pattern]
             for j in range(frame.n):
                 asserted = (masks == 1 << j).astype(float)
-                mid = (p + asserted) / 2.0
                 # summed row by row: along a 2-D array's rows numpy may
                 # group the terms otherwise than along one vector
-                held = np.array([row.sum() for row in p * np.log2(p / mid)])
-                own = (mid[:, asserted == 1.0][:, 0] if asserted.any()
-                       else np.full(len(p), 0.5))
-                values[j, which] = (0.0 + 0.5 * held) + 0.5 * np.log2(1.0 / own)
-        return values
+                held = np.array([row.sum() for row in _js_terms(p, asserted)])
+                w = p[:, asserted == 1.0][:, 0] if asserted.any() else np.zeros(len(p))
+                values[j, which] = (0.0 + 0.5 * held) + 0.5 * _js_terms(1.0, w)
+        return np.clip(values, 0.0, 1.0, out=values)
+
+
+def _js_terms(v, w):
+    """Elementwise Jensen-Shannon terms ``v * log2(2v / (v + w))`` of the
+    positive masses ``v`` against the paired masses ``w``.  Where ``(v + w)
+    / 2`` is a normal number the quotient rounds as ``v / ((v + w) / 2)``
+    does, and where that halving underflows it stays finite."""
+    return v * np.log2(2.0 * v / (v + w))
 
 
 PBAGD = PBAGDivergence()

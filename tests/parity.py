@@ -53,7 +53,13 @@ The groups are:
 * ``divergences``: the PB-AGD event evaluation matrix of seeded compound
   pieces with each event's categorical evidence among them, at n = 1..16,
   and ``ag_divergence`` and ``pbagd`` of near-equal pairs and of pairs at
-  the ends of the float range.
+  the ends of the float range;
+* ``bjs``: ``bjs`` of seeded compound pairs at n = 1..6, of near-equal
+  pairs and of pairs where one piece holds a subnormal mass (5e-324 or
+  1e-320) on a focal set the other lacks, with the BJS event evaluation
+  matrix of those subnormal pieces, and the BJS event evaluation matrix
+  of seeded compound pieces with each event's categorical evidence among
+  them, at n = 1..8.
 
 The groups from ``icef-stops`` on come after all the others, in the order
 they were added, so the digests of the groups before them do not depend on
@@ -89,6 +95,7 @@ from credfuse import (  # noqa: E402
     IcefConfig,
     MassFunction,
     ag_divergence,
+    bjs,
     builtin_document,
     classify,
     core,
@@ -200,6 +207,52 @@ def divergence_records():
             pbagd, near_pair[0], MassFunction(frame, dict(zip(masks, tiny / tiny.sum()))))
 
 
+def compound_piece(rng, frame: Frame, focals: int, extra=()) -> MassFunction:
+    """A piece on ``focals`` seeded masks, the ``extra`` ones and the whole
+    frame, with uniform weights from 0.1 to 1 scaled to a unit sum."""
+    masks = sorted({int(rng.integers(1, 1 << frame.n)) for _ in range(focals)}
+                   | {*extra, frame.full_mask})
+    weights = rng.uniform(0.1, 1.0, len(masks))
+    return MassFunction(frame, dict(zip(masks, weights / weights.sum())))
+
+
+def bjs_records():
+    """The records of the ``bjs`` group."""
+    rng = np.random.default_rng(SEED)
+    for n in range(1, 7):
+        frame = Frame(tuple(f"E{i + 1}" for i in range(n)))
+        for i in range(5):
+            pair = [compound_piece(rng, frame, 3) for _ in range(2)]
+            yield ("bjs", "pair", n, i), caught(bjs, *pair)
+    frame = Frame(tuple(f"E{i + 1}" for i in range(5)))
+    for i in range(20):  # relative gaps from 1e-12 to 1e-4
+        piece = compound_piece(rng, frame, 4)
+        masks, weights = zip(*piece.items())
+        near = np.array(weights) * (1.0 + rng.uniform(-1.0, 1.0, len(masks))
+                                    * 10.0 ** -rng.uniform(4, 12))
+        yield ("bjs", "near", i), caught(
+            bjs, piece, MassFunction(frame, dict(zip(masks, near / near.sum()))))
+    for i, tiny in enumerate((5e-324, 1e-320) * 5):
+        frame = Frame(tuple(f"E{j + 1}" for j in range(2 + i // 2)))
+        other = compound_piece(rng, frame, 1)
+        lone = [mask for mask in frame.subsets() if mask not in other.masses]
+        mask = lone[int(rng.integers(len(lone)))]
+        # one subnormal on a set the other lacks, its rest a compound piece
+        piece = compound_piece(rng, frame, 2)
+        held = {k: v for k, v in piece.items() if k != mask}
+        held[frame.full_mask] += 1.0 - sum(held.values())
+        piece = MassFunction(frame, {**held, mask: tiny})
+        yield ("bjs", "subnormal", i), caught(bjs, piece, other)
+        yield ("bjs", "subnormal", i, "swapped"), caught(bjs, other, piece)
+        yield ("bjs", "subnormal", i, "eem"), caught(BJS.event_divergences, [piece, other],
+                                                     frame)
+    for n in range(1, 9):
+        frame = Frame(tuple(f"E{i + 1}" for i in range(n)))
+        pieces = [compound_piece(rng, frame, 3) for _ in range(3)]
+        pieces += [core.event_evidence(frame, j) for j in range(n)]
+        yield ("bjs", "eem", n), caught(BJS.event_divergences, pieces, frame)
+
+
 def records():
     for name in BUILTIN_DOCUMENTS:
         doc = builtin_document(name)
@@ -276,6 +329,7 @@ def records():
                 yield ("icef-stops", name, method, setting), caught(
                     fusion._fuse_tables, frame, focal, masses, method, stop_config)
     yield from divergence_records()
+    yield from bjs_records()
 
 
 #: A group's line in the output: its name, its number of records and its digest.

@@ -17,7 +17,9 @@ from credfuse import (
     MassFunction,
     ag_divergence,
     bjs,
+    build_eem,
     event_evidence,
+    fuse,
     get_measure,
     pb_transform,
     pbagd,
@@ -32,8 +34,7 @@ from credfuse.divergence import (
     DivergenceMeasure,
     LengthMismatchError,
     _ag_terms,
-    _assertion_levels,
-    _level_values,
+    _assertion_values,
     _pb_rows,
 )
 
@@ -229,6 +230,16 @@ def _per_call_levels(frame):
     return levels
 
 
+def _event_pairs(values):
+    """Per event, in event order, the ``(alpha, beta)`` pair that the
+    :func:`_assertion_values` table ``values`` gives it."""
+    pairs: dict[int, list[float]] = {}
+    for value, halves in values:
+        for j, holding, _ in halves:
+            pairs.setdefault(j, [None, None])[1 - holding] = value
+    return [tuple(pairs[j]) for j in sorted(pairs)]
+
+
 class TestAssertionLevels:
     """The table EEM reads the assertions' two weight values from one table
     per frame size."""
@@ -238,39 +249,45 @@ class TestAssertionLevels:
         default = divergence._BLOCK_ENTRIES
         if entries is not None:
             monkeypatch.setattr(divergence, "_BLOCK_ENTRIES", entries)
-        _assertion_levels.cache_clear()
+        _assertion_values.cache_clear()
         try:
             for n in range(1, 21):
                 if entries is not None and max(1, entries >> n) == max(1, default >> n):
                     continue  # the same blocks as the default size, checked there
                 frame = Frame(tuple(f"E{i + 1}" for i in range(n)))
-                got = _assertion_levels(n)
+                got = _assertion_values(n)
                 with monkeypatch.context() as patch:  # on the oracle's butterfly
                     patch.setattr(divergence, "superset_zeta", _oracle_zeta)
                     want = _per_call_levels(frame)
-                assert [(pair, list(events)) for pair, events in got] == list(want.items())
-                assert sorted(j for _, events in got for j in events) == list(range(n))
+                levels: dict[tuple[float, float], list[int]] = {}
+                for j, pair in enumerate(_event_pairs(got)):
+                    levels.setdefault(pair, []).append(j)
+                assert list(levels.items()) == list(want.items())
+                assert sorted(j for _, halves in got for j, *_ in halves) == sorted(
+                    [*range(n), *range(n)])
         finally:
-            _assertion_levels.cache_clear()
+            _assertion_values.cache_clear()
 
     def test_each_event_reads_its_two_values_once(self):
         for n in range(1, 21):
-            levels = _assertion_levels(n)
-            values = _level_values(levels)
+            values = _assertion_values(n)
             assert len({value for value, _ in values}) == len(values)
-            for (alpha, beta), events in levels:
-                for j in events:
-                    reads = [(value, holding, first) for value, halves in values
-                             for k, holding, first in halves if k == j]
-                    assert sorted(read[:2] for read in reads) == sorted(
-                        [(alpha, 1), (beta, 0)])
-                    assert [first for *_, first in reads] == [True, False]
+            pairs = _event_pairs(values)
+            # the distinct values in the order the events first read them
+            first_use = list(dict.fromkeys(v for pair in pairs for v in pair))
+            assert [value for value, _ in values] == first_use
+            for j, (alpha, beta) in enumerate(pairs):
+                reads = [(value, holding, first) for value, halves in values
+                         for k, holding, first in halves if k == j]
+                assert sorted(read[:2] for read in reads) == sorted(
+                    [(alpha, 1), (beta, 0)])
+                assert [first for *_, first in reads] == [True, False]
 
     def test_every_level_gives_a_term_of_plus_zero_against_itself(self):
         # sqrt(a * a) rounds back to a, so the table EEM needs no pass that
         # zeroes the entries equal to their level
         for n in range(1, 21):
-            for value, _ in _level_values(_assertion_levels(n)):
+            for value, _ in _assertion_values(n):
                 for p, q in ((np.array([value]), np.array([value])),
                              (np.full((2, 8), value), value)):
                     terms = _ag_terms(p, q)
@@ -298,7 +315,7 @@ class TestAssertionLevels:
         frame = Frame(tuple(f"E{i + 1}" for i in range(12)))
         ms = [random_mass_function(rng, frame, max_focals=6, omega_floor=0.05)
               for _ in range(8)]
-        _assertion_levels.cache_clear()
+        _assertion_values.cache_clear()
         first, _ = fusion.icef(ms)
         assert calls == [1] * 12 + [2] * 4
         calls.clear()
@@ -368,6 +385,64 @@ class TestBjs:
     def test_frame_mismatch(self, frame3):
         with pytest.raises(FrameMismatchError):
             bjs(vacuous(frame3), vacuous(Frame(("X", "Y"))))
+
+
+@pytest.mark.filterwarnings("error")
+class TestBjsAtTheEndsOfTheRange:
+    """A subnormal mass on a set the other piece lacks halves to 0, so
+    ``p / ((p + q) / 2)`` was infinite; near-equal pieces, and masses that
+    add up to 1 only within the tolerance, rounded outside ``[0, 1]``."""
+
+    @pytest.fixture()
+    def lone_subnormal(self):
+        frame = Frame(("A", "B"))
+        return frame, MassFunction(frame, {"A": 5e-324, "A,B": 1.0})
+
+    @pytest.mark.parametrize("tiny", [5e-324, 1e-320])
+    def test_a_subnormal_mass_keeps_the_pair_in_range(self, tiny):
+        frame = Frame(("A", "B"))
+        m = MassFunction(frame, {"A": tiny, "A,B": 1.0})
+        for other in (event_evidence(frame, "B"), MassFunction(frame, {"B": 0.5, "A,B": 0.5})):
+            value = bjs(m, other)
+            assert 0.0 <= value <= 1.0
+            assert value == bjs(other, m)
+        assert bjs(m, event_evidence(frame, "B")) == 1.0
+
+    def test_each_eem_entry_is_its_pair_call(self, lone_subnormal):
+        frame, m = lone_subnormal
+        ms = [m, MassFunction(frame, {"B": 5e-324, "A": 0.25, "A,B": 0.75}),
+              event_evidence(frame, "A")]
+        table = build_eem(ms, frame, BJS).values
+        want = np.array([[bjs(piece, event_evidence(frame, j)) for piece in ms]
+                         for j in range(frame.n)])
+        assert table.tobytes() == want.tobytes()
+        assert ((0.0 <= table) & (table <= 1.0)).all()
+
+    def test_icef_bjs_gives_finite_probabilities(self, lone_subnormal):
+        frame, m = lone_subnormal
+        ms = [m, event_evidence(frame, "A"), MassFunction(frame, {"A": 0.6, "B": 0.4})]
+        result = fuse(ms, "icef-bjs")
+        assert np.isfinite(result.pignistic).all()
+        assert np.isfinite(result.credibilities).all()
+        assert result.decision == "A"
+
+    def test_near_equal_pieces_are_not_below_zero(self):
+        frame = Frame(("A", "B", "C"))
+        m = MassFunction(frame, {"A": 0.1, "B": 0.2, "A,B,C": 0.7})
+        rng = np.random.default_rng(19)
+        values = []
+        for _ in range(200):
+            near = np.array([0.1, 0.2, 0.7]) * (1.0 + rng.uniform(-1e-12, 1e-12, 3))
+            other = MassFunction(frame, dict(zip((1, 2, 7), near / near.sum())))
+            values.append(bjs(m, other))
+            assert values[-1] == bjs(other, m)
+        assert min(values) >= 0.0
+
+    def test_a_total_within_the_tolerance_is_not_above_one(self):
+        frame = Frame(("A", "B"))
+        m = MassFunction(frame, {"A": 1.0 + 5e-10})
+        assert bjs(m, event_evidence(frame, "B")) == 1.0
+        assert build_eem([m], frame, BJS).values[1, 0] == 1.0
 
 
 class TestRegistry:
